@@ -25,6 +25,8 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

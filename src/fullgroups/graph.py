@@ -121,6 +121,10 @@ class Graph:
             inn[f.range].append(f)
         return inn
 
+    @cached_property
+    def _condensation(self):
+        return _Condensation(self)
+
     def has_vertex(self, name: str) -> bool:
         return name in self._vertex_set
 
@@ -561,53 +565,123 @@ def reaches(g, v: str, w: str) -> bool:
     return False
 
 
-def _cycle_vertices(g) -> frozenset:
-    """Vertices lying on some cycle (an omega loop family counts)."""
-    index = {}
-    low = {}
-    onstack = {}
-    result = set()
-    counter = itertools.count()
-    for root in g.vertices:
-        if root in index:
-            continue
-        work = [(root, iter(g.out_families(root)))]
-        index[root] = low[root] = next(counter)
-        onstack[root] = True
-        stack = [root]
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for fam in it:
-                x = fam.range
-                if x == u:
-                    result.add(u)  # self-loop
-                if x not in index:
-                    index[x] = low[x] = next(counter)
-                    onstack[x] = True
-                    stack.append(x)
-                    work.append((x, iter(g.out_families(x))))
-                    advanced = True
-                    break
-                elif onstack.get(x):
-                    low[u] = min(low[u], index[x])
-            if advanced:
+class _Condensation:
+    """Strongly connected components of a finite graph (Tarjan 1972).
+
+    The search starts from the vertices in declaration order and follows
+    families in ``_out`` order.  Component ids count in emission order, which
+    is reverse topological: every family leaving component ``c`` ends in a
+    component with a smaller id.  Per component id:
+
+    - ``members``: its vertices, in the order the search pops them;
+    - ``reach``: a bitset over vertex positions (bit ``i`` is
+      ``vertices[i]``) of everything reachable from it, itself included;
+    - ``cyclic``: some family has both ends inside it, i.e. it holds a cycle;
+    - ``simple``: its internal families, an omega family counting 2, number
+      exactly its size, so it is one simple cycle of single edges.
+
+    ``cycle_order`` lists the vertices on cycles in the order the search
+    meets them (self-loops when scanned, larger components when emitted).
+    """
+
+    def __init__(self, g):
+        out = g._out
+        self.pos = {v: i for i, v in enumerate(g.vertices)}
+        self.comp = {}
+        self.members, self.reach, self.cyclic, self.simple = [], [], [], []
+        self.cycle_order = []
+        index, low = {}, {}
+        onstack = set()
+        counter = itertools.count()
+        for root in g.vertices:
+            if root in index:
                 continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[u])
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    x = stack.pop()
-                    onstack[x] = False
-                    comp.append(x)
+            index[root] = low[root] = next(counter)
+            onstack.add(root)
+            stack = [root]
+            work = [(root, iter(out[root]))]
+            while work:
+                u, it = work[-1]
+                for fam in it:
+                    x = fam.range
                     if x == u:
+                        self.cycle_order.append(u)
+                    if x not in index:
+                        index[x] = low[x] = next(counter)
+                        onstack.add(x)
+                        stack.append(x)
+                        work.append((x, iter(out[x])))
                         break
-                if len(comp) > 1:
-                    result.update(comp)
-    return frozenset(result)
+                    if x in onstack:
+                        low[u] = min(low[u], index[x])
+                else:
+                    work.pop()
+                    if work:
+                        p = work[-1][0]
+                        low[p] = min(low[p], low[u])
+                    if low[u] == index[u]:
+                        members = []
+                        while True:
+                            x = stack.pop()
+                            onstack.discard(x)
+                            members.append(x)
+                            if x == u:
+                                break
+                        self._emit(out, members)
+
+    def _emit(self, out, members) -> None:
+        cid = len(self.members)
+        for x in members:
+            self.comp[x] = cid
+        bits = internal = 0
+        for x in members:
+            bits |= 1 << self.pos[x]
+            for fam in out[x]:
+                c = self.comp[fam.range]
+                if c == cid:
+                    internal += 2 if fam.is_omega else 1
+                else:
+                    bits |= self.reach[c]
+        if len(members) > 1:
+            self.cycle_order.extend(members)
+        self.members.append(members)
+        self.reach.append(bits)
+        self.cyclic.append(internal > 0)
+        self.simple.append(internal == len(members))
+
+    def bit(self, v: str) -> int:
+        return 1 << self.pos[v]
+
+    def reach_of(self, v: str) -> int:
+        return self.reach[self.comp[v]]
+
+
+def _cycle_vertices(g) -> frozenset:
+    """Vertices lying on some cycle (an omega loop family counts).
+
+    Its iteration order picks cofinality witnesses.  That order depends on
+    the hash seed and on how the set was filled, so the set is filled in the
+    order the search meets the vertices and only then frozen;
+    ``frozenset(cycle_order)`` would iterate differently.
+    """
+    return frozenset(set(g._condensation.cycle_order))
+
+
+def _unreached_pair(g, targets):
+    """First ``(v, t)`` with v not reaching t, or None.
+
+    ``v`` runs over the vertices in declaration order and ``t`` over
+    ``targets`` in its iteration order.
+    """
+    c = g._condensation
+    want = 0
+    for t in targets:
+        want |= c.bit(t)
+    for v in g.vertices:
+        reach = c.reach_of(v)
+        if reach & want != want:
+            return next((v, t) for t in targets if not reach & c.bit(t))
+    return None
 
 
 def count_paths_capped(g, v: str, w: str, cap: int):
@@ -618,34 +692,31 @@ def count_paths_capped(g, v: str, w: str, cap: int):
     _require_finite(g, "path counting")
     if cap < 1:
         raise GraphError("cap must be positive")
-    relevant = {u for u in g.vertices if reaches(g, v, u) and reaches(g, u, w)}
+    for name in (v, w):
+        if not g.has_vertex(name):
+            raise GraphError(f"unknown vertex {name!r}")
+    c = g._condensation
+    from_v, to_w = c.reach_of(v), c.bit(w)
+    # components reachable from v that reach w, in reverse topological order
+    relevant = [cid for cid, reach in enumerate(c.reach)
+                if reach & to_w and from_v & c.bit(c.members[cid][0])]
     if not relevant:
         return 0
     saturated = f">={cap}"
-    cyc = _cycle_vertices(g)
-    if relevant & cyc:
+    if any(c.cyclic[cid] for cid in relevant):
         return saturated
-    for u in relevant:
-        fam = g.omega_family(u)
-        if fam is not None and fam.range in relevant:
-            return saturated
-    # relevant subgraph is a DAG of single edges
-    memo = {}
-
-    def count_from(u):
-        if u in memo:
-            return memo[u]
-        total = 1 if u == w else 0
-        for f in g.out_families(u):
-            if f.range in relevant and u != w:
-                total += count_from(f.range)
-                if total >= cap:
-                    total = cap
-                    break
-        memo[u] = total
-        return total
-
-    n = count_from(v)
+    # the relevant part is a DAG of one-vertex components; successors come first
+    counts = {}
+    for cid in relevant:
+        (u,) = c.members[cid]
+        total = 0
+        for f in g._out[u]:
+            if f.range in counts:
+                if f.is_omega:
+                    return saturated
+                total += counts[f.range]
+        counts[u] = 1 if u == w else min(total, cap)
+    n = counts[v]
     return saturated if n >= cap else n
 
 
@@ -709,135 +780,50 @@ def check_condition_L(g) -> Verdict:
 
 
 def check_condition_K(g) -> Verdict:
-    """Every vertex with a return path has at least two distinct ones."""
+    """Every vertex with a return path has at least two distinct ones.
+
+    A vertex has exactly one first-return path iff its strongly connected
+    component is one simple cycle of single edges.  In any other component
+    that holds a cycle, a vertex has at least two: go by a shortest path to an
+    internal family off the cycle (or a second edge of an omega bundle), then
+    by a shortest path back.  Witness: the first such vertex.
+    """
     _require_finite(g, "condition (K)")
+    c = g._condensation
     for v in g.vertices:
-        n = _count_returns_capped(g, v, 2)
-        if n == 1:
+        if c.simple[c.comp[v]]:
             return Verdict(False, v)
     return Verdict(True)
-
-
-def _count_returns_capped(g, v: str, cap: int):
-    """Number of first-return paths at v, capped; omega bundles saturate."""
-    # split v into v_out / v_in and count v_out -> v_in paths
-    out_node, in_node = ("__out__", v), ("__in__", v)
-
-    def succ(u):
-        name = v if u == out_node else u
-        for f in g.out_families(name):
-            tgt = in_node if f.range == v else f.range
-            yield tgt, f.is_omega
-
-    # reachability from v_out and to v_in in the split graph
-    fwd = {out_node}
-    stack = [out_node]
-    while stack:
-        u = stack.pop()
-        for x, _ in succ(u):
-            if x not in fwd and x != in_node:
-                fwd.add(x)
-                stack.append(x)
-            elif x == in_node:
-                fwd.add(in_node)
-    if in_node not in fwd:
-        return 0
-    relevant = set()
-    for u in fwd:
-        if u == in_node:
-            relevant.add(u)
-            continue
-        seen = {u}
-        st = [u]
-        hit = False
-        while st and not hit:
-            y = st.pop()
-            for x, _ in succ(y):
-                if x == in_node:
-                    hit = True
-                    break
-                if x not in seen:
-                    seen.add(x)
-                    st.append(x)
-        if hit:
-            relevant.add(u)
-    # a cycle among relevant interior vertices saturates the count
-    interior = {u for u in relevant if u not in (out_node, in_node)}
-    for u in interior:
-        seen = set()
-        st = [x for x, _ in succ(u) if x in interior]
-        while st:
-            y = st.pop()
-            if y == u:
-                return cap
-            if y in seen:
-                continue
-            seen.add(y)
-            st.extend(x for x, _ in succ(y) if x in interior)
-    memo = {}
-
-    def count_from(u):
-        if u == in_node:
-            return 1
-        if u in memo:
-            return memo[u]
-        total = 0
-        for x, is_omega in succ(u):
-            if x not in relevant:
-                continue
-            mult = cap if is_omega else 1
-            total += mult * count_from(x)
-            if total >= cap:
-                total = cap
-                break
-        memo[u] = total
-        return total
-
-    return min(count_from(out_node), cap)
 
 
 def check_condition_T(g) -> Verdict:
-    """Every vertex reaches a cycle or a doubly-reachable vertex."""
+    """Every vertex reaches a cycle or a doubly-reachable vertex.
+
+    It fails exactly at the roots of out-trees: vertices that reach no cycle
+    and reach every vertex by one path only.  Going up the component DAG, v
+    is such a root iff its component holds no cycle, all its families are
+    single, every child is a root, and the children's reachable sets are
+    pairwise disjoint.  Witness: the first root.
+    """
     _require_finite(g, "condition (T)")
-    cyc = _cycle_vertices(g)
-    for v in g.vertices:
-        reach = {u for u in g.vertices if reaches(g, v, u)}
-        if reach & cyc:
+    c = g._condensation
+    roots = set()
+    for cid, members in enumerate(c.members):
+        if c.cyclic[cid]:
             continue
-        # acyclic reachable part: count paths from v, saturating at 2
-        order = _topo_order(g, reach)
-        npaths = {u: 0 for u in reach}
-        npaths[v] = 1
-        ok = False
-        for u in order:
-            fam_mult = [(f.range, 2 if f.is_omega else 1) for f in g.out_families(u)]
-            for tgt, mult in fam_mult:
-                if tgt in reach:
-                    npaths[tgt] = min(2, npaths[tgt] + mult * npaths[u])
-                    if npaths[tgt] >= 2:
-                        ok = True
-        if not ok:
+        (v,) = members  # a component without a cycle is one vertex
+        seen = 0
+        for f in g._out[v]:
+            reach = c.reach_of(f.range)
+            if f.is_omega or f.range not in roots or seen & reach:
+                break
+            seen |= reach
+        else:
+            roots.add(v)
+    for v in g.vertices:
+        if v in roots:
             return Verdict(False, v)
     return Verdict(True)
-
-
-def _topo_order(g, subset):
-    indeg = {u: 0 for u in subset}
-    for u in subset:
-        for f in g.out_families(u):
-            if f.range in subset:
-                indeg[f.range] += 1
-    order = [u for u in subset if indeg[u] == 0]
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for f in g.out_families(u):
-            if f.range in subset:
-                indeg[f.range] -= 1
-                if indeg[f.range] == 0:
-                    order.append(f.range)
-    return order
 
 
 def check_condition_W(g) -> Verdict:
@@ -848,11 +834,17 @@ def check_condition_W(g) -> Verdict:
 
 
 def check_condition_infinity(g) -> Verdict:
-    """Each infinite emitter returns to itself through its omega bundle."""
+    """Each infinite emitter returns to itself through its omega bundle.
+
+    That is, every omega bundle has both ends in one strongly connected
+    component.  Witness: the first infinite emitter whose bundle leaves its
+    component.
+    """
     _require_finite(g, "condition (infinity)")
+    c = g._condensation
     for v in g.vertices:
         fam = g.omega_family(v)
-        if fam is not None and not reaches(g, fam.range, v):
+        if fam is not None and not c.reach_of(fam.range) & c.bit(v):
             return Verdict(False, v)
     return Verdict(True)
 
@@ -899,36 +891,41 @@ def _degenerate_type(g, v: str):
 
 
 def check_cofinal(g) -> Verdict:
-    """Every vertex reaches every vertex lying on a cycle."""
+    """Every vertex reaches every vertex lying on a cycle.
+
+    Equivalently, every component reaches every component that holds a
+    cycle.  Witness: ``(v, c)`` with v the first vertex that misses one and
+    c the first missed vertex in ``_cycle_vertices`` order.
+    """
     _require_finite(g, "cofinality")
-    cyc = _cycle_vertices(g)
-    for v in g.vertices:
-        for c in cyc:
-            if not reaches(g, v, c):
-                return Verdict(False, (v, c))
-    return Verdict(True)
+    pair = _unreached_pair(g, _cycle_vertices(g))
+    return Verdict(pair is None, pair)
 
 
 def check_minimal(g) -> Verdict:
-    """Cofinal and every vertex reaches every singular vertex."""
+    """Cofinal and every vertex reaches every singular vertex.
+
+    Equivalently, every component reaches every component that holds a
+    cycle, a sink or an infinite emitter.  Witness: the cofinality witness,
+    else ``(v, s)`` with s the first singular vertex v misses.
+    """
     _require_finite(g, "minimality")
     cof = check_cofinal(g)
     if not cof.holds:
         return cof
-    for v in g.vertices:
-        for s in g.vertices:
-            if g.is_singular(s) and not reaches(g, v, s):
-                return Verdict(False, (v, s))
-    return Verdict(True)
+    pair = _unreached_pair(g, tuple(s for s in g.vertices if g.is_singular(s)))
+    return Verdict(pair is None, pair)
 
 
 def check_strongly_connected(g) -> Verdict:
+    """Every vertex reaches every vertex: at most one component.
+
+    Witness: the first pair ``(v, w)`` in declaration order with v not
+    reaching w.
+    """
     _require_finite(g, "strong connectedness")
-    for v in g.vertices:
-        for w in g.vertices:
-            if not reaches(g, v, w):
-                return Verdict(False, (v, w))
-    return Verdict(True)
+    pair = _unreached_pair(g, g.vertices)
+    return Verdict(pair is None, pair)
 
 
 def has_sinks(g) -> bool:

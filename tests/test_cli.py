@@ -214,6 +214,13 @@ class TestErrorsAndRoundtrips:
         code, _, err = run(capsys, "analyze", "/nonexistent.graph")
         assert code == 2
 
+    def test_unreadable_path_is_parse_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "analyze", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["code"] == "parse-error"
+
     def test_outputs_reparse(self, files, capsys):
         code, out, _ = run(capsys, "compose", files["baker"], files["baker"],
                            "--graph", files["e2"])

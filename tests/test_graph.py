@@ -1,7 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fullgroups as fg
 from fullgroups.errors import GraphError, UnsupportedConditionError
+from fullgroups.graph import _cycle_vertices
 
 from conftest import (
     make_e2,
@@ -276,3 +284,158 @@ def test_graph_json_roundtrip():
     for g in (make_e2(), make_one_orbit(), make_e_inf(), make_two_vertex_omega(),
               make_no_cover(), make_leveled_chain_graph()):
         assert fg.graph_from_json(fg.graph_to_json(g)) == g
+
+
+# ---------------------------------------------------------------------------
+# Large inputs: no recursion depth limit
+# ---------------------------------------------------------------------------
+
+
+def _ring(n):
+    return fg.Graph([f"v{i}" for i in range(n)],
+                    [fg.EdgeFamily(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+
+
+def _path(n):
+    return fg.Graph([f"p{i}" for i in range(n)],
+                    [fg.EdgeFamily(f"e{i}", f"p{i}", f"p{i + 1}") for i in range(n - 1)])
+
+
+def test_condition_K_on_long_ring():
+    assert fg.check_condition_K(_ring(3000)) == fg.Verdict(False, "v0")
+
+
+def test_count_paths_capped_on_long_path():
+    assert fg.count_paths_capped(_path(3000), "p0", "p2999", 2) == 1
+
+
+def test_condition_report_on_long_inputs():
+    ring = fg.condition_report(_ring(3000))
+    assert ring["K"] == {"holds": False, "witness": "v0"}
+    assert ring["strongly_connected"]["holds"] is True
+    path = fg.condition_report(_path(3000))
+    assert path["T"] == {"holds": False, "witness": "p0"}
+    assert path["strongly_connected"] == {"holds": False, "witness": ["p1", "p0"]}
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the pairwise definitions as a reference
+# ---------------------------------------------------------------------------
+
+
+def _walk_counts(g, v, steps, stop=None):
+    """Walks of length 1..steps from v, per end vertex, capped at 2.
+
+    An omega family counts as two edges; a walk goes no further once it
+    reaches ``stop``.
+    """
+    counts, frontier = {}, {v: 1}
+    for _ in range(steps):
+        nxt = {}
+        for u, k in frontier.items():
+            for f in g.out_families(u):
+                nxt[f.range] = min(2, nxt.get(f.range, 0) + k * (2 if f.is_omega else 1))
+        for u, k in nxt.items():
+            counts[u] = min(2, counts.get(u, 0) + k)
+        nxt.pop(stop, None)
+        frontier = nxt
+    return counts
+
+
+def _on_cycle(g, v):
+    return any(fg.reaches(g, f.range, v) for f in g.out_families(v))
+
+
+def _first_unreached(g, targets):
+    for v in g.vertices:
+        for t in targets:
+            if not fg.reaches(g, v, t):
+                return [v, t]
+    return None
+
+
+def _reference_report(g):
+    """K, T, infinity, cofinal, minimal and strong connectedness, pair by pair."""
+    n = len(g.vertices)
+
+    def cell(witness):
+        return {"holds": witness is None, "witness": witness}
+
+    # a first-return path repeats no interior vertex unless it runs through an
+    # interior cycle, which gives a second one within 3n steps
+    k = next((v for v in g.vertices
+              if _walk_counts(g, v, 3 * n, stop=v).get(v, 0) == 1), None)
+
+    def t_holds(v):
+        if any(_on_cycle(g, u) for u in g.vertices if fg.reaches(g, v, u)):
+            return True
+        return any(c >= 2 for c in _walk_counts(g, v, n).values())
+
+    t = next((v for v in g.vertices if not t_holds(v)), None)
+    inf = next((v for v in g.vertices if g.omega_family(v) is not None
+                and not fg.reaches(g, g.omega_family(v).range, v)), None)
+    cycle = [v for v in g.vertices if _on_cycle(g, v)]
+    assert set(_cycle_vertices(g)) == set(cycle)
+    # the cofinality witness follows the iteration order of _cycle_vertices
+    cofinal = _first_unreached(g, _cycle_vertices(g))
+    minimal = cofinal or _first_unreached(g, [s for s in g.vertices if g.is_singular(s)])
+    return {
+        "K": cell(k),
+        "T": cell(t),
+        "infinity": cell(inf),
+        "cofinal": cell(cofinal),
+        "minimal": cell(minimal),
+        "strongly_connected": cell(_first_unreached(g, g.vertices)),
+    }
+
+
+def test_cofinal_witness_under_fixed_hash_seed():
+    """The cofinality witness follows ``_cycle_vertices`` iteration order.
+
+    That order depends on the hash seed and on how the set was filled.
+    ('x', 'r3') is what the pairwise checker gave under PYTHONHASHSEED=0.
+    """
+    code = (
+        "import fullgroups as fg\n"
+        "vs = ['x'] + [f'r{i}' for i in range(16)]\n"
+        "fams = [fg.EdgeFamily(f'e{i}', f'r{i}', f'r{(i + 1) % 16}') for i in range(16)]\n"
+        "print(fg.check_cofinal(fg.Graph(vs, fams)).witness)\n"
+    )
+    src = str(pathlib.Path(fg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "('x', 'r3')\n"
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 9 vertices with parallel edges, self-loops and omega families."""
+    n = draw(st.integers(1, 9))
+    vs = [f"v{i}" for i in range(n)]
+    vertex = st.sampled_from(vs)
+    singles = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n + 2))
+    omegas = draw(st.dictionaries(vertex, vertex, max_size=n))
+    fams = [fg.EdgeFamily(f"e{i}", s, r) for i, (s, r) in enumerate(singles)]
+    fams += [fg.EdgeFamily(f"w{s}", s, r, "omega") for s, r in omegas.items()]
+    perm = draw(st.permutations(fams))
+    return fg.Graph(vs, perm)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_condition_report_matches_pairwise_reference(g):
+    report = fg.condition_report(g)
+    for name, want in _reference_report(g).items():
+        assert report[name] == want, name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_count_paths_capped_matches_walk_counts(g):
+    n = len(g.vertices)
+    for v in g.vertices:
+        walks = _walk_counts(g, v, 3 * n)
+        for w in g.vertices:
+            want = min(2, walks.get(w, 0) + (v == w))
+            assert fg.count_paths_capped(g, v, w, 2) == (">=2" if want == 2 else want)
