@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import GraphError, ParseError
 from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily
@@ -34,6 +33,7 @@ class BratteliDiagram:
             self, "edges", tuple(tuple((s, r) for s, r in e) for e in self.edges)
         )
         self._validate()
+        object.__setattr__(self, "_graph", None)  # see underlying_graph
 
     def _validate(self) -> None:
         if not self.levels or any(not l for l in self.levels):
@@ -83,8 +83,13 @@ class BratteliDiagram:
         return len(self.levels)
 
     def underlying_graph(self):
-        """Forget the level partition (leveled-infinite when repeating)."""
-        return _underlying(self)
+        """Forget the level partition (leveled-infinite when repeating).
+
+        Built once into ``_graph``, which ``__post_init__`` creates (see
+        ``graph._CachedVerdicts`` for why not ``cached_property``)."""
+        if self._graph is None:
+            object.__setattr__(self, "_graph", _underlying(self))
+        return self._graph
 
     def _instance(self, level: int, name: str) -> str:
         if self.repeat is None or level < self.repeat[0]:
@@ -173,22 +178,31 @@ class BratteliDiagram:
     def gamma_order(self, N: int) -> int:
         return math.prod(math.factorial(len(f)) for f in self.fibers(N).values())
 
-    def gamma_elements(self, N: int, limit: int | None = None):
-        """Enumerate the range-preserving permutations at level N."""
-        fibers = sorted(self.fibers(N).items())
-        pools = [list(itertools.permutations(paths)) for _, paths in fibers]
-        count = 0
-        for combo in itertools.product(*pools):
+    def gamma_elements(self, N: int):
+        """Enumerate the range-preserving permutations at level N, lazily.
+
+        The order is that of ``itertools.product`` over the fibers (sorted by
+        range vertex) of their ``itertools.permutations``; the permutations
+        of a fiber are drawn afresh each time the fiber before it advances.
+        """
+        fibers = [paths for _, paths in sorted(self.fibers(N).items())]
+        perms = [itertools.permutations(paths) for paths in fibers]
+        combo = [next(it) for it in perms]
+        while True:
             mapping = {}
-            for (_, paths), perm in zip(fibers, combo):
-                mapping.update(dict(zip(paths, perm)))
+            for paths, perm in zip(fibers, combo):
+                mapping.update(zip(paths, perm))
             yield GammaElement(self, N, mapping)
-            count += 1
-            if limit is not None and count >= limit:
+            for i in reversed(range(len(fibers))):
+                combo[i] = next(perms[i], None)
+                if combo[i] is not None:
+                    break
+                perms[i] = itertools.permutations(fibers[i])
+                combo[i] = next(perms[i])
+            else:
                 return
 
 
-@lru_cache(maxsize=None)
 def _underlying(b: BratteliDiagram):
     if b.repeat is None:
         vertices = [v for l in b.levels for v in l]
@@ -324,12 +338,18 @@ def bratteli_to_json(b: BratteliDiagram) -> dict:
 def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
     if not isinstance(data, dict) or "level" not in data:
         raise ParseError("element JSON needs 'level' and 'images'")
-    N = int(data["level"])
+    try:
+        N = int(data["level"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad level: {exc}") from exc
+    images = data.get("images") or {}
+    if not (isinstance(images, dict) and all(isinstance(t, str) for t in images.values())):
+        raise ParseError("element 'images' must map path literals to path literals")
     g = b.underlying_graph()
     fibers = b.fibers(N)
     all_paths = {format_path(g, p): p for paths in fibers.values() for p in paths}
     mapping = {p: p for p in all_paths.values()}
-    for src_lit, tgt_lit in (data.get("images") or {}).items():
+    for src_lit, tgt_lit in images.items():
         try:
             src, tgt = all_paths[src_lit.strip()], all_paths[tgt_lit.strip()]
         except KeyError as exc:

@@ -16,10 +16,9 @@ symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import AdmissibilityError, ParseError, PathError
-from .graph import OMEGA, EdgeFamily, Graph, check_condition_L, has_semi_tails, has_sinks
+from .graph import OMEGA, EdgeFamily, Graph
 from .pathspace import BoundaryPoint, FinitePath, make_path, periodic_point
 from .tables import Piece, Table, make_table
 
@@ -169,20 +168,9 @@ def default_labeling(g) -> Labeling:
     return Labeling(g)
 
 
-@lru_cache(maxsize=None)
-def _admissibility_failure(g):
-    if has_sinks(g):
-        return "graph has a sink"
-    if not check_condition_L(g).holds:
-        return "graph has an exitless cycle"
-    if has_semi_tails(g):
-        return "graph has a semi-tail"
-    return None
-
-
 def require_admissible(g) -> None:
     """No sinks, condition (L), no semi-tails: the embedding hypotheses."""
-    failure = _admissibility_failure(g)
+    failure = g._admissibility_failure
     if failure is not None:
         raise AdmissibilityError(failure)
 

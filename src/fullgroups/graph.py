@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GraphError, UnsupportedConditionError
+from .errors import GraphError, ParseError, UnsupportedConditionError
 
 OMEGA = float("inf")
 
@@ -53,7 +53,32 @@ class Verdict:
         return self.holds
 
 
-class Graph:
+class _CachedVerdicts:
+    """Whole-graph verdicts other modules ask for again and again, kept in
+    the ``_verdicts`` dict each constructor makes, so they go away with the
+    graph.  Not ``cached_property``: on CPython 3.11 an attribute added to
+    an object after construction slows every later attribute read on it."""
+
+    @property
+    def _effective(self) -> bool:
+        """Condition (L): the germ calculus needs it."""
+        if "L" not in self._verdicts:
+            self._verdicts["L"] = check_condition_L(self).holds
+        return self._verdicts["L"]
+
+    @property
+    def _admissibility_failure(self):
+        """Why the embedding into V does not apply, or None."""
+        if "admissible" not in self._verdicts:
+            self._verdicts["admissible"] = (
+                "graph has a sink" if has_sinks(self)
+                else "graph has an exitless cycle" if not self._effective
+                else "graph has a semi-tail" if has_semi_tails(self)
+                else None)
+        return self._verdicts["admissible"]
+
+
+class Graph(_CachedVerdicts):
     """A finite directed graph with ordered edge families.
 
     The declaration order of vertices and families is the labeling order used
@@ -68,6 +93,7 @@ class Graph:
         singles = [f for f in families if not f.is_omega]
         omegas = [f for f in families if f.is_omega]
         self.families = tuple(singles + omegas)
+        self._verdicts = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -217,7 +243,7 @@ class TemplateFamily:
     src_level: int | None = None
 
 
-class LeveledGraph:
+class LeveledGraph(_CachedVerdicts):
     """Infinite graph given by base levels plus a forever-repeating block.
 
     Block vertex names containing ``{}`` are instantiated with the 1-based
@@ -233,6 +259,7 @@ class LeveledGraph:
         self.block_levels = tuple(tuple(l) for l in block_levels)
         self.base_families = tuple(base_families)
         self.block_families = tuple(block_families)
+        self._verdicts = {}
         self._validate()
 
     # -- template layout ----------------------------------------------------
@@ -526,12 +553,9 @@ class LeveledGraph:
 
 def validate_graph(g) -> None:
     """Re-check all structural invariants (also run at construction time)."""
-    if isinstance(g, Graph):
-        g._validate()
-    elif isinstance(g, LeveledGraph):
-        g._validate()
-    else:
+    if not isinstance(g, (Graph, LeveledGraph)):
         raise GraphError(f"not a graph: {g!r}")
+    g._validate()
 
 
 # ---------------------------------------------------------------------------
@@ -1068,39 +1092,41 @@ def graph_to_json(g) -> dict:
     }
 
 
-def graph_from_json(data: dict):
-    from .errors import ParseError
+def _strings(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
+
+def _edge_records(data, key: str, default=None):
+    recs = data.get(key, default)
+    if not (isinstance(recs, list) and all(
+            isinstance(e, dict) and all(isinstance(e.get(k), str) for k in ("id", "src", "rng"))
+            for e in recs)):
+        raise ParseError(f"graph JSON: {key!r} must be a list of edge objects "
+                         "with string 'id', 'src' and 'rng'")
+    return recs
+
+
+def graph_from_json(data: dict):
     if not isinstance(data, dict):
         raise ParseError("graph file must hold a JSON object")
     if data.get("kind") == "leveled":
-        try:
-            base = data.get("base_levels", [])
-            block = data["block_levels"]
-            bf = [
-                TemplateFamily(e["id"], e["src"], e["rng"], e.get("where", "next"),
-                               e.get("src_level"))
-                for e in data.get("base_edges", [])
-            ]
-            kf = [
-                TemplateFamily(e["id"], e["src"], e["rng"], e.get("where", "next"),
-                               e.get("src_level"))
-                for e in data.get("block_edges", [])
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad leveled graph JSON: {exc}") from exc
+        base = data.get("base_levels", [])
+        block = data.get("block_levels")
+        if not all(isinstance(ls, list) and all(map(_strings, ls)) for ls in (base, block)):
+            raise ParseError("graph JSON: levels must be lists of lists of vertex names")
+        bf, kf = (
+            [TemplateFamily(e["id"], e["src"], e["rng"], e.get("where", "next"),
+                            e.get("src_level"))
+             for e in _edge_records(data, key, [])]
+            for key in ("base_edges", "block_edges")
+        )
         return LeveledGraph(base, block, bf, kf)
-    try:
-        vertices = data["vertices"]
-        families = [
-            EdgeFamily(
-                e["id"],
-                e["src"],
-                e["rng"],
-                OMEGA_MULT if e.get("mult", "1") == "omega" else SINGLE,
-            )
-            for e in data["edges"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad graph JSON: {exc}") from exc
+    vertices = data.get("vertices")
+    if not _strings(vertices):
+        raise ParseError("graph JSON: 'vertices' must be a list of vertex names")
+    families = [
+        EdgeFamily(e["id"], e["src"], e["rng"],
+                   OMEGA_MULT if e.get("mult", "1") == "omega" else SINGLE)
+        for e in _edge_records(data, "edges")
+    ]
     return Graph(vertices, families)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import AtomError, ParseError, PathError
+from .errors import AtomError, GraphError, ParseError, PathError
 from .graph import EdgeRef
 
 
@@ -267,10 +267,6 @@ def co_subtract(g, x: CompactOpen, y: CompactOpen) -> CompactOpen:
     return co_make(g, parts)
 
 
-def co_is_empty(x: CompactOpen) -> bool:
-    return x.is_empty()
-
-
 def co_equals(g, x: CompactOpen, y: CompactOpen) -> bool:
     return co_subtract(g, x, y).is_empty() and co_subtract(g, y, x).is_empty()
 
@@ -361,11 +357,6 @@ def co_contains_point(g, x: CompactOpen, p: BoundaryPoint) -> bool:
     return any(point_in_atom(g, p, a) for a in x.atoms)
 
 
-def point_equal(p: BoundaryPoint, q: BoundaryPoint) -> bool:
-    """Minimal forms are canonical, so equality is structural."""
-    return p == q
-
-
 def shift_point(g, p: BoundaryPoint) -> BoundaryPoint:
     if p.cycle is None:
         if not p.prefix.edges:
@@ -414,13 +405,22 @@ def tail_equivalent(g, p: BoundaryPoint, q: BoundaryPoint) -> bool:
     return any(d[i:] + d[:i] == c for i in range(len(d)))
 
 
-def witness_point(g, a: CylinderAtom, max_steps: int = 10_000) -> BoundaryPoint:
+def witness_point(g, a: CylinderAtom) -> BoundaryPoint:
     """A representable point inside the atom: extend greedily to a sink,
     an omega-vertex, or a cycle."""
     path = a.mu
     banned = set(a.F)
     seen = {}
-    for _ in range(max_steps):
+    # After the first step each greedy choice depends only on the vertex, on
+    # a leveled graph only on its template (level in the base or the block,
+    # and position).  Once every vertex or template has been passed, the
+    # walk has returned, or it repeats a template a block later and wanders
+    # forever.
+    if g.is_finite:
+        steps = len(g.vertices)
+    else:
+        steps = sum(map(len, g.base_levels + g.block_levels))
+    for _ in range(steps + 2):
         v = path.rng
         if g.is_sink(v) or g.omega_family(v) is not None:
             return finite_point(g, path)
@@ -460,7 +460,7 @@ def parse_ref(g, text: str) -> EdgeRef:
     ref = (fid, idx)
     try:
         g.check_ref(ref)
-    except Exception as exc:
+    except GraphError as exc:
         raise ParseError(f"bad edge reference {text!r}: {exc}") from exc
     return ref
 

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ArrowError, GermError, ParseError, TableError
-from .graph import check_condition_L
 from .pathspace import (
     BoundaryPoint,
     CompactOpen,
@@ -30,18 +28,22 @@ from .pathspace import (
     atom_split,
     atom_subtract,
     co_contains_point,
+    co_equals,
     co_intersect,
     co_make,
+    co_subtract,
     extend,
     format_path,
     format_point,
+    format_ref,
+    is_prefix,
     make_path,
     parse_path,
     parse_point,
-    point_equal,
+    parse_ref,
+    point_edge,
     point_in_atom,
     replace_point_prefix,
-    shift_point,
     trivial_path,
 )
 
@@ -121,8 +123,6 @@ def validate_table(t: Table) -> None:
                 raise TableError("overlapping codomain atoms")
     dom_u = co_make(g, doms)
     cod_u = co_make(g, cods)
-    from .pathspace import co_equals
-
     if not co_equals(g, dom_u, cod_u):
         raise TableError("domain union differs from codomain union")
 
@@ -182,13 +182,8 @@ def commutator(s: Table, t: Table) -> Table:
     return compose(compose(s, t), compose(inverse(s), inverse(t)))
 
 
-@lru_cache(maxsize=None)
-def _is_effective(g) -> bool:
-    return check_condition_L(g).holds
-
-
 def _require_effective(g) -> None:
-    if not _is_effective(g):
+    if not g._effective:
         raise GermError("germ calculus requires effectiveness (condition L fails)")
 
 
@@ -298,11 +293,6 @@ def table_image(t: Table, x: CompactOpen) -> CompactOpen:
 # ---------------------------------------------------------------------------
 
 
-def extend_by_identity(g, partial) -> Table:
-    """Pieces whose domain and codomain unions agree, identity elsewhere."""
-    return make_table(g, partial, validate=True)
-
-
 def involution_hat(g, partial) -> Table:
     """partial + its inverse, identity elsewhere; an involution."""
     pieces = [p if isinstance(p, Piece) else make_piece(g, *p) for p in partial]
@@ -327,29 +317,42 @@ class Arrow:
     source: BoundaryPoint
 
 
-def _max_shifts(p: BoundaryPoint):
-    return len(p.prefix.edges) if p.cycle is None else None
+def _shifts(ar: Arrow):
+    """Least ``(m, n)`` with ``m - n == lag`` and ``sigma^m(target) == sigma^n(source)``.
+
+    Returns None when there is none.  Finite points need one range and lag
+    ``|target| - |source|``; the least shifts keep their longest common edge
+    suffix.  Eventually periodic points need conjugate primitive cycles
+    ``c`` and ``d = c[r:] + c[:r]``; once both are inside their cycles the
+    tails agree exactly when ``lag = |p| - |q| + r`` modulo the cycle length
+    (``p``, ``q`` the prefixes), and below that the shifts step down while
+    the edges just before still agree.  A finite and a periodic point never
+    meet.
+    """
+    x, k, y = ar.target, ar.lag, ar.source
+    p, q = x.prefix.edges, y.prefix.edges
+    if x.is_finite != y.is_finite:
+        return None
+    if x.is_finite:
+        if x.prefix.rng != y.prefix.rng or k != len(p) - len(q):
+            return None
+        common = 0
+        while common < min(len(p), len(q)) and p[-1 - common] == q[-1 - common]:
+            common += 1
+        return len(p) - common, len(q) - common
+    c, d = x.cycle.edges, y.cycle.edges
+    r = next((r for r in range(len(c)) if c[r:] + c[:r] == d), None)
+    if r is None or (k - len(p) + len(q) - r) % len(c):
+        return None
+    n = max(0, -k, len(q), len(p) - k)
+    while n > max(0, -k) and point_edge(x, n - 1 + k) == point_edge(y, n - 1):
+        n -= 1
+    return n + k, n
 
 
-def arrow_consistent(g, ar: Arrow, budget: int = 24) -> bool:
+def arrow_consistent(g, ar: Arrow) -> bool:
     """Check sigma^m(target) == sigma^n(source) with m - n == lag."""
-    for n in range(budget):
-        m = ar.lag + n
-        if m < 0:
-            continue
-        mt, ms = _max_shifts(ar.target), _max_shifts(ar.source)
-        if mt is not None and m > mt:
-            continue
-        if ms is not None and n > ms:
-            continue
-        x, y = ar.target, ar.source
-        for _ in range(m):
-            x = shift_point(g, x)
-        for _ in range(n):
-            y = shift_point(g, y)
-        if point_equal(x, y):
-            return True
-    return False
+    return _shifts(ar) is not None
 
 
 def contains_arrow(t: Table, ar: Arrow) -> bool:
@@ -359,27 +362,27 @@ def contains_arrow(t: Table, ar: Arrow) -> bool:
     for piece in t.pieces:
         if point_in_atom(g, ar.source, domain_atom(piece)):
             image = replace_point_prefix(g, ar.source, piece.lam, piece.mu)
-            return point_equal(image, ar.target) and piece.lag == ar.lag
-    return point_equal(ar.source, ar.target) and ar.lag == 0
+            return image == ar.target and piece.lag == ar.lag
+    return ar.source == ar.target and ar.lag == 0
 
 
-def transposition_for_arrow(ar: Arrow, within: CompactOpen, g,
-                            depth_budget: int = 16) -> Table:
+def transposition_for_arrow(ar: Arrow, within: CompactOpen, g) -> Table:
     """An involution whose bisection contains the arrow, supported in ``within``.
 
     Builds piece (chi, F, ups) from cylinder neighbourhoods of target and
-    source that are deep enough to be disjoint and to fit inside ``within``.
+    source that are deep enough to be disjoint and to fit inside ``within``,
+    trying the shallowest depth first.
     """
-    if point_equal(ar.source, ar.target):
+    if ar.source == ar.target:
         raise ArrowError("source equals target: isotropy is not supported here")
     if not (co_contains_point(g, within, ar.source)
             and co_contains_point(g, within, ar.target)):
         raise ArrowError("arrow endpoints must lie inside the given support")
-    mn = _minimal_witness(g, ar, depth_budget)
+    mn = _shifts(ar)
     if mn is None:
         raise ArrowError("arrow is not consistent with its lag")
     m, n = mn
-    for d in range(depth_budget):
+    for d in range(_last_depth(g, ar, m, n, within) + 1):
         piece = _arrow_piece(g, ar, m, n, d)
         if piece is None:
             continue
@@ -388,73 +391,50 @@ def transposition_for_arrow(ar: Arrow, within: CompactOpen, g,
             continue
         if _atom_inside(g, da, within) and _atom_inside(g, ca, within):
             return involution_hat(g, [piece])
-    raise ArrowError("no separating cylinders of the required lag within the depth budget")
+    raise ArrowError("no separating cylinders of the required lag inside the given support")
 
 
-def _minimal_witness(g, ar: Arrow, budget: int):
-    for total in range(2 * budget):
-        for n in range(total + 1):
-            m = ar.lag + n
-            if m < 0 or m + n != total:
-                continue
-            mt, ms = _max_shifts(ar.target), _max_shifts(ar.source)
-            if mt is not None and m > mt:
-                continue
-            if ms is not None and n > ms:
-                continue
-            x, y = ar.target, ar.source
-            for _ in range(m):
-                x = shift_point(g, x)
-            for _ in range(n):
-                y = shift_point(g, y)
-            if point_equal(x, y):
-                return m, n
-    return None
+def _last_depth(g, ar: Arrow, m: int, n: int, within: CompactOpen) -> int:
+    """Deepest depth worth trying for the piece of a consistent arrow.
+
+    Finite points: the stems end with the points.  Periodic points: from
+    this depth on, the stems are incomparable (so F is empty and the atoms
+    are disjoint) and each one extends the stem of an atom of ``within``
+    that holds its point, so the piece always succeeds there.
+    """
+    x, y = ar.target, ar.source
+    if x.is_finite:
+        return len(x.prefix.edges) - m
+    j = -1  # index of the first differing edge; -1 if the start vertices differ
+    if x.prefix.start == y.prefix.start:
+        j = 0
+        while point_edge(x, j) == point_edge(y, j):
+            j += 1
+
+    def inside(pt):
+        return 1 + min(len(a.mu.edges) for a in within.atoms if point_in_atom(g, pt, a))
+
+    return max(0, j + 1 - min(m, n), inside(x) - m, inside(y) - n)
 
 
-def _point_stem(g, p: BoundaryPoint, length: int):
-    from .pathspace import point_edge
-
-    edges = []
-    for i in range(length):
-        e = point_edge(p, i)
-        if e is None:
-            return None
-        edges.append(e)
-    return make_path(g, p.prefix.start, edges)
+def _point_stem(g, p: BoundaryPoint, length: int) -> FinitePath:
+    return make_path(g, p.prefix.start, [point_edge(p, i) for i in range(length)])
 
 
 def _arrow_piece(g, ar: Arrow, m: int, n: int, d: int):
-    mt, ms = _max_shifts(ar.target), _max_shifts(ar.source)
-    if mt is not None and m + d > mt:
-        return None
-    if ms is not None and n + d > ms:
-        return None
     chi = _point_stem(g, ar.target, m + d)
     ups = _point_stem(g, ar.source, n + d)
-    from .pathspace import is_prefix, point_edge
-
-    F = set()
-    if is_prefix(chi, ups) and len(chi.edges) < len(ups.edges):
-        F.add(ups.edges[len(chi.edges)])
-    elif is_prefix(ups, chi) and len(ups.edges) < len(chi.edges):
-        F.add(chi.edges[len(ups.edges)])
-    elif chi.edges == ups.edges and chi.start == ups.start:
+    if chi == ups:
         return None
-    # both endpoints must stay inside their atoms
-    for stem, other_next in ((chi, point_edge(ar.target, len(chi.edges))),
-                             (ups, point_edge(ar.source, len(ups.edges)))):
-        if other_next is not None and other_next in F:
-            return None
-    try:
-        return make_piece(g, chi, F, ups)
-    except Exception:
+    short, long = sorted((chi, ups), key=len)
+    F = {long.edges[len(short)]} if is_prefix(short, long) else set()
+    # both endpoints must stay inside their atoms, which are then nonempty
+    if point_edge(ar.target, len(chi.edges)) in F or point_edge(ar.source, len(ups.edges)) in F:
         return None
+    return make_piece(g, chi, F, ups)
 
 
 def _atom_inside(g, a: CylinderAtom, x: CompactOpen) -> bool:
-    from .pathspace import co_subtract
-
     return co_subtract(g, CompactOpen((a,)), x).is_empty()
 
 
@@ -503,8 +483,6 @@ def random_table(g, rng: random.Random, splits: int = 5, omega_bound: int = 3) -
 
 def table_to_json(t: Table) -> dict:
     g = t.graph
-    from .pathspace import format_ref
-
     return {
         "pieces": [
             {
@@ -518,18 +496,18 @@ def table_to_json(t: Table) -> dict:
 
 
 def table_from_json(g, data) -> Table:
-    from .pathspace import parse_ref
-
-    if not isinstance(data, dict) or "pieces" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
         raise ParseError("table JSON must be an object with a 'pieces' list")
     pieces = []
     for rec in data["pieces"]:
-        try:
-            mu = parse_path(g, rec["mu"])
-            lam = parse_path(g, rec["lambda"])
-            F = [parse_ref(g, x) for x in rec.get("F", [])]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad piece record: {exc}") from exc
+        if not (isinstance(rec, dict) and isinstance(rec.get("mu"), str)
+                and isinstance(rec.get("lambda"), str) and isinstance(rec.get("F", []), list)
+                and all(isinstance(x, str) for x in rec.get("F", []))):
+            raise ParseError("a piece record needs path literals 'mu' and 'lambda' "
+                             "and a list of edge references 'F'")
+        mu = parse_path(g, rec["mu"])
+        lam = parse_path(g, rec["lambda"])
+        F = [parse_ref(g, x) for x in rec.get("F", [])]
         try:
             pieces.append(make_piece(g, mu, F, lam))
         except TableError as exc:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -102,6 +103,35 @@ class TestGammaGroups:
         assert len(list(b.gamma_elements(1))) == 2
         b24 = make_gamma24_diagram()
         assert len(list(b24.gamma_elements(2))) == 24
+
+    def test_element_order_is_product_of_permutations(self):
+        three_fibers = fg.BratteliDiagram(
+            levels=(("v0",), ("x", "y", "z")),
+            edges=((("v0", "x"),) * 2 + (("v0", "y"),) * 2 + (("v0", "z"),) * 3,),
+            repeat=None,
+        )
+        for b, N in ((make_gamma2_diagram(), 1), (make_gamma2_diagram(), 2),
+                     (make_gamma24_diagram(), 2), (three_fibers, 1)):
+            fibers = [paths for _, paths in sorted(b.fibers(N).items())]
+            want = [
+                {p: q for paths, perm in zip(fibers, combo) for p, q in zip(paths, perm)}
+                for combo in itertools.product(*(itertools.permutations(ps) for ps in fibers))
+            ]
+            got = [el.mapping for el in b.gamma_elements(N)]
+            assert got == want
+            assert len(got) == b.gamma_order(N)
+
+    def test_first_element_does_not_enumerate_the_fiber(self):
+        b = fg.BratteliDiagram(levels=(("v0",), ("z",)), edges=((("v0", "z"),) * 9,),
+                               repeat=None)
+        tracemalloc.start()
+        try:
+            el = next(b.gamma_elements(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert el.is_identity()
+        assert peak < 1_000_000
 
 
 class TestGammaToTable:

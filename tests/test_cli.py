@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -220,6 +223,28 @@ class TestErrorsAndRoundtrips:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"]["code"] == "parse-error"
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("element", {"level": "x", "images": {}}),
+        ("element", {"level": 1, "images": ["v0:e1_1"]}),
+        ("graph", {"vertices": 5, "edges": []}),
+        ("table", {"pieces": 5}),
+        ("table", {"pieces": [{"mu": 5, "F": [], "lambda": "v:a"}]}),
+    ], ids=["element-level", "element-images", "graph-vertices", "table-pieces", "piece-mu"])
+    def test_malformed_shape_is_parse_error(self, files, tmp_path, kind, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        argv = {"element": ["bratteli-embed", files["gamma2"], "--element", str(bad)],
+                "graph": ["analyze", str(bad)],
+                "table": ["invert", str(bad), "--graph", files["e2"]]}[kind]
+        src = str(pathlib.Path(fg.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "fullgroups.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["code"] == "parse-error"
 
     def test_outputs_reparse(self, files, capsys):
         code, out, _ = run(capsys, "compose", files["baker"], files["baker"],

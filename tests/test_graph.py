@@ -1,7 +1,9 @@
+import gc
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +408,19 @@ def test_cofinal_witness_under_fixed_hash_seed():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "('x', 'r3')\n"
+
+
+def test_cached_verdicts_do_not_pin_graphs():
+    v = "weakref-probe"
+    g = fg.Graph([v], [fg.EdgeFamily("a", v, v), fg.EdgeFamily("b", v, v)])
+    b = fg.BratteliDiagram(levels=((v,), ("u",)), edges=(((v, "u"),),), repeat=None)
+    fg.canonicalize(fg.identity(g))
+    fg.require_admissible(g)
+    b.underlying_graph()
+    refs = [weakref.ref(g), weakref.ref(b)]
+    del g, b
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 @st.composite

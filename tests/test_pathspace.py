@@ -109,9 +109,9 @@ class TestCompactOpens:
     def test_subtract_self_empty(self, e2, rng):
         for _ in range(30):
             x = fg.co_make(e2, _random_atoms(e2, rng))
-            assert fg.co_is_empty(fg.co_subtract(e2, x, x))
-        assert fg.co_is_empty(fg.co_make(e2, []))
-        assert not fg.co_is_empty(fg.full_space(e2))
+            assert fg.co_subtract(e2, x, x).is_empty()
+        assert fg.co_make(e2, []).is_empty()
+        assert not fg.full_space(e2).is_empty()
 
     def test_equality_is_equivalence(self, e2, rng):
         cos = [fg.co_make(e2, _random_atoms(e2, rng)) for _ in range(12)]
@@ -176,6 +176,22 @@ class TestWitness:
                 w = fg.witness_point(g, a)
                 assert fg.point_in_atom(g, p=w, a=a)
 
+    def test_wandering_leveled_chain_raises(self):
+        g = fg.LeveledGraph([], [["x{}"]], [], [fg.TemplateFamily("e{}", "x{}", "x{}")])
+        with pytest.raises(PathError):
+            fg.witness_point(g, fg.atom(g, fg.trivial_path(g, "x1")))
+
+    def test_leveled_witness_after_every_template(self):
+        # the first step, forced one level down, and then all three templates
+        # pass before the walk closes its cycle
+        g = fg.LeveledGraph([], [["c", "d", "e"]], [], [
+            fg.TemplateFamily("cd", "c", "d", "same"), fg.TemplateFamily("cn", "c", "d", "next"),
+            fg.TemplateFamily("de", "d", "e", "same"), fg.TemplateFamily("ec", "e", "c", "same")])
+        a = fg.atom(g, fg.trivial_path(g, "c@0"), {("cd@0", 1)})
+        w = fg.witness_point(g, a)
+        assert fg.point_in_atom(g, w, a)
+        assert fg.format_point(g, w) == "c@0:cn@0 / (de@1,ec@1,cd@1)"
+
 
 class TestPoints:
     def test_minimal_form(self, e2):
@@ -184,16 +200,16 @@ class TestPoints:
         # a . (ba)^inf == (ab)^inf
         pt = fg.periodic_point(e2, pa, path(e2, "v", "b", "a"))
         direct = fg.periodic_point(e2, fg.trivial_path(e2, "v"), pab)
-        assert fg.point_equal(pt, direct)
+        assert pt == direct
         # powers of a cycle reduce to the primitive root
         sq = fg.periodic_point(e2, fg.trivial_path(e2, "v"),
                                path(e2, "v", "a", "b", "a", "b"))
-        assert fg.point_equal(sq, direct)
+        assert sq == direct
 
     def test_shift(self, e2):
         abinf = fg.periodic_point(e2, path(e2, "v", "a"), path(e2, "v", "b"))
         binf = fg.periodic_point(e2, fg.trivial_path(e2, "v"), path(e2, "v", "b"))
-        assert fg.point_equal(fg.shift_point(e2, abinf), binf)
+        assert fg.shift_point(e2, abinf) == binf
         with pytest.raises(PathError):
             g = make_e_inf()
             fg.shift_point(g, fg.finite_point(g, fg.trivial_path(g, "w")))

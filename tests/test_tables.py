@@ -1,9 +1,12 @@
+import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fullgroups as fg
-from fullgroups.errors import ArrowError, GermError, TableError
+from fullgroups.errors import ArrowError, AtomError, GermError, TableError
 
 from conftest import (
     enumerate_points,
@@ -55,7 +58,8 @@ class TestValidation:
 
     def test_half_swap_rejected(self, e2):
         with pytest.raises(TableError):
-            fg.make_table(e2, [(path(e2, "v", "a"), frozenset(), path(e2, "v", "b"))])
+            fg.make_table(e2, [(path(e2, "v", "a"), frozenset(), path(e2, "v", "b"))],
+                          validate=True)
 
     def test_overlapping_domains_rejected(self, e2):
         with pytest.raises(TableError):
@@ -70,7 +74,7 @@ class TestValidation:
     def test_identity(self, e2):
         t = fg.identity(e2)
         assert t.pieces == ()
-        assert fg.point_equal(fg.apply(t, ainf(e2)), ainf(e2))
+        assert fg.apply(t, ainf(e2)) == ainf(e2)
 
 
 class TestApply:
@@ -78,14 +82,14 @@ class TestApply:
         T = baker_table(e2)
         abinf = fg.periodic_point(e2, path(e2, "v", "a"), path(e2, "v", "b"))
         aabinf = fg.periodic_point(e2, path(e2, "v", "a", "a"), path(e2, "v", "b"))
-        assert fg.point_equal(fg.apply(T, abinf), aabinf)
-        assert fg.point_equal(fg.apply(T, binf(e2)), binf(e2))
+        assert fg.apply(T, abinf) == aabinf
+        assert fg.apply(T, binf(e2)) == binf(e2)
 
     def test_isotropy_fixed_point(self, one_orbit):
         U = one_orbit_cover_table(one_orbit)
         einf = fg.periodic_point(one_orbit, fg.trivial_path(one_orbit, "v"),
                                  path(one_orbit, "v", "e"))
-        assert fg.point_equal(fg.apply(U, einf), einf)
+        assert fg.apply(U, einf) == einf
 
 
 class TestGroupOps:
@@ -111,7 +115,7 @@ class TestGroupOps:
             t = fg.random_table(e2, rng)
             st = fg.compose(s, t)
             for p in pts:
-                assert fg.point_equal(fg.apply(st, p), fg.apply(s, fg.apply(t, p)))
+                assert fg.apply(st, p) == fg.apply(s, fg.apply(t, p))
 
     def test_inverse_frozen(self, e2):
         T = baker_table(e2)
@@ -163,7 +167,7 @@ class TestCanonicalize:
         # construction, application and composition still work without exits
         st = fg.compose(t, t)
         ainf = fg.periodic_point(g, fg.trivial_path(g, "v"), path(g, "v", "a"))
-        assert fg.point_equal(fg.apply(st, ainf), ainf)
+        assert fg.apply(st, ainf) == ainf
 
     def test_canonicalize_idempotent(self, e2, rng):
         for _ in range(25):
@@ -181,7 +185,7 @@ class TestCanonicalize:
             c = fg.canonicalize(t)
             fg.validate_table(c)
             for p in pts:
-                assert fg.point_equal(fg.apply(c, p), fg.apply(t, p))
+                assert fg.apply(c, p) == fg.apply(t, p)
 
     @pytest.mark.parametrize("factory", [make_e2, make_two_vertex_omega])
     def test_inverse_undoes_apply(self, factory, rng):
@@ -191,7 +195,7 @@ class TestCanonicalize:
             t = fg.random_table(g, rng, splits=4, omega_bound=3)
             inv = fg.inverse(t)
             for p in pts:
-                assert fg.point_equal(fg.apply(inv, fg.apply(t, p)), p)
+                assert fg.apply(inv, fg.apply(t, p)) == p
 
     def test_cascading_merge(self, e2):
         t = fg.make_table(e2, [
@@ -214,7 +218,7 @@ class TestCanonicalize:
         assert set(c.pieces) == {fg.Piece(mu, frozenset(), lam),
                                  fg.Piece(lam, frozenset(), mu)}
         for p in enumerate_points(g, 3, 2):
-            assert fg.point_equal(fg.apply(c, p), fg.apply(t, p))
+            assert fg.apply(c, p) == fg.apply(t, p)
 
     def test_omega_child_absorbed_into_exclusion(self):
         g = make_e_inf()
@@ -228,7 +232,7 @@ class TestCanonicalize:
         assert set(c.pieces) == {fg.Piece(mu, frozenset(), lam),
                                  fg.Piece(lam, frozenset(), mu)}
         for p in enumerate_points(g, 3, 2, omega_bound=4):
-            assert fg.point_equal(fg.apply(c, p), fg.apply(t, p))
+            assert fg.apply(c, p) == fg.apply(t, p)
 
     def test_canonical_form_unique_for_germ_equal(self, e2, rng):
         for _ in range(40):
@@ -308,14 +312,15 @@ class TestConstructors:
             fg.involution_hat(e2, [(path(e2, "v", "a"), frozenset(), path(e2, "v", "a"))])
 
     def test_extend_by_identity(self, e2, one_orbit):
-        t = fg.extend_by_identity(e2, [
+        t = fg.make_table(e2, [
             (path(e2, "v", "a"), frozenset(), path(e2, "v", "b")),
             (path(e2, "v", "b"), frozenset(), path(e2, "v", "a")),
-        ])
+        ], validate=True)
         assert set(t.pieces) == set(swap_table(e2).pieces)
         one_orbit_cover_table(one_orbit)  # the listed pieces form a valid table
         with pytest.raises(TableError):
-            fg.extend_by_identity(e2, [(path(e2, "v", "a"), frozenset(), path(e2, "v", "b"))])
+            fg.make_table(e2, [(path(e2, "v", "a"), frozenset(), path(e2, "v", "b"))],
+                          validate=True)
 
 
 class TestArrows:
@@ -407,6 +412,163 @@ class TestTranspositionForArrow:
             g, [fg.atom(g, fg.trivial_path(g, "w"))]), g)
         assert fg.contains_arrow(t, ar)
         assert fg.is_identity(fg.compose(t, t))
+
+
+def _long_arrow(g, lag):
+    """(a^inf | lag | b^-lag a^inf): sigma^-lag of the source is the target."""
+    return fg.parse_arrow(g, f"(v: / (a) | {lag} | v:{','.join('b' * -lag)} / (a))")
+
+
+def _shared_prefix_arrow(g, k):
+    """(a^k b a^inf | -1 | a^(k+1) b a^inf): the stems agree for k + 1 edges."""
+    return fg.parse_arrow(g, f"(v:{','.join('a' * k + 'b')} / (a) | -1 | "
+                             f"v:{','.join('a' * (k + 1) + 'b')} / (a))")
+
+
+class TestExactArrows:
+    @pytest.mark.parametrize("lag", [-25, -30, -40])
+    def test_long_lag_is_consistent(self, e2, lag):
+        assert fg.arrow_consistent(e2, _long_arrow(e2, lag))
+
+    @pytest.mark.parametrize("arrow", [lambda g: _long_arrow(g, -40),
+                                       lambda g: _shared_prefix_arrow(g, 20)],
+                             ids=["lag-40", "shared-prefix-20"])
+    def test_transposition_needs_no_depth_budget(self, e2, arrow):
+        ar = arrow(e2)
+        t = fg.transposition_for_arrow(ar, fg.full_space(e2), e2)
+        assert fg.contains_arrow(t, ar)
+        assert fg.is_identity(fg.compose(t, t))
+
+    def test_no_search_budget_parameters(self):
+        banned = {"budget", "depth_budget", "max_steps", "limit"}
+        for name in dir(fg):
+            obj = getattr(fg, name)
+            if name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            funcs = [obj] if inspect.isfunction(obj) else [
+                f for n, f in vars(obj).items() if not n.startswith("_") and inspect.isfunction(f)]
+            for f in funcs:
+                assert not banned & set(inspect.signature(f).parameters), f.__qualname__
+
+
+# -- brute-force reference: the bounded searches the exact arrow calculus
+# replaced, with bounds large enough for the points involved ----------------
+
+
+def _unroll(p, length):
+    edges = list(p.prefix.edges)
+    while p.cycle is not None and len(edges) < length:
+        edges += p.cycle.edges
+    return edges[:length] if len(edges) >= length else None
+
+
+def _ref_shifts(g, ar):
+    x, y = ar.target, ar.source
+    size = sum(len(p.prefix.edges) + (len(p.cycle.edges) if p.cycle else 0) for p in (x, y))
+    bound = 2 * (size + 2 * abs(ar.lag) + 1)
+
+    def orbit(p):  # p, sigma(p), sigma^2(p), ... while defined
+        out = [p]
+        while len(out) < bound and not (out[-1].is_finite and not out[-1].prefix.edges):
+            out.append(fg.shift_point(g, out[-1]))
+        return out
+
+    xs, ys = orbit(x), orbit(y)
+    for total in range(bound):
+        n, odd = divmod(total - ar.lag, 2)
+        m = n + ar.lag
+        if not odd and 0 <= m < len(xs) and 0 <= n < len(ys) and xs[m] == ys[n]:
+            return m, n
+    return None
+
+
+def _ref_piece(g, ar, i, j):
+    chi_edges, ups_edges = _unroll(ar.target, i), _unroll(ar.source, j)
+    if chi_edges is None or ups_edges is None:
+        return None
+    chi = fg.make_path(g, ar.target.prefix.start, chi_edges)
+    ups = fg.make_path(g, ar.source.prefix.start, ups_edges)
+    if chi == ups:
+        return None
+    F = set()
+    for short, long in ((chi, ups), (ups, chi)):
+        if len(short.edges) < len(long.edges) and fg.make_path(
+                g, long.start, long.edges[:len(short.edges)]) == short:
+            F.add(long.edges[len(short.edges)])
+    for p, stem in ((ar.target, chi), (ar.source, ups)):
+        nxt = _unroll(p, len(stem.edges) + 1)
+        if nxt is not None and nxt[-1] in F:
+            return None
+    try:
+        return fg.make_piece(g, chi, F, ups)
+    except (AtomError, TableError):
+        return None
+
+
+def _ref_transposition(g, ar, within):
+    if ar.source == ar.target or not all(fg.co_contains_point(g, within, p)
+                                         for p in (ar.source, ar.target)):
+        raise ArrowError("reference: bad endpoints")
+    mn = _ref_shifts(g, ar)
+    if mn is None:
+        raise ArrowError("reference: inconsistent")
+    m, n = mn
+    for d in range(64):
+        piece = _ref_piece(g, ar, m + d, n + d)
+        if piece is None:
+            continue
+        da, ca = fg.CylinderAtom(piece.lam, piece.F), fg.CylinderAtom(piece.mu, piece.F)
+        if fg.atom_intersect(g, da, ca) is None and all(
+                fg.co_subtract(g, fg.CompactOpen((a,)), within).is_empty() for a in (da, ca)):
+            return fg.involution_hat(g, [piece])
+    raise ArrowError("reference: no piece up to depth 64")
+
+
+_ARROW_GRAPHS = [make_e2(), make_one_orbit(), make_no_cover(), make_e_inf(),
+                 make_two_vertex_omega()]
+_ARROW_POINTS = {id(g): enumerate_points(g, 3, 3) for g in _ARROW_GRAPHS}
+
+
+@st.composite
+def arrows_and_supports(draw):
+    """An arrow between distinct points, often tail-equivalent ones with a
+    consistent lag, and a support: the full space, cylinders around both
+    ends, or the full space minus one cylinder (atoms with exclusions)."""
+    g = draw(st.sampled_from(_ARROW_GRAPHS))
+    pts = _ARROW_POINTS[id(g)]
+    finite = draw(st.booleans())
+    x = draw(st.sampled_from([p for p in pts if p.is_finite == finite] or pts))
+    others = [p for p in pts if p != x]
+    same_tail = [p for p in others if fg.tail_equivalent(g, x, p)]
+    y = draw(st.sampled_from(same_tail if same_tail and draw(st.booleans()) else others))
+    lags = [k for k in range(-4, 5) if _ref_shifts(g, fg.Arrow(x, k, y)) is not None]
+    ar = fg.Arrow(x, draw(st.sampled_from(lags if lags and draw(st.booleans())
+                                          else range(-4, 5))), y)
+
+    def stem(p, depth):
+        return fg.make_path(g, p.prefix.start, _unroll(p, depth) or p.prefix.edges)
+
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return g, ar, fg.full_space(g)
+    if kind == 3:
+        hole = fg.atom(g, stem(draw(st.sampled_from(pts)), 3))
+        return g, ar, fg.co_subtract(g, fg.full_space(g), fg.CompactOpen((hole,)))
+    return g, ar, fg.co_make(g, [fg.atom(g, stem(p, kind)) for p in (x, y)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(arrows_and_supports())
+def test_arrow_calculus_matches_bounded_search(case):
+    g, ar, within = case
+    assert fg.arrow_consistent(g, ar) == (_ref_shifts(g, ar) is not None)
+    try:
+        want = _ref_transposition(g, ar, within)
+    except ArrowError:
+        with pytest.raises(ArrowError):
+            fg.transposition_for_arrow(ar, within, g)
+    else:
+        assert fg.transposition_for_arrow(ar, within, g) == want
 
 
 class TestNoCoverObstruction:
