@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GraphError, ParseError
-from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily
+from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily, _strings
 from .pathspace import FinitePath, format_path, make_path
 from .tables import Piece, Table, make_table
 from .embed import default_labeling, embed_table
@@ -149,7 +149,7 @@ class BratteliDiagram:
 
     def fibers(self, N: int):
         """Source-rooted paths reaching level N, grouped by their range vertex."""
-        if self.repeat is None and N >= len(self.levels):
+        if N < 0 or self.repeat is None and N >= len(self.levels):
             raise GraphError(f"level {N} is not declared")
         g = self.underlying_graph()
         by_vertex = {}
@@ -313,6 +313,13 @@ def af_to_v(el: GammaElement, lab=None) -> Table:
 def bratteli_from_json(data) -> BratteliDiagram:
     if not isinstance(data, dict) or "levels" not in data or "edges" not in data:
         raise ParseError("diagram JSON needs 'levels' and 'edges'")
+    levels, edges = data["levels"], data["edges"]
+    if not (isinstance(levels, list) and all(map(_strings, levels))):
+        raise ParseError("diagram 'levels' must be a list of lists of vertex names")
+    if not (isinstance(edges, list) and all(
+            isinstance(eset, list) and all(_strings(e) and len(e) == 2 for e in eset)
+            for eset in edges)):
+        raise ParseError("diagram 'edges' must be a list of lists of [source, range] pairs")
     repeat = None
     if data.get("repeat") is not None:
         try:
@@ -320,7 +327,7 @@ def bratteli_from_json(data) -> BratteliDiagram:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad repeat rule: {exc}") from exc
     try:
-        return BratteliDiagram(tuple(data["levels"]), tuple(data["edges"]), repeat)
+        return BratteliDiagram(tuple(levels), tuple(edges), repeat)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
 

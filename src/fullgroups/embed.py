@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, ParseError, PathError
-from .graph import OMEGA, EdgeFamily, Graph
+from .graph import OMEGA, EdgeFamily, Graph, _strings
 from .pathspace import BoundaryPoint, FinitePath, make_path, periodic_point
 from .tables import Piece, Table, make_table
 
@@ -499,7 +499,15 @@ def labeling_from_json(g, data) -> Labeling:
         return default_labeling(g)
     if not isinstance(data, dict):
         raise ParseError("labeling file must hold a JSON object")
+    vertices, edges = data.get("vertices"), data.get("edges")
+    if not (vertices is None or _strings(vertices)):
+        raise ParseError("labeling 'vertices' must be a list of vertex names")
+    if not (edges is None or isinstance(edges, dict) and all(map(_strings, edges.values()))):
+        raise ParseError("labeling 'edges' must map vertex names to lists of edge ids")
+    for v in edges or ():
+        if not g.has_vertex(v):
+            raise ParseError(f"labeling 'edges' names an unknown vertex {v!r}")
     try:
-        return Labeling(g, data.get("vertices"), data.get("edges"))
+        return Labeling(g, vertices, edges)
     except PathError as exc:
         raise ParseError(str(exc)) from exc

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import AtomError, GraphError, ParseError, PathError
-from .graph import EdgeRef
+from .graph import EdgeRef, _strings
 
 
 @dataclass(frozen=True)
@@ -183,67 +183,111 @@ class CompactOpen:
         return not self.atoms
 
 
+class _StemIndex:
+    """Atoms by stem, in insertion order, for finding the ones that meet an atom.
+
+    The stems form a trie: one root per start vertex, and a node per stem
+    holding the positions of the atoms at that stem and the stems one edge
+    below it.  An atom meets ``Z(mu \\ F)`` exactly when it sits at a proper
+    prefix of ``mu`` and does not exclude the next edge of ``mu``, at ``mu``
+    with a nonempty intersection, or below ``mu`` through an edge outside
+    ``F``.
+    """
+
+    def __init__(self, g, atoms=()):
+        self.g = g
+        self.atoms = []
+        self._roots = {}  # start vertex -> node; a node is (positions, {edge: node})
+        for a in atoms:
+            self.add(a)
+
+    def add(self, a: CylinderAtom) -> None:
+        node = self._roots.get(a.mu.start)
+        if node is None:
+            node = self._roots[a.mu.start] = ([], {})
+        for e in a.mu.edges:
+            below = node[1]
+            node = below.get(e)
+            if node is None:
+                node = below[e] = ([], {})
+        node[0].append(len(self.atoms))
+        self.atoms.append(a)
+
+    def meeting(self, a: CylinderAtom) -> list:
+        """Positions of the indexed atoms that meet ``a``, in insertion order."""
+        atoms = self.atoms
+        hits = []
+        node = self._roots.get(a.mu.start)
+        for e in a.mu.edges:
+            if node is None:
+                break
+            hits.extend(i for i in node[0] if e not in atoms[i].F)
+            node = node[1].get(e)
+        if node is not None:
+            hits.extend(i for i in node[0] if atom_intersect(self.g, a, atoms[i]) is not None)
+            stack = [kid for e, kid in node[1].items() if e not in a.F]
+            while stack:
+                node = stack.pop()
+                hits.extend(node[0])
+                stack.extend(node[1].values())
+        hits.sort()
+        return hits
+
+    def subtract_from(self, a: CylinderAtom) -> list:
+        """``a`` minus every indexed atom, as a disjoint list of atoms.
+
+        Only the atoms that meet ``a`` cut it, in insertion order: the parts
+        are subsets of ``a``, so the others miss every part.
+        """
+        parts = [a]
+        for i in self.meeting(a):
+            parts = [x for p in parts for x in atom_subtract(self.g, p, self.atoms[i])]
+        return parts
+
+
 def co_make(g, atoms) -> CompactOpen:
     """Normalize a list of atoms: disjointify, merge siblings, sort."""
-    disjoint = []
+    index = _StemIndex(g)
     for a in atoms:
-        parts = [a]
-        for r in disjoint:
-            parts = [x for p in parts for x in atom_subtract(g, p, r)]
-        disjoint.extend(parts)
-    merged = _merge_atoms(g, disjoint)
-    return CompactOpen(tuple(sorted(merged, key=lambda a: atom_sort_key(g, a))))
+        for part in index.subtract_from(a):
+            index.add(part)
+    return _merge_atoms(g, index.atoms)
 
 
-def _merge_atoms(g, atoms):
-    """Fixpoint of the sibling-merge rules on a disjoint atom list."""
-    items = set(atoms)
-    changed = True
-    while changed:
-        changed = False
-        # same-stem pair: the union is the F-intersection atom
-        by_stem = {}
-        for a in items:
-            by_stem.setdefault(a.mu, []).append(a)
-        for stem, group in by_stem.items():
-            if len(group) >= 2:
-                a, b = group[0], group[1]
-                items -= {a, b}
-                items.add(CylinderAtom(stem, a.F & b.F))
-                changed = True
-                break
-        if changed:
-            continue
-        plain = {(a.mu.start, a.mu.edges): a for a in items if not a.F}
-        for a in list(items):
-            if a.F:
-                # child Z(mu e) absorbed into Z(mu \ F) when e is excluded
-                hit = None
-                for e in a.F:
-                    child = plain.get((a.mu.start, a.mu.edges + (e,)))
-                    if child is not None:
-                        hit = (e, child)
-                        break
-                if hit is not None:
-                    e, child = hit
-                    items -= {a, child}
-                    items.add(CylinderAtom(a.mu, a.F - {e}))
-                    changed = True
-                    break
-            elif a.mu.edges:
-                # complete sibling family at a regular vertex becomes the parent
-                parent_edges = a.mu.edges[:-1]
-                w = g.ref_source(a.mu.edges[-1])
-                if not g.is_regular(w):
-                    continue
-                sibs = [plain.get((a.mu.start, parent_edges + (e,))) for e in _out_refs(g, w)]
-                if sibs and all(s is not None for s in sibs):
-                    parent = FinitePath(a.mu.start, parent_edges, w)
-                    items -= set(sibs)
-                    items.add(CylinderAtom(parent, frozenset()))
-                    changed = True
-                    break
-    return items
+def _merge_atoms(g, atoms) -> CompactOpen:
+    """The sibling-merge rules on a disjoint atom list, in one pass from the
+    deepest stem up; the result is ``co_make`` of the atoms.
+
+    At each depth the atoms of one stem merge into their F-intersection
+    atom, which absorbs the plain children ``Z(mu e)`` at its stem (each has
+    ``e`` excluded, by disjointness), and the plain children of a stem
+    without atoms that cover a regular vertex become the plain parent.  The
+    rules are confluent on disjoint atoms, so this is the fixpoint that any
+    order of applying them reaches.
+    """
+    levels = {}
+    for a in atoms:
+        levels.setdefault(a.depth, {}).setdefault(a.mu, []).append(a)
+    merged = []
+    plain = []  # plain atoms one level below the current depth
+    for d in range(max(levels, default=-1), -1, -1):
+        kids = {}
+        for c in plain:
+            kids.setdefault((c.mu.start, c.mu.edges[:-1]), []).append(c)
+        plain = []
+        for mu, group in levels.get(d, {}).items():
+            F = group[0].F.intersection(*(a.F for a in group[1:]))
+            absorbed = kids.pop((mu.start, mu.edges), ())
+            a = group[0] if len(group) == 1 and not absorbed else CylinderAtom(
+                mu, F.difference(c.mu.edges[-1] for c in absorbed))
+            (merged if a.F else plain).append(a)
+        for (start, edges), sibs in kids.items():
+            w = g.ref_source(sibs[0].mu.edges[-1])
+            if g.is_regular(w) and len(sibs) == len(g.out_singles(w)):
+                plain.append(CylinderAtom(FinitePath(start, edges, w), frozenset()))
+            else:
+                merged.extend(sibs)
+    return CompactOpen(tuple(sorted(merged + plain, key=lambda a: atom_sort_key(g, a))))
 
 
 def co_union(g, x: CompactOpen, y: CompactOpen) -> CompactOpen:
@@ -251,24 +295,18 @@ def co_union(g, x: CompactOpen, y: CompactOpen) -> CompactOpen:
 
 
 def co_intersect(g, x: CompactOpen, y: CompactOpen) -> CompactOpen:
-    out = []
-    for a in x.atoms:
-        for b in y.atoms:
-            i = atom_intersect(g, a, b)
-            if i is not None:
-                out.append(i)
-    return co_make(g, out)
+    index = _StemIndex(g, y.atoms)
+    return co_make(g, [atom_intersect(g, a, y.atoms[j]) for a in x.atoms for j in index.meeting(a)])
 
 
 def co_subtract(g, x: CompactOpen, y: CompactOpen) -> CompactOpen:
-    parts = list(x.atoms)
-    for b in y.atoms:
-        parts = [r for a in parts for r in atom_subtract(g, a, b)]
-    return co_make(g, parts)
+    index = _StemIndex(g, y.atoms)
+    return co_make(g, [part for a in x.atoms for part in index.subtract_from(a)])
 
 
 def co_equals(g, x: CompactOpen, y: CompactOpen) -> bool:
-    return co_subtract(g, x, y).is_empty() and co_subtract(g, y, x).is_empty()
+    """Equal sets: the same atoms, or each one minus the other is empty."""
+    return x == y or co_subtract(g, x, y).is_empty() and co_subtract(g, y, x).is_empty()
 
 
 def full_space(g) -> CompactOpen:
@@ -527,6 +565,10 @@ def co_from_json(g, data) -> CompactOpen:
         raise ParseError("compact open JSON must be a list")
     atoms = []
     for rec in data:
+        if not (isinstance(rec, dict) and isinstance(rec.get("mu"), str)
+                and _strings(rec.get("F", []))):
+            raise ParseError("an atom record needs a path literal 'mu' "
+                             "and a list of edge references 'F'")
         mu = parse_path(g, rec["mu"])
         F = [parse_ref(g, t) for t in rec.get("F", [])]
         try:

@@ -22,6 +22,8 @@ from .pathspace import (
     CompactOpen,
     CylinderAtom,
     FinitePath,
+    _StemIndex,
+    _merge_atoms,
     atom,
     atom_intersect,
     atom_sort_key,
@@ -115,15 +117,22 @@ def validate_table(t: Table) -> None:
         atom(g, p.lam, p.F)
         doms.append(domain_atom(p))
         cods.append(codomain_atom(p))
-    for i in range(len(doms)):
-        for j in range(i + 1, len(doms)):
-            if atom_intersect(g, doms[i], doms[j]) is not None:
-                raise TableError("overlapping domain atoms")
-            if atom_intersect(g, cods[i], cods[j]) is not None:
-                raise TableError("overlapping codomain atoms")
-    dom_u = co_make(g, doms)
-    cod_u = co_make(g, cods)
-    if not co_equals(g, dom_u, cod_u):
+    # Each piece looks up the earlier ones it overlaps.  The error names the
+    # first overlapping pair (i, j) of pieces, least i then least j, and at
+    # that pair the domains before the codomains.
+    dom_index, cod_index = _StemIndex(g), _StemIndex(g)
+    first = None
+    for d, c in zip(doms, cods):
+        hit_d, hit_c = dom_index.meeting(d), cod_index.meeting(c)
+        if hit_d or hit_c:
+            i = min(hit_d[:1] + hit_c[:1])
+            if first is None or i < first[0]:
+                first = (i, "domain" if hit_d[:1] == [i] else "codomain")
+        dom_index.add(d)
+        cod_index.add(c)
+    if first is not None:
+        raise TableError(f"overlapping {first[1]} atoms")
+    if not co_equals(g, _merge_atoms(g, doms), _merge_atoms(g, cods)):
         raise TableError("domain union differs from codomain union")
 
 
@@ -147,14 +156,13 @@ def compose(s: Table, t: Table) -> Table:
         raise TableError("tables live over different graphs")
     g = s.graph
     out = []
-    s_doms = [(pj, domain_atom(pj)) for pj in s.pieces]
+    s_doms = _StemIndex(g, [domain_atom(pj) for pj in s.pieces])
     for pi in t.pieces:
         cod = codomain_atom(pi)
         remaining = [cod]
-        for pj, dj in s_doms:
+        for j in s_doms.meeting(cod):
+            pj, dj = s.pieces[j], s_doms.atoms[j]
             inter = atom_intersect(g, cod, dj)
-            if inter is None:
-                continue
             rel = inter.mu.edges[len(pi.mu.edges):]
             dom_stem = FinitePath(pi.lam.start, pi.lam.edges + rel, inter.mu.rng)
             rel2 = inter.mu.edges[len(pj.lam.edges):]
@@ -165,12 +173,9 @@ def compose(s: Table, t: Table) -> Table:
             rel = left.mu.edges[len(pi.mu.edges):]
             dom_stem = FinitePath(pi.lam.start, pi.lam.edges + rel, left.mu.rng)
             out.append(Piece(left.mu, left.F, dom_stem))
-    t_doms = [domain_atom(pi) for pi in t.pieces]
+    t_doms = _StemIndex(g, [domain_atom(pi) for pi in t.pieces])
     for pj in s.pieces:
-        parts = [domain_atom(pj)]
-        for da in t_doms:
-            parts = [r for a in parts for r in atom_subtract(g, a, da)]
-        for part in parts:
+        for part in t_doms.subtract_from(domain_atom(pj)):
             rel = part.mu.edges[len(pj.lam.edges):]
             cod_stem = FinitePath(pj.mu.start, pj.mu.edges + rel, part.mu.rng)
             out.append(Piece(cod_stem, part.F, part.mu))
@@ -272,19 +277,16 @@ def support(t: Table) -> CompactOpen:
 def table_image(t: Table, x: CompactOpen) -> CompactOpen:
     """Forward image of a compact open under the table's homeomorphism."""
     g = t.graph
-    doms = [domain_atom(p) for p in t.pieces]
+    doms = _StemIndex(g, [domain_atom(p) for p in t.pieces])
+    x_atoms = _StemIndex(g, x.atoms)
     moved = []
-    for p, d in zip(t.pieces, doms):
-        for a in x.atoms:
-            inter = atom_intersect(g, a, d)
-            if inter is None:
-                continue
+    for p, d in zip(t.pieces, doms.atoms):
+        for k in x_atoms.meeting(d):
+            inter = atom_intersect(g, x.atoms[k], d)
             rel = inter.mu.edges[len(p.lam.edges):]
             moved.append(CylinderAtom(
                 FinitePath(p.mu.start, p.mu.edges + rel, inter.mu.rng), inter.F))
-    still = list(x.atoms)
-    for d in doms:
-        still = [r for a in still for r in atom_subtract(t.graph, a, d)]
+    still = [part for a in x.atoms for part in doms.subtract_from(a)]
     return co_make(g, moved + still)
 
 

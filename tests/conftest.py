@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 import fullgroups as fg
 
@@ -63,6 +64,26 @@ def make_two_vertex_omega():
             fg.EdgeFamily("f", "w2", "w2", "omega"),
         ],
     )
+
+
+def make_sink_graph():
+    """Loop a at v, b: v -> s (a sink), c: v -> u, d: u -> v, omega loops x at u."""
+    return fg.Graph(
+        ["v", "s", "u"],
+        [
+            fg.EdgeFamily("a", "v", "v"),
+            fg.EdgeFamily("b", "v", "s"),
+            fg.EdgeFamily("c", "v", "u"),
+            fg.EdgeFamily("d", "u", "v"),
+            fg.EdgeFamily("x", "u", "u", "omega"),
+        ],
+    )
+
+
+def algebra_graphs():
+    """Finite graphs with loops, exits, omega bundles and a sink."""
+    return [make_e2(), make_one_orbit(), make_no_cover(), make_e_inf(),
+            make_two_vertex_omega(), make_sink_graph()]
 
 
 def make_leveled_chain_graph():
@@ -175,6 +196,47 @@ def enumerate_paths_upto(g, v, length):
         out += nxt
         frontier = nxt
     return out
+
+
+def _refs_at(g, v, omega_bound=3):
+    refs = [(f.id, 1) for f in g.out_singles(v)]
+    fam = g.omega_family(v)
+    if fam:
+        refs += [(fam.id, j) for j in range(1, omega_bound + 1)]
+    return refs
+
+
+@st.composite
+def atom_lists(draw, g, max_atoms=8, max_depth=3):
+    """Atoms of ``g``: a random list of (often overlapping) atoms, pieces of
+    a random partition of the boundary space (disjoint, with whole sibling
+    families), or both in one list."""
+    atoms = []
+    kind = draw(st.sampled_from(["random", "partition", "both"]))
+    if kind != "partition":
+        for _ in range(draw(st.integers(0, max_atoms))):
+            p = fg.trivial_path(g, draw(st.sampled_from(g.vertices)))
+            for _ in range(draw(st.integers(0, max_depth))):
+                refs = _refs_at(g, p.rng)
+                if not refs:
+                    break
+                p = fg.extend(g, p, draw(st.sampled_from(refs)))
+            refs = _refs_at(g, p.rng)
+            F = draw(st.sets(st.sampled_from(refs))) if refs else set()
+            if g.is_regular(p.rng) and len(F) == len(refs):
+                F.discard(draw(st.sampled_from(refs)))
+            atoms.append(fg.atom(g, p, F))
+    if kind != "random":
+        parts = [fg.atom(g, fg.trivial_path(g, v)) for v in g.vertices]
+        for _ in range(draw(st.integers(0, 3 * max_atoms))):
+            i = draw(st.integers(0, len(parts) - 1))
+            a = parts[i]
+            refs = [e for e in _refs_at(g, a.mu.rng) if e not in a.F]
+            if refs:
+                parts[i:i + 1] = fg.atom_split(g, a, draw(st.sampled_from(refs))).atoms
+        keep = draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+        atoms += draw(st.permutations([a for a, k in zip(parts, keep) if k]))
+    return atoms
 
 
 @pytest.fixture

@@ -67,6 +67,16 @@ class TestDiagram:
         for b in (make_gamma2_diagram(), make_gamma24_diagram()):
             assert fg.bratteli_from_json(fg.bratteli_to_json(b)) == b
 
+    @pytest.mark.parametrize("change", [
+        {"levels": 5}, {"levels": [["v0"], "u"]}, {"levels": [["v0"], [1]]},
+        {"edges": 5}, {"edges": [[["v"]]]}, {"edges": [[["v0", "u", "u2"]]]},
+        {"edges": [["v0u"]]},
+    ])
+    def test_malformed_shapes_are_parse_errors(self, change):
+        data = dict(fg.bratteli_to_json(make_gamma2_diagram()), **change)
+        with pytest.raises(ParseError):
+            fg.bratteli_from_json(data)
+
 
 class TestGammaGroups:
     def test_small_orders(self):
@@ -91,6 +101,15 @@ class TestGammaGroups:
     def test_brute_force_matches(self):
         for b, N in ((make_gamma2_diagram(), 1), (make_gamma24_diagram(), 2)):
             assert b.gamma_order(N) == brute_force_order(b, N)
+
+    @pytest.mark.parametrize("factory", [make_gamma2_diagram, make_gamma24_diagram])
+    def test_negative_level_is_not_declared(self, factory):
+        b = factory()
+        for call in (b.fibers, b.gamma_order):
+            with pytest.raises(GraphError, match=r"^level -1 is not declared$"):
+                call(-1)
+        with pytest.raises(GraphError, match=r"^level -1 is not declared$"):
+            fg.gamma_element_from_json(b, {"level": -1, "images": {}})
 
     def test_deeper_level_order(self):
         b = make_gamma2_diagram()

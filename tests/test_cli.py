@@ -55,6 +55,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _run_cli(argv):
+    """Run the CLI as a subprocess; returns (exit code, stdout, stderr)."""
+    src = str(pathlib.Path(fg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "fullgroups.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestAnalyze:
     def test_one_orbit_report(self, files, capsys):
         code, out, err = run(capsys, "analyze", files["one_orbit"])
@@ -230,21 +239,35 @@ class TestErrorsAndRoundtrips:
         ("graph", {"vertices": 5, "edges": []}),
         ("table", {"pieces": 5}),
         ("table", {"pieces": [{"mu": 5, "F": [], "lambda": "v:a"}]}),
-    ], ids=["element-level", "element-images", "graph-vertices", "table-pieces", "piece-mu"])
+        ("bratteli", {"levels": 5, "edges": []}),
+        ("bratteli", {"levels": [["v"], ["u"]], "edges": [[["v"]]]}),
+        ("labeling", {"vertices": 5}),
+        ("labeling", {"edges": ["a"]}),
+        ("labeling", {"edges": {"zz": ["a", "b"]}}),
+    ], ids=["element-level", "element-images", "graph-vertices", "table-pieces", "piece-mu",
+            "bratteli-levels", "bratteli-edge-pair", "labeling-vertices", "labeling-edges",
+            "labeling-unknown-vertex"])
     def test_malformed_shape_is_parse_error(self, files, tmp_path, kind, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         argv = {"element": ["bratteli-embed", files["gamma2"], "--element", str(bad)],
                 "graph": ["analyze", str(bad)],
-                "table": ["invert", str(bad), "--graph", files["e2"]]}[kind]
-        src = str(pathlib.Path(fg.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-m", "fullgroups.cli", *argv],
-                              capture_output=True, text=True, timeout=60,
-                              env=dict(os.environ, PYTHONPATH=src))
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        (line,) = proc.stderr.splitlines()
+                "table": ["invert", str(bad), "--graph", files["e2"]],
+                "bratteli": ["bratteli-order", str(bad), "--level", "1"],
+                "labeling": ["emit", files["e2"], "--labeling", str(bad)]}[kind]
+        code, out, err = _run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
         assert json.loads(line)["error"]["code"] == "parse-error"
+
+    def test_negative_level_is_refused(self, files):
+        code, out, err = _run_cli(["bratteli-order", files["gamma2"], "--level", "-1"])
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["message"] == "level -1 is not declared"
 
     def test_outputs_reparse(self, files, capsys):
         code, out, _ = run(capsys, "compose", files["baker"], files["baker"],

@@ -1,11 +1,20 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fullgroups as fg
+from fullgroups import pathspace
 from fullgroups.errors import AtomError, ParseError, PathError
 
 from conftest import (
+    algebra_graphs,
+    atom_lists,
     enumerate_points,
     make_e2,
     make_e_inf,
@@ -13,6 +22,7 @@ from conftest import (
     make_two_vertex_omega,
     path,
 )
+from pairwise_reference import old_co_intersect, old_co_make, old_co_subtract
 
 
 def A(g, p, *F):
@@ -121,6 +131,70 @@ class TestCompactOpens:
             for y in cos:
                 if fg.co_equals(e2, x, y):
                     assert fg.co_equals(e2, y, x)
+
+
+_GRAPHS = algebra_graphs()
+
+
+@st.composite
+def _graph_and_atom_lists(draw):
+    g = draw(st.sampled_from(_GRAPHS))
+    return g, draw(atom_lists(g)), draw(atom_lists(g))
+
+
+class TestStemIndex:
+    """The stem index gives the pairwise algebra's results atom for atom."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_graph_and_atom_lists())
+    def test_matches_pairwise_reference(self, case):
+        g, xs, ys = case
+        x = fg.co_make(g, xs)
+        assert x == old_co_make(g, xs)
+        y = fg.co_make(g, ys)
+        assert fg.co_make(g, xs + ys) == old_co_make(g, xs + ys)
+        assert fg.co_subtract(g, x, y) == old_co_subtract(g, x, y)
+        assert fg.co_intersect(g, x, y) == old_co_intersect(g, x, y)
+
+    def test_same_atoms_under_any_hash_seed(self):
+        script = (
+            "import random, fullgroups as fg\n"
+            "from conftest import make_no_cover, make_sink_graph, make_two_vertex_omega\n"
+            "from test_pathspace import _random_atoms\n"
+            "rng = random.Random(5)\n"
+            "for g in (make_no_cover(), make_sink_graph(), make_two_vertex_omega()):\n"
+            "    for _ in range(60):\n"
+            "        print(fg.co_to_json(g, fg.co_make(g, _random_atoms(g, rng, 8, 3))))\n"
+        )
+        here = pathlib.Path(__file__).parent
+        src = str(pathlib.Path(fg.__file__).resolve().parents[1])
+        outs = []
+        for seed in ("0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, str(here)]))
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, timeout=120, env=env, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 180
+
+    def test_disjoint_input_is_not_cut(self, e2, monkeypatch):
+        calls = []
+        subtract = pathspace.atom_subtract
+        monkeypatch.setattr(pathspace, "atom_subtract",
+                            lambda *args: calls.append(1) or subtract(*args))
+        rng = random.Random(3)
+        parts = [fg.atom(e2, fg.trivial_path(e2, "v"))]
+        while len(parts) < 200:
+            i = rng.randrange(len(parts))
+            a = parts[i]
+            edges = [e for e in (("a", 1), ("b", 1)) if e not in a.F]
+            parts[i:i + 1] = fg.atom_split(e2, a, rng.choice(edges)).atoms
+        rng.shuffle(parts)
+        assert fg.co_make(e2, parts) == fg.full_space(e2)
+        assert calls == []
+        fg.co_make(e2, parts + parts[:1])
+        assert calls
 
 
 def _random_atoms(g, rng, n=3, depth=2):
@@ -276,6 +350,14 @@ class TestLiterals:
         for bad in ("v", "v:q", "v:a", "v:a / ()", "v:a / b"):
             with pytest.raises(ParseError):
                 fg.parse_point(e2, bad)
+
+    @pytest.mark.parametrize("data", [
+        [5], ["v:a"], [{}], [{"F": []}], [{"mu": 3}], [{"mu": "v:a", "F": "b"}],
+        [{"mu": "v:a", "F": [1]}],
+    ])
+    def test_co_json_shape_errors(self, e2, data):
+        with pytest.raises(ParseError):
+            fg.co_from_json(e2, data)
 
     def test_co_json_roundtrip(self, e2, rng):
         from fullgroups.pathspace import co_from_json, co_to_json

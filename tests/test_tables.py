@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fullgroups as fg
+from fullgroups import pathspace, tables
 from fullgroups.errors import ArrowError, AtomError, GermError, TableError
 
 from conftest import (
+    algebra_graphs,
+    atom_lists,
     enumerate_points,
     make_e2,
     make_e_inf,
@@ -17,6 +20,7 @@ from conftest import (
     make_two_vertex_omega,
     path,
 )
+from pairwise_reference import old_compose, old_table_image, old_validate_table
 
 
 def swap_table(e2):
@@ -75,6 +79,72 @@ class TestValidation:
         t = fg.identity(e2)
         assert t.pieces == ()
         assert fg.apply(t, ainf(e2)) == ainf(e2)
+
+
+_GRAPHS = algebra_graphs()
+
+
+@st.composite
+def _random_tables(draw, g):
+    seed = draw(st.integers(0, 2**32 - 1))
+    return fg.random_table(g, random.Random(seed), splits=draw(st.integers(0, 12)),
+                           omega_bound=2)
+
+
+@st.composite
+def _piece_lists(draw, g):
+    """Pieces of a valid table, with pieces between random atoms of one range
+    added and some pieces dropped: often overlapping or unbalanced."""
+    pieces = list(draw(_random_tables(g)).pieces)
+    atoms = draw(atom_lists(g, max_atoms=5))
+    for a in atoms:
+        b = draw(st.sampled_from(atoms))
+        if a.mu.rng == b.mu.rng:
+            pieces.append(fg.make_piece(g, a.mu, a.F, b.mu))
+    keep = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+    return [p for p, k in zip(pieces, keep) if k or draw(st.booleans())]
+
+
+def _outcome(check, t):
+    try:
+        check(t)
+    except TableError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestStemIndexTables:
+    """Validation, composition and images agree with the pairwise loops."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(_GRAPHS).flatmap(
+        lambda g: st.tuples(st.just(g), _piece_lists(g), _random_tables(g))))
+    def test_validate_matches_pairwise_reference(self, case):
+        g, pieces, valid = case
+        t = fg.make_table(g, pieces, validate=False)
+        assert _outcome(fg.validate_table, t) == _outcome(old_validate_table, t)
+        assert _outcome(fg.validate_table, valid) is None
+        assert _outcome(old_validate_table, valid) is None
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(_GRAPHS).flatmap(
+        lambda g: st.tuples(st.just(g), _random_tables(g), _random_tables(g), atom_lists(g))))
+    def test_compose_and_image_match_pairwise_reference(self, case):
+        g, s, t, atoms = case
+        assert fg.compose(s, t) == old_compose(s, t)
+        x = fg.co_make(g, atoms)
+        assert fg.table_image(t, x) == old_table_image(t, x)
+
+    def test_valid_table_is_not_cut(self, e2, monkeypatch):
+        calls = []
+        for mod in (pathspace, tables):
+            subtract = mod.atom_subtract
+            monkeypatch.setattr(mod, "atom_subtract",
+                                lambda *args, f=subtract: calls.append(1) or f(*args))
+        t = fg.random_table(e2, random.Random(11), splits=340)
+        assert len(t.pieces) >= 200
+        fg.validate_table(t)
+        assert calls == []
 
 
 class TestApply:
