@@ -86,7 +86,7 @@ class BratteliDiagram:
         """Forget the level partition (leveled-infinite when repeating).
 
         Built once into ``_graph``, which ``__post_init__`` creates (see
-        ``graph._CachedVerdicts`` for why not ``cached_property``)."""
+        ``graph._GraphBase`` for why not ``cached_property``)."""
         if self._graph is None:
             object.__setattr__(self, "_graph", _underlying(self))
         return self._graph
@@ -320,12 +320,13 @@ def bratteli_from_json(data) -> BratteliDiagram:
             isinstance(eset, list) and all(_strings(e) and len(e) == 2 for e in eset)
             for eset in edges)):
         raise ParseError("diagram 'edges' must be a list of lists of [source, range] pairs")
-    repeat = None
-    if data.get("repeat") is not None:
-        try:
-            repeat = (int(data["repeat"]["from"]), int(data["repeat"]["period"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad repeat rule: {exc}") from exc
+    repeat = data.get("repeat")
+    if repeat is not None:
+        # type() is int refuses bools, floats and numeric strings alike
+        if not (isinstance(repeat, dict) and type(repeat.get("from")) is int
+                and type(repeat.get("period")) is int):
+            raise ParseError("bad repeat rule: needs integers 'from' and 'period'")
+        repeat = (repeat["from"], repeat["period"])
     try:
         return BratteliDiagram(tuple(levels), tuple(edges), repeat)
     except GraphError as exc:
@@ -345,10 +346,9 @@ def bratteli_to_json(b: BratteliDiagram) -> dict:
 def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
     if not isinstance(data, dict) or "level" not in data:
         raise ParseError("element JSON needs 'level' and 'images'")
-    try:
-        N = int(data["level"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad level: {exc}") from exc
+    N = data["level"]
+    if type(N) is not int:
+        raise ParseError(f"bad level: {N!r} is not an integer")
     images = data.get("images") or {}
     if not (isinstance(images, dict) and all(isinstance(t, str) for t in images.values())):
         raise ParseError("element 'images' must map path literals to path literals")

@@ -53,11 +53,27 @@ class Verdict:
         return self.holds
 
 
-class _CachedVerdicts:
-    """Whole-graph verdicts other modules ask for again and again, kept in
-    the ``_verdicts`` dict each constructor makes, so they go away with the
-    graph.  Not ``cached_property``: on CPython 3.11 an attribute added to
-    an object after construction slows every later attribute read on it."""
+class _GraphBase:
+    """What ``Graph`` and ``LeveledGraph`` share.
+
+    The vertex and edge-ref queries are written once, over each class's own
+    ``is_sink``, ``omega_family`` and ``family``.  The whole-graph verdicts
+    other modules ask for again and again are kept in the ``_verdicts`` dict
+    each constructor makes, so they go away with the graph.  Not
+    ``cached_property``: on CPython 3.11 an attribute added to an object
+    after construction slows every later attribute read on it."""
+
+    def is_singular(self, name: str) -> bool:
+        return self.is_sink(name) or self.omega_family(name) is not None
+
+    def is_regular(self, name: str) -> bool:
+        return not self.is_singular(name)
+
+    def ref_source(self, ref: EdgeRef) -> str:
+        return self.family(ref[0]).source
+
+    def ref_range(self, ref: EdgeRef) -> str:
+        return self.family(ref[0]).range
 
     @property
     def _effective(self) -> bool:
@@ -78,7 +94,7 @@ class _CachedVerdicts:
         return self._verdicts["admissible"]
 
 
-class Graph(_CachedVerdicts):
+class Graph(_GraphBase):
     """A finite directed graph with ordered edge families.
 
     The declaration order of vertices and families is the labeling order used
@@ -186,12 +202,6 @@ class Graph(_CachedVerdicts):
     def is_sink(self, name: str) -> bool:
         return not self._out[name]
 
-    def is_singular(self, name: str) -> bool:
-        return self.is_sink(name) or self.omega_family(name) is not None
-
-    def is_regular(self, name: str) -> bool:
-        return not self.is_singular(name)
-
     def family(self, fid: str) -> EdgeFamily:
         try:
             return self._family_by_id[fid]
@@ -206,12 +216,6 @@ class Graph(_CachedVerdicts):
         if not fam.is_omega and idx != 1:
             raise GraphError(f"single family {fid!r} has no edge #{idx}")
         return fam
-
-    def ref_source(self, ref: EdgeRef) -> str:
-        return self.family(ref[0]).source
-
-    def ref_range(self, ref: EdgeRef) -> str:
-        return self.family(ref[0]).range
 
     def ref_sort_key(self, ref: EdgeRef):
         fid, idx = ref
@@ -243,7 +247,7 @@ class TemplateFamily:
     src_level: int | None = None
 
 
-class LeveledGraph(_CachedVerdicts):
+class LeveledGraph(_GraphBase):
     """Infinite graph given by base levels plus a forever-repeating block.
 
     Block vertex names containing ``{}`` are instantiated with the 1-based
@@ -463,12 +467,6 @@ class LeveledGraph(_CachedVerdicts):
     def is_sink(self, name: str) -> bool:
         return not self.out_families(name)
 
-    def is_singular(self, name: str) -> bool:
-        return self.is_sink(name)
-
-    def is_regular(self, name: str) -> bool:
-        return not self.is_sink(name)
-
     def resolve_family(self, fid: str):
         """Return ``(source_level, template)`` for an instantiated family id."""
         for f, sl in zip(self.base_families, self._base_src):
@@ -511,12 +509,6 @@ class LeveledGraph(_CachedVerdicts):
         if idx != 1:
             raise GraphError(f"single family {fid!r} has no edge #{idx}")
         return fam
-
-    def ref_source(self, ref: EdgeRef) -> str:
-        return self.family(ref[0]).source
-
-    def ref_range(self, ref: EdgeRef) -> str:
-        return self.family(ref[0]).range
 
     def ref_sort_key(self, ref: EdgeRef):
         fid, idx = ref

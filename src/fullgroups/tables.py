@@ -24,6 +24,7 @@ from .pathspace import (
     FinitePath,
     _StemIndex,
     _merge_atoms,
+    _out_refs,
     atom,
     atom_intersect,
     atom_sort_key,
@@ -195,67 +196,52 @@ def _require_effective(g) -> None:
 def canonicalize(t: Table) -> Table:
     """Unique minimal table for the homeomorphism (graph must satisfy (L)).
 
-    Identity pieces are dropped; aligned sibling pieces are merged upward:
-    at a regular vertex the covered branch set is re-expressed as one piece
-    (parent, child, or exclusion form), at an omega vertex excluded children
-    are absorbed into the exclusion set.
+    Identity pieces are dropped and aligned sibling pieces merge upward, in
+    one pass from the deepest stem pair ``(mu, lam)`` up.  The pieces at a
+    pair and the plain children ``(mu e, lam e)`` carried up to it cover a
+    set of branches.  At a regular vertex that set is written in its one
+    minimal form: the plain pair if it is every out-edge, the plain child if
+    it is one edge, else the pair that excludes the rest.  At an omega vertex
+    the piece there absorbs the children it excludes.  A plain result whose
+    two stems end in the same edge is carried up one level.
     """
     g = t.graph
     _require_effective(g)
-    pieces = set(p for p in t.pieces if p.mu != p.lam)
-    changed = True
-    while changed:
-        changed = False
-        parents = {}
-        for p in pieces:
-            parents.setdefault((p.mu, p.lam), {"direct": [], "children": {}})
-            if p.mu.edges and p.lam.edges and not p.F:
-                e_m, e_l = p.mu.edges[-1], p.lam.edges[-1]
-                if e_m == e_l:
-                    mu_p = FinitePath(p.mu.start, p.mu.edges[:-1], g.ref_source(e_m))
-                    lam_p = FinitePath(p.lam.start, p.lam.edges[:-1], g.ref_source(e_m))
-                    slot = parents.setdefault((mu_p, lam_p), {"direct": [], "children": {}})
-                    slot["children"][e_m] = p
-        for p in pieces:
-            parents[(p.mu, p.lam)]["direct"].append(p)
-        for (mu, lam), slot in sorted(parents.items(),
-                                      key=lambda kv: -len(kv[0][0].edges)):
-            directs, children = slot["direct"], slot["children"]
-            if not directs and not children:
-                continue
-            w = mu.rng
-            if g.is_regular(w):
-                out_refs = frozenset((f.id, 1) for f in g.out_singles(w))
-                covered = set(children)
-                for d in directs:
-                    covered |= out_refs - d.F
-                if not covered:
-                    continue
-                if covered == out_refs:
-                    canon = [Piece(mu, frozenset(), lam)]
-                elif len(covered) == 1:
+    levels = {}
+    for p in t.pieces:
+        if p.mu != p.lam:
+            levels.setdefault(len(p.mu.edges), {}).setdefault((p.mu, p.lam), []).append(p)
+    out = []
+    carried = {}  # stem pair -> {edge e: plain child (mu e, lam e)}, one level down
+    for d in range(max(levels, default=-1), -1, -1):
+        below, carried = carried, {}
+        for (mu, lam), here in levels.get(d, {}).items():
+            kids = below.get((mu, lam), {})
+            if here and not here[0].F:  # covers every branch: nothing to merge
+                F = frozenset()
+            elif g.is_regular(mu.rng):
+                edges = _out_refs(g, mu.rng)
+                covered = set(kids).union(*(edges - p.F for p in here))
+                if len(covered) == 1 < len(edges):
                     (e,) = covered
-                    canon = [Piece(extend(g, mu, e), frozenset(), extend(g, lam, e))]
-                else:
-                    canon = [Piece(mu, out_refs - covered, lam)]
-                current = directs + list(children.values())
-                if set(canon) != set(current):
-                    pieces -= set(current)
-                    pieces |= set(canon)
-                    changed = True
-                    break
-            else:
-                if not directs:
+                    out.append(Piece(extend(g, mu, e), frozenset(), extend(g, lam, e)))
                     continue
-                d = directs[0]
-                absorbed = [e for e in d.F if e in children]
-                if absorbed:
-                    pieces -= {d}
-                    pieces -= {children[e] for e in absorbed}
-                    pieces.add(Piece(mu, d.F - frozenset(absorbed), lam))
-                    changed = True
-                    break
-    return make_table(g, pieces, validate=False)
+                F = edges - covered
+            elif here:
+                F = here[0].F.difference(kids)
+            else:
+                out.extend(kids.values())
+                continue
+            last = mu.edges[-1:]
+            if F or not last or last != lam.edges[-1:]:
+                out.append(Piece(mu, F, lam))
+                continue
+            w = g.ref_source(last[0])
+            parent = (FinitePath(mu.start, mu.edges[:-1], w),
+                      FinitePath(lam.start, lam.edges[:-1], w))
+            carried.setdefault(parent, {})[last[0]] = Piece(mu, F, lam)
+            levels.setdefault(d - 1, {}).setdefault(parent, [])
+    return make_table(g, out, validate=False)
 
 
 def is_identity(t: Table) -> bool:

@@ -1,10 +1,12 @@
-"""The pairwise compact-open algebra that the stem index replaced, kept as a
+"""The pairwise compact-open algebra that the stem index replaced, and the
+restarting canonical form that the one-pass merge replaced, kept as a
 reference for the differential tests.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
-over all pairs of atoms.  Only the atom-level primitives come from the
-package.
+over all pairs of atoms.  ``old_canonicalize`` rebuilds its map of stem pairs
+and restarts after every merge of table pieces.  Only the atom-level
+primitives and the table constructors come from the package.
 """
 from fullgroups.errors import TableError
 from fullgroups.pathspace import (
@@ -15,8 +17,15 @@ from fullgroups.pathspace import (
     atom_intersect,
     atom_sort_key,
     atom_subtract,
+    extend,
 )
-from fullgroups.tables import Piece, codomain_atom, domain_atom, make_table
+from fullgroups.tables import (
+    Piece,
+    _require_effective,
+    codomain_atom,
+    domain_atom,
+    make_table,
+)
 
 
 def old_co_make(g, atoms):
@@ -172,3 +181,69 @@ def old_table_image(t, x):
     for d in doms:
         still = [r for a in still for r in atom_subtract(t.graph, a, d)]
     return old_co_make(g, moved + still)
+
+
+def old_canonicalize(t):
+    """Unique minimal table for the homeomorphism (graph must satisfy (L)).
+
+    Identity pieces are dropped; aligned sibling pieces are merged upward:
+    at a regular vertex the covered branch set is re-expressed as one piece
+    (parent, child, or exclusion form), at an omega vertex excluded children
+    are absorbed into the exclusion set.
+    """
+    g = t.graph
+    _require_effective(g)
+    pieces = set(p for p in t.pieces if p.mu != p.lam)
+    changed = True
+    while changed:
+        changed = False
+        parents = {}
+        for p in pieces:
+            parents.setdefault((p.mu, p.lam), {"direct": [], "children": {}})
+            if p.mu.edges and p.lam.edges and not p.F:
+                e_m, e_l = p.mu.edges[-1], p.lam.edges[-1]
+                if e_m == e_l:
+                    mu_p = FinitePath(p.mu.start, p.mu.edges[:-1], g.ref_source(e_m))
+                    lam_p = FinitePath(p.lam.start, p.lam.edges[:-1], g.ref_source(e_m))
+                    slot = parents.setdefault((mu_p, lam_p), {"direct": [], "children": {}})
+                    slot["children"][e_m] = p
+        for p in pieces:
+            parents[(p.mu, p.lam)]["direct"].append(p)
+        for (mu, lam), slot in sorted(parents.items(),
+                                      key=lambda kv: -len(kv[0][0].edges)):
+            directs, children = slot["direct"], slot["children"]
+            if not directs and not children:
+                continue
+            w = mu.rng
+            if g.is_regular(w):
+                out_refs = frozenset((f.id, 1) for f in g.out_singles(w))
+                covered = set(children)
+                for d in directs:
+                    covered |= out_refs - d.F
+                if not covered:
+                    continue
+                if covered == out_refs:
+                    canon = [Piece(mu, frozenset(), lam)]
+                elif len(covered) == 1:
+                    (e,) = covered
+                    canon = [Piece(extend(g, mu, e), frozenset(), extend(g, lam, e))]
+                else:
+                    canon = [Piece(mu, out_refs - covered, lam)]
+                current = directs + list(children.values())
+                if set(canon) != set(current):
+                    pieces -= set(current)
+                    pieces |= set(canon)
+                    changed = True
+                    break
+            else:
+                if not directs:
+                    continue
+                d = directs[0]
+                absorbed = [e for e in d.F if e in children]
+                if absorbed:
+                    pieces -= {d}
+                    pieces -= {children[e] for e in absorbed}
+                    pieces.add(Piece(mu, d.F - frozenset(absorbed), lam))
+                    changed = True
+                    break
+    return make_table(g, pieces, validate=False)

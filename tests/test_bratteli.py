@@ -70,7 +70,9 @@ class TestDiagram:
     @pytest.mark.parametrize("change", [
         {"levels": 5}, {"levels": [["v0"], "u"]}, {"levels": [["v0"], [1]]},
         {"edges": 5}, {"edges": [[["v"]]]}, {"edges": [[["v0", "u", "u2"]]]},
-        {"edges": [["v0u"]]},
+        {"edges": [["v0u"]]}, {"repeat": {"from": 1.7, "period": True}},
+        {"repeat": {"from": 1, "period": 1.0}}, {"repeat": {"from": "1", "period": 1}},
+        {"repeat": {"from": 1}}, {"repeat": [1, 1]},
     ])
     def test_malformed_shapes_are_parse_errors(self, change):
         data = dict(fg.bratteli_to_json(make_gamma2_diagram()), **change)
@@ -232,6 +234,11 @@ class TestElementJson:
         }
         el2 = fg.gamma_element_from_json(b, {"level": 1, "images": images})
         assert el2.mapping == el.mapping
+
+    @pytest.mark.parametrize("level", [1.9, 1.0, True, "1", None])
+    def test_rejects_non_integer_level(self, level):
+        with pytest.raises(ParseError, match="^bad level"):
+            fg.gamma_element_from_json(make_gamma2_diagram(), {"level": level, "images": {}})
 
     def test_rejects_non_permutation(self):
         b = make_gamma2_diagram()

@@ -235,17 +235,26 @@ class TestErrorsAndRoundtrips:
 
     @pytest.mark.parametrize("kind, payload", [
         ("element", {"level": "x", "images": {}}),
+        ("element", {"level": 1.9, "images": {}}),
+        ("element", {"level": True, "images": {}}),
+        ("element", {"level": "1", "images": {}}),
         ("element", {"level": 1, "images": ["v0:e1_1"]}),
         ("graph", {"vertices": 5, "edges": []}),
         ("table", {"pieces": 5}),
         ("table", {"pieces": [{"mu": 5, "F": [], "lambda": "v:a"}]}),
         ("bratteli", {"levels": 5, "edges": []}),
         ("bratteli", {"levels": [["v"], ["u"]], "edges": [[["v"]]]}),
+        ("bratteli", dict(fg.bratteli_to_json(make_gamma2_diagram()),
+                          repeat={"from": 1.7, "period": True})),
+        ("bratteli", dict(fg.bratteli_to_json(make_gamma2_diagram()),
+                          repeat={"from": "1", "period": 1})),
         ("labeling", {"vertices": 5}),
         ("labeling", {"edges": ["a"]}),
         ("labeling", {"edges": {"zz": ["a", "b"]}}),
-    ], ids=["element-level", "element-images", "graph-vertices", "table-pieces", "piece-mu",
-            "bratteli-levels", "bratteli-edge-pair", "labeling-vertices", "labeling-edges",
+    ], ids=["element-level", "element-float-level", "element-bool-level",
+            "element-string-level", "element-images", "graph-vertices", "table-pieces",
+            "piece-mu", "bratteli-levels", "bratteli-edge-pair", "bratteli-float-repeat",
+            "bratteli-string-repeat", "labeling-vertices", "labeling-edges",
             "labeling-unknown-vertex"])
     def test_malformed_shape_is_parse_error(self, files, tmp_path, kind, payload):
         bad = tmp_path / "bad.json"

@@ -10,6 +10,7 @@ from fullgroups import pathspace, tables
 from fullgroups.errors import ArrowError, AtomError, GermError, TableError
 
 from conftest import (
+    _refs_at,
     algebra_graphs,
     atom_lists,
     enumerate_points,
@@ -20,7 +21,12 @@ from conftest import (
     make_two_vertex_omega,
     path,
 )
-from pairwise_reference import old_compose, old_table_image, old_validate_table
+from pairwise_reference import (
+    old_canonicalize,
+    old_compose,
+    old_table_image,
+    old_validate_table,
+)
 
 
 def swap_table(e2):
@@ -103,6 +109,34 @@ def _piece_lists(draw, g):
             pieces.append(fg.make_piece(g, a.mu, a.F, b.mu))
     keep = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
     return [p for p, k in zip(pieces, keep) if k or draw(st.booleans())]
+
+
+def _split_piece(g, p, e):
+    """The pieces of ``p`` on the two parts of its domain split along ``e``."""
+    out = []
+    for part in fg.atom_split(g, tables.domain_atom(p), e).atoms:
+        rel = part.mu.edges[len(p.lam.edges):]
+        out.append(fg.Piece(fg.FinitePath(p.mu.start, p.mu.edges + rel, part.mu.rng),
+                            part.F, part.mu))
+    return out
+
+
+@st.composite
+def _germ_tables(draw, g):
+    """A random table, a product or a commutator, refined by splitting
+    pieces along single and omega edges: the same germs, more pieces."""
+    s, t = draw(_random_tables(g)), draw(_random_tables(g))
+    kind = draw(st.sampled_from([lambda: s, lambda: fg.compose(s, t),
+                                 lambda: fg.commutator(s, t)]))
+    pieces = list(kind().pieces)
+    for _ in range(draw(st.integers(0, 12))):
+        if not pieces:
+            break
+        i = draw(st.integers(0, len(pieces) - 1))
+        refs = [e for e in _refs_at(g, pieces[i].lam.rng, 2) if e not in pieces[i].F]
+        if refs:
+            pieces[i:i + 1] = _split_piece(g, pieces[i], draw(st.sampled_from(refs)))
+    return fg.make_table(g, pieces)
 
 
 def _outcome(check, t):
@@ -303,6 +337,27 @@ class TestCanonicalize:
                                  fg.Piece(lam, frozenset(), mu)}
         for p in enumerate_points(g, 3, 2, omega_bound=4):
             assert fg.apply(c, p) == fg.apply(t, p)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([g for g in _GRAPHS if g._effective]).flatmap(_germ_tables))
+    def test_matches_restarting_reference(self, t):
+        assert fg.canonicalize(t).pieces == old_canonicalize(t).pieces
+
+    def test_refined_swap_in_one_pass(self, e2, monkeypatch):
+        swap = swap_table(e2)
+        pieces = list(swap.pieces)
+        for _ in range(10):
+            pieces = [fg.Piece(fg.extend(e2, p.mu, e), frozenset(), fg.extend(e2, p.lam, e))
+                      for p in pieces for e in (("a", 1), ("b", 1))]
+        refined = fg.make_table(e2, pieces)
+        assert len(refined.pieces) == 2048
+        fg.canonicalize(swap)  # the (L) verdict is cached before counting
+        calls = []
+        out_singles = fg.Graph.out_singles
+        monkeypatch.setattr(fg.Graph, "out_singles",
+                            lambda self, v: calls.append(v) or out_singles(self, v))
+        assert fg.canonicalize(refined).pieces == swap.pieces
+        assert len(calls) <= 2048
 
     def test_canonical_form_unique_for_germ_equal(self, e2, rng):
         for _ in range(40):
