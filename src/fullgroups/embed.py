@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AdmissibilityError, ParseError, PathError
-from .graph import OMEGA, EdgeFamily, Graph, _strings
+from .errors import AdmissibilityError, GraphError, ParseError, PathError
+from .graph import OMEGA, EdgeFamily, Graph, _strings, _unknown_family
 from .pathspace import BoundaryPoint, FinitePath, make_path, periodic_point
 from .tables import Piece, Table, make_table
 
@@ -94,7 +94,13 @@ class Labeling:
 
     Defaults to declaration order.  Omega families always label last, their
     edges numbered after the singles.  Leveled graphs are enumerated level by
-    level over the naturals and do not admit custom orders.
+    level over the naturals and do not admit custom vertex orders.
+
+    The constructor builds the lookup tables.  On a finite graph these are
+    each vertex's number and tuple of single ids, and each single family's
+    edge number and code word.  On a leveled graph they cover only the
+    vertices given an edge order; an edge elsewhere is numbered by its
+    family's position among its source's out-families.
     """
 
     def __init__(self, graph, vertex_order=None, edge_orders=None):
@@ -103,16 +109,36 @@ class Labeling:
             self.vertex_order = tuple(vertex_order) if vertex_order else graph.vertices
             if sorted(self.vertex_order) != sorted(graph.vertices):
                 raise PathError("vertex order must be a permutation of the vertices")
+            self.n = graph.vertex_count()
+            self._numbers = {v: i for i, v in enumerate(self.vertex_order, 1)}
         else:
             if vertex_order is not None:
                 raise PathError("leveled graphs use the level-by-level labeling")
             self.vertex_order = None
+            self.n = OMEGA
+            self._numbers = None
         self.edge_orders = {}
         for v, ids in (edge_orders or {}).items():
+            if not graph.has_vertex(v):
+                raise _no_such_vertex(v)
             declared = [f.id for f in graph.out_singles(v)]
             if sorted(ids) != sorted(declared):
                 raise PathError(f"edge order at {v!r} must permute its single edges")
             self.edge_orders[v] = tuple(ids)
+        self._singles = {}      # vertex -> its single family ids, in label order
+        self._edges = {}        # single family id -> (edge number, code word)
+        self._omega_base = {}   # omega family id -> singles count at its source
+        for v in graph.vertices if graph.is_finite else self.edge_orders:
+            singles = self.edge_orders.get(v)
+            if singles is None:
+                singles = tuple(f.id for f in graph.out_singles(v))
+            self._singles[v] = singles
+            k = graph.out_degree(v)
+            for j, fid in enumerate(singles, 1):
+                self._edges[fid] = (j, code_word(j, k))
+            fam = graph.omega_family(v)
+            if fam is not None:
+                self._omega_base[fam.id] = len(singles)
 
     def _key(self):
         return (self.graph, self.vertex_order,
@@ -124,37 +150,45 @@ class Labeling:
     def __hash__(self):
         return hash(self._key())
 
-    @property
-    def n(self):
-        return self.graph.vertex_count() if self.graph.is_finite else OMEGA
-
     def vertex_number(self, name: str) -> int:
-        if self.vertex_order is not None:
-            return self.vertex_order.index(name) + 1
-        return self.graph.vertex_index(name)
+        try:
+            if self._numbers is None:
+                return self.graph.vertex_index(name)
+            return self._numbers[name]
+        except (KeyError, GraphError):
+            raise _no_such_vertex(name) from None
 
     def vertex_by_number(self, i: int) -> str:
-        if self.vertex_order is not None:
-            return self.vertex_order[i - 1]
-        return self.graph.vertex_by_index(i)
-
-    def k(self, vertex: str):
-        return self.graph.out_degree(vertex)
+        if self.vertex_order is None:
+            return self.graph.vertex_by_index(i)
+        if not 1 <= i <= self.n:
+            raise GraphError(f"vertex index {i} not in 1..{self.n}")
+        return self.vertex_order[i - 1]
 
     def singles_at(self, vertex: str):
-        if vertex in self.edge_orders:
-            return self.edge_orders[vertex]
-        return tuple(f.id for f in self.graph.out_singles(vertex))
+        try:
+            return self._singles[vertex]
+        except KeyError:
+            pass
+        if self.graph.is_finite or not self.graph.has_vertex(vertex):
+            raise _no_such_vertex(vertex)
+        return self.graph._out_ids(vertex)
 
     def edge_number(self, ref) -> int:
         fid, idx = ref
-        fam = self.graph.family(fid)
-        singles = self.singles_at(fam.source)
-        if fam.is_omega:
-            return len(singles) + idx
-        return singles.index(fid) + 1
+        try:
+            return self._edges[fid][0]
+        except KeyError:
+            pass
+        if fid in self._omega_base:
+            return self._omega_base[fid] + idx
+        if self.graph.is_finite:
+            raise _unknown_family(fid)
+        return self.graph._edge_slot(fid)[1] + 1
 
     def edge_by_number(self, vertex: str, j: int):
+        if j < 1:
+            raise PathError(f"edge numbers are 1-based, got {j}")
         singles = self.singles_at(vertex)
         if j <= len(singles):
             return (singles[j - 1], 1)
@@ -162,6 +196,11 @@ class Labeling:
         if fam is None:
             raise PathError(f"vertex {vertex!r} has no edge #{j}")
         return (fam.id, j - len(singles))
+
+
+def _no_such_vertex(name) -> PathError:
+    """The labeling's error for a name that is not a vertex of its graph."""
+    return PathError(f"unknown vertex {name!r}")
 
 
 def default_labeling(g) -> Labeling:
@@ -186,8 +225,13 @@ def word_of_vertex(v: str, lab: Labeling) -> str:
 
 
 def edge_word(ref, lab: Labeling) -> str:
-    fam = lab.graph.family(ref[0])
-    return code_word(lab.edge_number(ref), lab.k(fam.source))
+    entry = lab._edges.get(ref[0])
+    if entry is not None:
+        return entry[1]
+    if lab.graph.is_finite:  # an omega edge
+        return code_word(lab.edge_number(ref), OMEGA)
+    _, pos, degree = lab.graph._edge_slot(ref[0])
+    return code_word(pos + 1, degree)
 
 
 def word_of_path(mu: FinitePath, lab: Labeling) -> str:
@@ -396,19 +440,17 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
         vertex_names = [lab.vertex_by_number(i) for i in range(1, g.vertex_count() + 1)]
     else:
         vertex_names = [g.vertex_by_index(i) for i in range(1, edge_bound + 1)]
-    vimages = []
-    for v in vertex_names:
-        w = word_of_vertex(v, lab)
-        vimages.append(VertexImage(v, Monomial(w, w)))
+    vwords = [word_of_vertex(v, lab) for v in vertex_names]
+    vimages = [VertexImage(v, Monomial(w, w)) for v, w in zip(vertex_names, vwords)]
     eimages = []
-    for v in vertex_names:
+    for v, vword in zip(vertex_names, vwords):
         refs = [(fid, 1) for fid in lab.singles_at(v)]
         fam = g.omega_family(v)
         if fam is not None:
             refs += [(fam.id, j) for j in range(1, edge_bound + 1)]
         for ref in refs:
             fam_obj = g.family(ref[0])
-            word = word_of_vertex(v, lab) + edge_word(ref, lab)
+            word = vword + edge_word(ref, lab)
             rword = word_of_vertex(fam_obj.range, lab)
             name = f"{ref[0]}[{ref[1]}]" if fam_obj.is_omega else ref[0]
             eimages.append(EdgeImage(name, ref, v, fam_obj.range, Monomial(word, rword)))

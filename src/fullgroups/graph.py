@@ -15,6 +15,7 @@ range.  An individual edge is addressed by an ``EdgeRef`` pair
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -110,10 +111,30 @@ class Graph(_GraphBase):
         omegas = [f for f in families if f.is_omega]
         self.families = tuple(singles + omegas)
         self._verdicts = {}
+        self._pos = {v: i for i, v in enumerate(self.vertices)}
         self._validate()
+        # Lookup tables, built once: per vertex its out- and in-families (in
+        # family order, so singles before the omega family), its singles and
+        # its omega family; per family id the family and its sort position.
+        out = {v: [] for v in self.vertices}
+        inn = {v: [] for v in self.vertices}
+        for f in self.families:
+            out[f.source].append(f)
+            inn[f.range].append(f)
+        self._out = {v: tuple(fs) for v, fs in out.items()}
+        self._in = {v: tuple(fs) for v, fs in inn.items()}
+        self._omega = {v: fs[-1] if fs and fs[-1].is_omega else None
+                       for v, fs in self._out.items()}
+        self._singles = {v: fs if self._omega[v] is None else fs[:-1]
+                         for v, fs in self._out.items()}
+        self._degree = {v: len(fs) if self._omega[v] is None else OMEGA
+                        for v, fs in self._out.items()}
+        self._family_by_id = {f.id: f for f in self.families}
+        self._sort_pos = {f.id: (self._pos[v], i)
+                          for v, fs in self._out.items() for i, f in enumerate(fs)}
 
     def _validate(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(self._pos) != len(self.vertices):
             raise GraphError("duplicate vertex names")
         seen = set()
         omega_owner = set()
@@ -121,7 +142,7 @@ class Graph(_GraphBase):
             if f.id in seen:
                 raise GraphError(f"duplicate family id {f.id!r}")
             seen.add(f.id)
-            if f.source not in self._vertex_set or f.range not in self._vertex_set:
+            if f.source not in self._pos or f.range not in self._pos:
                 raise GraphError(f"family {f.id!r} references an undeclared vertex")
             if f.is_omega:
                 if f.source in omega_owner:
@@ -142,71 +163,67 @@ class Graph(_GraphBase):
         return f"Graph(vertices={list(self.vertices)}, families={len(self.families)})"
 
     @cached_property
-    def _vertex_set(self):
-        return frozenset(self.vertices)
-
-    @cached_property
-    def _family_by_id(self):
-        return {f.id: f for f in self.families}
-
-    @cached_property
-    def _out(self):
-        out = {v: [] for v in self.vertices}
-        for f in self.families:
-            out[f.source].append(f)
-        return out
-
-    @cached_property
-    def _in(self):
-        inn = {v: [] for v in self.vertices}
-        for f in self.families:
-            inn[f.range].append(f)
-        return inn
-
-    @cached_property
     def _condensation(self):
         return _Condensation(self)
 
     def has_vertex(self, name: str) -> bool:
-        return name in self._vertex_set
+        return name in self._pos
 
     def vertex_index(self, name: str) -> int:
-        return self.vertices.index(name) + 1
+        try:
+            return self._pos[name] + 1
+        except KeyError:
+            raise _unknown_vertex(name) from None
 
     def vertex_by_index(self, i: int) -> str:
+        if not 1 <= i <= len(self.vertices):
+            raise GraphError(f"vertex index {i} not in 1..{len(self.vertices)}")
         return self.vertices[i - 1]
 
     def vertex_count(self):
         return len(self.vertices)
 
     def out_families(self, name: str):
-        return tuple(self._out[name])
+        try:
+            return self._out[name]
+        except KeyError:
+            raise _unknown_vertex(name) from None
 
     def in_families(self, name: str):
-        return tuple(self._in[name])
+        try:
+            return self._in[name]
+        except KeyError:
+            raise _unknown_vertex(name) from None
 
     def out_singles(self, name: str):
-        return tuple(f for f in self._out[name] if not f.is_omega)
+        try:
+            return self._singles[name]
+        except KeyError:
+            raise _unknown_vertex(name) from None
 
     def omega_family(self, name: str):
-        for f in self._out[name]:
-            if f.is_omega:
-                return f
-        return None
+        try:
+            return self._omega[name]
+        except KeyError:
+            raise _unknown_vertex(name) from None
 
     def out_degree(self, name: str):
-        if self.omega_family(name) is not None:
-            return OMEGA
-        return len(self._out[name])
+        try:
+            return self._degree[name]
+        except KeyError:
+            raise _unknown_vertex(name) from None
 
     def is_sink(self, name: str) -> bool:
-        return not self._out[name]
+        try:
+            return not self._out[name]
+        except KeyError:
+            raise _unknown_vertex(name) from None
 
     def family(self, fid: str) -> EdgeFamily:
         try:
             return self._family_by_id[fid]
         except KeyError:
-            raise GraphError(f"unknown family id {fid!r}") from None
+            raise _unknown_family(fid) from None
 
     def check_ref(self, ref: EdgeRef) -> EdgeFamily:
         fid, idx = ref
@@ -219,9 +236,30 @@ class Graph(_GraphBase):
 
     def ref_sort_key(self, ref: EdgeRef):
         fid, idx = ref
-        fam = self.family(fid)
-        pos = self._out[fam.source].index(fam)
-        return (self.vertices.index(fam.source), pos, idx)
+        try:
+            return self._sort_pos[fid] + (idx,)
+        except KeyError:
+            raise _unknown_family(fid) from None
+
+
+def _unknown_vertex(name) -> GraphError:
+    return GraphError(f"unknown vertex {name!r}")
+
+
+def _unknown_family(fid) -> GraphError:
+    return GraphError(f"unknown family id {fid!r}")
+
+
+# a number as instantiation writes it, so that each vertex and family has one
+# name: ASCII digits, no leading zero
+_NUMERAL = r"0|[1-9][0-9]*"
+_numeral = re.compile(_NUMERAL).fullmatch
+
+
+def _number_pattern(template: str):
+    """Regex for ``template`` with its ``{}`` filled by a level number."""
+    pre, suf = template.split("{}", 1)
+    return re.compile(re.escape(pre) + f"({_NUMERAL})" + re.escape(suf))
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +305,32 @@ class LeveledGraph(_GraphBase):
         self._validate()
 
     # -- template layout ----------------------------------------------------
+    #
+    # ``_validate`` builds the lookup tables.  A *canonical level* indexes
+    # ``_levels``, the base levels followed by one copy of the block; level
+    # ``nbase + m * period + r`` of the graph has canonical level ``nbase + r``.
+    #
+    # - ``_offsets``: prefix sums of the canonical level sizes;
+    # - ``_base_loc`` / ``_block_loc``: base name / plain block stem to its
+    #   ``(canonical level, position)``; ``_vertex_patterns``: a regex per
+    #   ``{}`` block template with its block level;
+    # - ``_base_fams`` / ``_block_fams``: family id / plain block stem to
+    #   ``(source level, template)``; ``_family_patterns`` likewise for ``{}``
+    #   ids;
+    # - ``_outs[level][pos]``: the out-family templates of a template vertex;
+    # - ``_slots[level, id]``: a family template's position among its source's
+    #   out-families, and that source's out-degree.
+    #
+    # Nothing is kept per instantiated name, so memory does not grow with the
+    # vertices queried.
 
-    @property
-    def _nbase(self) -> int:
-        return len(self.base_levels)
-
-    @property
-    def _period(self) -> int:
-        return len(self.block_levels)
+    def _canon(self, level: int) -> int:
+        if level < self._nbase:
+            return level
+        return self._nbase + (level - self._nbase) % self._period
 
     def _level_vertices(self, level: int):
-        if level < self._nbase:
-            return self.base_levels[level]
-        return self.block_levels[(level - self._nbase) % self._period]
-
-    def _level_size(self, level: int) -> int:
-        return len(self._level_vertices(level))
+        return self._levels[self._canon(level)]
 
     def _validate(self) -> None:
         if not self.block_levels or any(not l for l in self.block_levels):
@@ -302,7 +350,19 @@ class LeveledGraph(_GraphBase):
                     raise GraphError(f"reserved character in block vertex {n!r}")
                 if "{}" in n and len(l) != 1:
                     raise GraphError("'{}' vertex template requires a singleton level")
-        self._base_src = []
+        nbase = self._nbase = len(self.base_levels)
+        self._period = len(self.block_levels)
+        self._levels = self.base_levels + self.block_levels
+        self._offsets = list(itertools.accumulate(map(len, self._levels), initial=0))
+        self._block_total = self._offsets[-1] - self._offsets[nbase]
+        self._base_loc = {n: (lev, pos) for lev, l in enumerate(self.base_levels)
+                          for pos, n in enumerate(l)}
+        self._block_loc = {n: (bl, pos) for bl, l in enumerate(self.block_levels)
+                           for pos, n in enumerate(l) if "{}" not in n}
+        self._vertex_patterns = [(_number_pattern(l[0]), bl)
+                                 for bl, l in enumerate(self.block_levels) if "{}" in l[0]]
+        outs = [[[] for _ in l] for l in self._levels]
+        self._base_fams, self._block_fams, self._family_patterns = {}, {}, []
         for f in self.base_families:
             levs = [i for i, l in enumerate(self.base_levels) if f.source in l]
             if f.src_level is not None:
@@ -310,13 +370,13 @@ class LeveledGraph(_GraphBase):
             if len(levs) != 1:
                 raise GraphError(f"family {f.id!r}: cannot resolve its source level")
             lev = levs[0]
-            self._base_src.append(lev)
             if "{}" in f.id:
                 raise GraphError(f"base family id {f.id!r} may not contain '{{}}'")
             tgt = lev if f.where == "same" else lev + 1
-            if not self._template_at(tgt, f.range):
+            if f.range not in self._level_vertices(tgt):
                 raise GraphError(f"family {f.id!r} range not on level {tgt}")
-        self._block_src = []
+            self._base_fams.setdefault(f.id, (lev, f))
+            outs[lev][self.base_levels[lev].index(f.source)].append(f)
         for f in self.block_families:
             levs = [i for i, l in enumerate(self.block_levels) if f.source in l]
             if f.src_level is not None:
@@ -324,15 +384,22 @@ class LeveledGraph(_GraphBase):
             if len(levs) != 1:
                 raise GraphError(f"family {f.id!r}: cannot resolve its source level")
             lev = levs[0]
-            self._block_src.append(lev)
             if f.where == "same":
                 ok = f.range in self.block_levels[lev]
             else:
                 ok = f.range in self.block_levels[(lev + 1) % self._period]
             if not ok:
                 raise GraphError(f"family {f.id!r} range not on the target level")
+            if "{}" in f.id:
+                self._family_patterns.append((_number_pattern(f.id), lev, f))
+            else:
+                self._block_fams.setdefault(f.id, (lev, f))
+            outs[nbase + lev][self.block_levels[lev].index(f.source)].append(f)
+        self._outs = [[tuple(fs) for fs in l] for l in outs]
+        self._slots = {(lev, f.id): (i, len(fs)) for lev, l in enumerate(self._outs)
+                       for fs in l for i, f in enumerate(fs)}
         # instantiating a few repetitions must give distinct names and ids
-        probe_levels = self._nbase + 3 * self._period
+        probe_levels = nbase + 3 * self._period
         seen_v, seen_f = set(), set()
         for lev in range(probe_levels):
             for name in self.level_vertex_names(lev):
@@ -343,23 +410,6 @@ class LeveledGraph(_GraphBase):
                     if fam.id in seen_f:
                         raise GraphError(f"family id collision at {fam.id!r}")
                     seen_f.add(fam.id)
-
-    def _base_level_of(self, name: str):
-        for i, l in enumerate(self.base_levels):
-            if name in l:
-                return i
-        return None
-
-    def _block_level_of(self, name: str):
-        for i, l in enumerate(self.block_levels):
-            if name in l:
-                return i
-        return None
-
-    def _template_at(self, level: int, name: str) -> bool:
-        if level < self._nbase:
-            return name in self.base_levels[level]
-        return name in self.block_levels[(level - self._nbase) % self._period]
 
     # -- instantiation ------------------------------------------------------
 
@@ -384,22 +434,17 @@ class LeveledGraph(_GraphBase):
 
     def resolve_vertex(self, name: str):
         """Return ``(level, position)`` for an instantiated vertex name."""
-        lev = self._base_level_of(name)
-        if lev is not None:
-            return lev, self.base_levels[lev].index(name)
+        loc = self._base_loc.get(name)
+        if loc is not None:
+            return loc
         if "@" in name:
             stem, _, rep_s = name.rpartition("@")
-            if rep_s.isdigit():
-                bl = self._block_level_of(stem)
-                if bl is not None and "{}" not in stem:
-                    return self._nbase + int(rep_s) * self._period + bl, self.block_levels[bl].index(stem)
+            loc = self._block_loc.get(stem)
+            if loc is not None and _numeral(rep_s):
+                return self._nbase + int(rep_s) * self._period + loc[0], loc[1]
             return None
-        for bl, l in enumerate(self.block_levels):
-            t = l[0]
-            if "{}" not in t:
-                continue
-            pre, suf = t.split("{}", 1)
-            m = re.fullmatch(re.escape(pre) + r"(\d+)" + re.escape(suf), name)
+        for pattern, bl in self._vertex_patterns:
+            m = pattern.fullmatch(name)
             if m:
                 level = int(m.group(1)) - 1
                 if level >= self._nbase and (level - self._nbase) % self._period == bl:
@@ -412,96 +457,96 @@ class LeveledGraph(_GraphBase):
     def vertex_index(self, name: str) -> int:
         loc = self.resolve_vertex(name)
         if loc is None:
-            raise GraphError(f"unknown vertex {name!r}")
+            raise _unknown_vertex(name)
         level, pos = loc
-        return sum(self._level_size(l) for l in range(level)) + pos + 1
+        if level < self._nbase:
+            return self._offsets[level] + pos + 1
+        reps, r = divmod(level - self._nbase, self._period)
+        return self._offsets[self._nbase + r] + reps * self._block_total + pos + 1
 
     def vertex_by_index(self, i: int) -> str:
         if i < 1:
             raise GraphError("vertex indices are 1-based")
-        level, left = 0, i - 1
-        while left >= self._level_size(level):
-            left -= self._level_size(level)
-            level += 1
-        return self._vertex_name(level, self._level_vertices(level)[left])
+        k, reps = i - 1, 0
+        base_total = self._offsets[self._nbase]
+        if k >= base_total:
+            reps, k = divmod(k - base_total, self._block_total)
+            k += base_total
+        level = bisect.bisect_right(self._offsets, k) - 1
+        template = self._levels[level][k - self._offsets[level]]
+        return self._vertex_name(level + reps * self._period, template)
 
     def vertex_count(self):
         return OMEGA
 
-    def _templates_from(self, level: int):
-        if level < self._nbase:
-            return [f for f, sl in zip(self.base_families, self._base_src) if sl == level]
-        bl = (level - self._nbase) % self._period
-        return [f for f, sl in zip(self.block_families, self._block_src) if sl == bl]
-
-    def out_families(self, name: str):
+    def _out_templates(self, name: str):
+        """The vertex's level and the templates of its out-families."""
         loc = self.resolve_vertex(name)
         if loc is None:
-            raise GraphError(f"unknown vertex {name!r}")
+            raise _unknown_vertex(name)
         level, pos = loc
-        template = self._level_vertices(level)[pos]
-        fams = []
-        for t in self._templates_from(level):
-            if t.source != template:
-                continue
-            tgt_level = level if t.where == "same" else level + 1
-            fams.append(
-                EdgeFamily(
-                    id=self._family_id(level, t.id),
-                    source=name,
-                    range=self._vertex_name(tgt_level, t.range),
-                    multiplicity=SINGLE,
-                )
-            )
-        return tuple(fams)
+        return level, self._outs[self._canon(level)][pos]
+
+    def out_families(self, name: str):
+        level, templates = self._out_templates(name)
+        return tuple(
+            EdgeFamily(self._family_id(level, t.id), name,
+                       self._vertex_name(level if t.where == "same" else level + 1, t.range))
+            for t in templates)
 
     def out_singles(self, name: str):
         return self.out_families(name)
+
+    def _out_ids(self, name: str):
+        """The ids of ``out_families(name)``, without building the families."""
+        level, templates = self._out_templates(name)
+        return tuple(self._family_id(level, t.id) for t in templates)
 
     def omega_family(self, name: str):
         return None
 
     def out_degree(self, name: str):
-        return len(self.out_families(name))
+        return len(self._out_templates(name)[1])
 
     def is_sink(self, name: str) -> bool:
-        return not self.out_families(name)
+        return not self._out_templates(name)[1]
 
     def resolve_family(self, fid: str):
         """Return ``(source_level, template)`` for an instantiated family id."""
-        for f, sl in zip(self.base_families, self._base_src):
-            if f.id == fid:
-                return sl, f
+        loc = self._base_fams.get(fid)
+        if loc is not None:
+            return loc
         if "@" in fid:
             stem, _, rep_s = fid.rpartition("@")
-            if rep_s.isdigit():
-                for f, sl in zip(self.block_families, self._block_src):
-                    if f.id == stem and "{}" not in stem:
-                        return self._nbase + int(rep_s) * self._period + sl, f
+            loc = self._block_fams.get(stem)
+            if loc is not None and _numeral(rep_s):
+                return self._nbase + int(rep_s) * self._period + loc[0], loc[1]
             return None
-        for f, sl in zip(self.block_families, self._block_src):
-            if "{}" not in f.id:
-                continue
-            pre, suf = f.id.split("{}", 1)
-            m = re.fullmatch(re.escape(pre) + r"(\d+)" + re.escape(suf), fid)
+        for pattern, sl, f in self._family_patterns:
+            m = pattern.fullmatch(fid)
             if m:
                 level = int(m.group(1)) - 1
                 if level >= self._nbase and (level - self._nbase) % self._period == sl:
                     return level, f
         return None
 
+    def _edge_slot(self, fid: str):
+        """``(source level, position among the source's out-families, source
+        out-degree)`` of an instantiated family id."""
+        loc = self.resolve_family(fid)
+        if loc is None:
+            raise _unknown_family(fid)
+        level, t = loc
+        return (level,) + self._slots[self._canon(level), t.id]
+
     def family(self, fid: str) -> EdgeFamily:
         loc = self.resolve_family(fid)
         if loc is None:
-            raise GraphError(f"unknown family id {fid!r}")
+            raise _unknown_family(fid)
         level, t = loc
         tgt_level = level if t.where == "same" else level + 1
-        return EdgeFamily(
-            id=fid,
-            source=self._vertex_name(level, t.source),
-            range=self._vertex_name(tgt_level, t.range),
-            multiplicity=SINGLE,
-        )
+        return EdgeFamily(fid, self._vertex_name(level, t.source),
+                          self._vertex_name(tgt_level, t.range))
 
     def check_ref(self, ref: EdgeRef) -> EdgeFamily:
         fid, idx = ref
@@ -511,10 +556,8 @@ class LeveledGraph(_GraphBase):
         return fam
 
     def ref_sort_key(self, ref: EdgeRef):
-        fid, idx = ref
-        level, t = self.resolve_family(fid)
-        order = [f.id for f in self._templates_from(level) if f.source == t.source]
-        return (level, order.index(t.id), idx)
+        level, pos, _ = self._edge_slot(ref[0])
+        return (level, pos, ref[1])
 
     def __eq__(self, other):
         return isinstance(other, LeveledGraph) and (
@@ -565,7 +608,7 @@ def reaches(g, v: str, w: str) -> bool:
     _require_finite(g, "reachability")
     for name in (v, w):
         if not g.has_vertex(name):
-            raise GraphError(f"unknown vertex {name!r}")
+            raise _unknown_vertex(name)
     if v == w:
         return True
     seen = {v}
@@ -710,7 +753,7 @@ def count_paths_capped(g, v: str, w: str, cap: int):
         raise GraphError("cap must be positive")
     for name in (v, w):
         if not g.has_vertex(name):
-            raise GraphError(f"unknown vertex {name!r}")
+            raise _unknown_vertex(name)
     c = g._condensation
     from_v, to_w = c.reach_of(v), c.bit(w)
     # components reachable from v that reach w, in reverse topological order

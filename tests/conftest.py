@@ -100,6 +100,26 @@ def make_leveled_chain_graph():
     )
 
 
+def make_leveled_mixed_graph():
+    """Base levels of sizes 1 and 3, a block of a two-vertex level (names
+    ``x@k``, ``y@k``) and a ``t{}`` template level, same- and next-level
+    families, ``{}`` family ids."""
+    T = fg.TemplateFamily
+    return fg.LeveledGraph(
+        base_levels=[["r"], ["a", "b", "c"]],
+        block_levels=[["x", "y"], ["t{}"]],
+        base_families=[
+            T("ra", "r", "a"), T("rr", "r", "r", "same"), T("rb", "r", "b"),
+            T("ab", "a", "b", "same"), T("ax", "a", "x"), T("bx", "b", "x"),
+            T("by", "b", "y"), T("ca", "c", "a", "same"), T("cy", "c", "y"),
+        ],
+        block_families=[
+            T("xy", "x", "y", "same"), T("xt", "x", "t{}"), T("yy", "y", "y", "same"),
+            T("yt", "y", "t{}"), T("s{}", "t{}", "x"), T("l{}", "t{}", "t{}", "same"),
+        ],
+    )
+
+
 def make_gamma2_diagram():
     """|Gamma_1| = 2: two edges v0 -> u, one v0 -> u2; full 2x2 block repeats."""
     return fg.BratteliDiagram(

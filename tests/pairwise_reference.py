@@ -1,14 +1,26 @@
-"""The pairwise compact-open algebra that the stem index replaced, and the
-restarting canonical form that the one-pass merge replaced, kept as a
-reference for the differential tests.
+"""Code that faster versions replaced, kept as a reference for the
+differential tests: the pairwise compact-open algebra that the stem index
+replaced, the restarting canonical form that the one-pass merge replaced,
+and the graph and labeling queries that the lookup tables replaced.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
 over all pairs of atoms.  ``old_canonicalize`` rebuilds its map of stem pairs
 and restarts after every merge of table pieces.  Only the atom-level
 primitives and the table constructors come from the package.
+
+The ``old_`` graph queries read only a graph's declared fields: vertices and
+families of a ``Graph``; levels and family templates of a ``LeveledGraph``.
+They rescan them on every call, and a leveled vertex index sums every level
+below the vertex.  The ``old_`` labeling queries read the labeling's
+``vertex_order`` and ``edge_orders``, the graph through these, and the
+package's ``code_word``.
 """
-from fullgroups.errors import TableError
+import re
+
+from fullgroups.embed import code_word
+from fullgroups.errors import GraphError, TableError
+from fullgroups.graph import OMEGA, EdgeFamily
 from fullgroups.pathspace import (
     CompactOpen,
     CylinderAtom,
@@ -247,3 +259,217 @@ def old_canonicalize(t):
                     changed = True
                     break
     return make_table(g, pieces, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# Graph and labeling queries before the lookup tables
+# ---------------------------------------------------------------------------
+
+
+def _old_out(g, name):
+    return [f for f in g.families if f.source == name]
+
+
+def old_out_singles(g, name):
+    return tuple(f for f in _old_out(g, name) if not f.is_omega)
+
+
+def old_omega_family(g, name):
+    for f in _old_out(g, name):
+        if f.is_omega:
+            return f
+    return None
+
+
+def _old_nbase(g):
+    return len(g.base_levels)
+
+
+def _old_period(g):
+    return len(g.block_levels)
+
+
+def _old_level_vertices(g, level):
+    if level < _old_nbase(g):
+        return g.base_levels[level]
+    return g.block_levels[(level - _old_nbase(g)) % _old_period(g)]
+
+
+def _old_src_levels(levels, families):
+    out = []
+    for f in families:
+        levs = [i for i, l in enumerate(levels) if f.source in l]
+        if f.src_level is not None:
+            levs = [l for l in levs if l == f.src_level]
+        (lev,) = levs
+        out.append(lev)
+    return out
+
+
+def _old_vertex_name(g, level, template):
+    if level < _old_nbase(g):
+        return template
+    if "{}" in template:
+        return template.format(level + 1)
+    rep = (level - _old_nbase(g)) // _old_period(g)
+    return f"{template}@{rep}"
+
+
+def _old_family_id(g, src_level, template_id):
+    if src_level < _old_nbase(g):
+        return template_id
+    if "{}" in template_id:
+        return template_id.format(src_level + 1)
+    rep = (src_level - _old_nbase(g)) // _old_period(g)
+    return f"{template_id}@{rep}"
+
+
+def old_resolve_vertex(g, name):
+    for i, l in enumerate(g.base_levels):
+        if name in l:
+            return i, l.index(name)
+    if "@" in name:
+        stem, _, rep_s = name.rpartition("@")
+        if rep_s.isdigit():
+            for bl, l in enumerate(g.block_levels):
+                if stem in l:
+                    if "{}" not in stem:
+                        return (_old_nbase(g) + int(rep_s) * _old_period(g) + bl,
+                                l.index(stem))
+                    break
+        return None
+    for bl, l in enumerate(g.block_levels):
+        t = l[0]
+        if "{}" not in t:
+            continue
+        pre, suf = t.split("{}", 1)
+        m = re.fullmatch(re.escape(pre) + r"(\d+)" + re.escape(suf), name)
+        if m:
+            level = int(m.group(1)) - 1
+            if level >= _old_nbase(g) and (level - _old_nbase(g)) % _old_period(g) == bl:
+                return level, 0
+    return None
+
+
+def old_vertex_index(g, name):
+    if g.is_finite:
+        return g.vertices.index(name) + 1
+    loc = old_resolve_vertex(g, name)
+    if loc is None:
+        raise GraphError(f"unknown vertex {name!r}")
+    level, pos = loc
+    return sum(len(_old_level_vertices(g, l)) for l in range(level)) + pos + 1
+
+
+def old_vertex_by_index(g, i):
+    if i < 1:
+        raise GraphError("vertex indices are 1-based")
+    level, left = 0, i - 1
+    while left >= len(_old_level_vertices(g, level)):
+        left -= len(_old_level_vertices(g, level))
+        level += 1
+    return _old_vertex_name(g, level, _old_level_vertices(g, level)[left])
+
+
+def _old_templates_from(g, level):
+    if level < _old_nbase(g):
+        return [f for f, sl in zip(g.base_families, _old_src_levels(g.base_levels, g.base_families))
+                if sl == level]
+    bl = (level - _old_nbase(g)) % _old_period(g)
+    return [f for f, sl in zip(g.block_families, _old_src_levels(g.block_levels, g.block_families))
+            if sl == bl]
+
+
+def old_out_families(g, name):
+    if g.is_finite:
+        return tuple(_old_out(g, name))
+    loc = old_resolve_vertex(g, name)
+    if loc is None:
+        raise GraphError(f"unknown vertex {name!r}")
+    level, pos = loc
+    template = _old_level_vertices(g, level)[pos]
+    fams = []
+    for t in _old_templates_from(g, level):
+        if t.source != template:
+            continue
+        tgt_level = level if t.where == "same" else level + 1
+        fams.append(EdgeFamily(_old_family_id(g, level, t.id), name,
+                               _old_vertex_name(g, tgt_level, t.range)))
+    return tuple(fams)
+
+
+def old_resolve_family(g, fid):
+    for f, sl in zip(g.base_families, _old_src_levels(g.base_levels, g.base_families)):
+        if f.id == fid:
+            return sl, f
+    block_src = _old_src_levels(g.block_levels, g.block_families)
+    if "@" in fid:
+        stem, _, rep_s = fid.rpartition("@")
+        if rep_s.isdigit():
+            for f, sl in zip(g.block_families, block_src):
+                if f.id == stem and "{}" not in stem:
+                    return _old_nbase(g) + int(rep_s) * _old_period(g) + sl, f
+        return None
+    for f, sl in zip(g.block_families, block_src):
+        if "{}" not in f.id:
+            continue
+        pre, suf = f.id.split("{}", 1)
+        m = re.fullmatch(re.escape(pre) + r"(\d+)" + re.escape(suf), fid)
+        if m:
+            level = int(m.group(1)) - 1
+            if level >= _old_nbase(g) and (level - _old_nbase(g)) % _old_period(g) == sl:
+                return level, f
+    return None
+
+
+def _old_family(g, fid):
+    if g.is_finite:
+        return next(f for f in g.families if f.id == fid)
+    level, t = old_resolve_family(g, fid)
+    tgt_level = level if t.where == "same" else level + 1
+    return EdgeFamily(fid, _old_vertex_name(g, level, t.source),
+                      _old_vertex_name(g, tgt_level, t.range))
+
+
+def old_ref_sort_key(g, ref):
+    fid, idx = ref
+    if g.is_finite:
+        fam = _old_family(g, fid)
+        pos = _old_out(g, fam.source).index(fam)
+        return (g.vertices.index(fam.source), pos, idx)
+    level, t = old_resolve_family(g, fid)
+    order = [f.id for f in _old_templates_from(g, level) if f.source == t.source]
+    return (level, order.index(t.id), idx)
+
+
+def old_singles_at(lab, vertex):
+    if vertex in lab.edge_orders:
+        return lab.edge_orders[vertex]
+    g = lab.graph
+    return tuple(f.id for f in (old_out_singles(g, vertex) if g.is_finite
+                                else old_out_families(g, vertex)))
+
+
+def old_vertex_number(lab, name):
+    if lab.vertex_order is not None:
+        return lab.vertex_order.index(name) + 1
+    return old_vertex_index(lab.graph, name)
+
+
+def old_edge_number(lab, ref):
+    fid, idx = ref
+    fam = _old_family(lab.graph, fid)
+    singles = old_singles_at(lab, fam.source)
+    if fam.is_omega:
+        return len(singles) + idx
+    return singles.index(fid) + 1
+
+
+def old_edge_word(lab, ref):
+    g = lab.graph
+    source = _old_family(g, ref[0]).source
+    if g.is_finite and old_omega_family(g, source) is not None:
+        k = OMEGA
+    else:
+        k = len(old_out_families(g, source))
+    return code_word(old_edge_number(lab, ref), k)

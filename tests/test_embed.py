@@ -1,20 +1,29 @@
+import functools
 import pathlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fullgroups as fg
-from fullgroups.embed import ONE, FormalSum, Monomial
-from fullgroups.errors import AdmissibilityError, PathError
+from fullgroups.embed import ONE, FormalSum, Monomial, edge_word
+from fullgroups.errors import AdmissibilityError, GraphError, PathError
 
+import pairwise_reference as ref
 from conftest import (
+    algebra_graphs,
     enumerate_points,
     make_e2,
     make_e_inf,
     make_e_nr,
+    make_gamma24_diagram,
     make_leveled_chain_graph,
+    make_leveled_mixed_graph,
     make_one_orbit,
     make_two_vertex_omega,
     path,
+    random_graph,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -289,6 +298,145 @@ class TestCustomLabeling:
             for p in pts:
                 assert (fg.point_map(fg.apply(t, p), lab)
                         == fg.apply(vt, fg.point_map(p, lab)))
+
+
+    def test_out_of_range_numbers_are_refused(self):
+        g = fg.Graph(["u", "w"], [fg.EdgeFamily("uw", "u", "w"), fg.EdgeFamily("wu", "w", "u"),
+                                  fg.EdgeFamily("h", "u", "u")])
+        lab = fg.default_labeling(g)
+        for i in (0, -1, 3):
+            with pytest.raises(GraphError):
+                lab.vertex_by_number(i)
+        for j in (0, -1, 3):
+            with pytest.raises(PathError):
+                lab.edge_by_number("u", j)
+        assert [lab.edge_by_number("u", j) for j in (1, 2)] == [("uw", 1), ("h", 1)]
+        chain = fg.default_labeling(make_leveled_chain_graph())
+        with pytest.raises(GraphError):
+            chain.vertex_by_number(0)
+        with pytest.raises(PathError):
+            chain.edge_by_number("w1", 0)
+
+
+def _check_labeling_against_reference(lab, vertices):
+    refs = []
+    for v in vertices:
+        assert lab.vertex_number(v) == ref.old_vertex_number(lab, v)
+        assert lab.singles_at(v) == ref.old_singles_at(lab, v)
+        for f in ref.old_out_families(lab.graph, v):
+            refs += [(f.id, j) for j in ((1, 2, 3) if f.is_omega else (1,))]
+    for r in refs:
+        assert lab.edge_number(r) == ref.old_edge_number(lab, r)
+        assert edge_word(r, lab) == ref.old_edge_word(lab, r)
+
+
+class TestLabelingTables:
+    def test_random_labelings_match_the_reference(self, rng):
+        for _ in range(300):
+            g = random_graph(rng, max_vertices=6, max_edges=10, omega_chance=0.3)
+            order = list(g.vertices)
+            rng.shuffle(order)
+            edges = {}
+            for v in rng.sample(g.vertices, rng.randint(0, len(g.vertices))):
+                edges[v] = [f.id for f in g.out_singles(v)]
+                rng.shuffle(edges[v])
+            for lab in (fg.default_labeling(g), fg.Labeling(g, order, edges)):
+                _check_labeling_against_reference(lab, g.vertices)
+
+    @pytest.mark.parametrize("g", [make_leveled_chain_graph(), make_leveled_mixed_graph()],
+                             ids=["chain", "mixed"])
+    def test_leveled_labelings_match_the_reference(self, g):
+        names = [g.vertex_by_index(i) for i in range(1, 40)]
+        reordered = {v: list(reversed(lab_ids)) for v in names[3:9:2]
+                     if (lab_ids := [f.id for f in g.out_singles(v)])}
+        assert len(reordered) == 3
+        for lab in (fg.default_labeling(g), fg.Labeling(g, edge_orders=reordered)):
+            _check_labeling_against_reference(lab, names)
+
+    def test_unknown_family_ids_are_graph_errors(self):
+        for g in (make_two_vertex_omega(), make_leveled_chain_graph()):
+            for query in (g.family, lambda fid: g.ref_sort_key((fid, 1))):
+                with pytest.raises(GraphError, match="unknown family"):
+                    query("zz")
+            lab = fg.default_labeling(g)
+            with pytest.raises(GraphError, match="unknown family"):
+                lab.edge_number(("zz", 1))
+            with pytest.raises(GraphError, match="unknown family"):
+                edge_word(("zz", 1), lab)
+
+
+def _count_structure_calls(monkeypatch, g):
+    """Count ``out_singles`` and ``out_families`` calls on this one graph."""
+    calls = []
+    for name in ("out_singles", "out_families"):
+        method = getattr(g, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(g, name, counted)
+    return calls
+
+
+def _moved_gamma24_table():
+    el = next(e for e in make_gamma24_diagram().gamma_elements(3) if not e.is_identity())
+    return fg.gamma_to_table(el)
+
+
+@pytest.mark.parametrize("table", [
+    lambda: fg.random_table(make_two_vertex_omega(), random.Random(19), splits=8, omega_bound=3),
+    _moved_gamma24_table,
+], ids=["two_vertex_omega", "gamma24_level3"])
+def test_embed_table_reads_the_labeling_tables_only(monkeypatch, table):
+    t = table()
+    g = t.graph
+    fg.require_admissible(g)  # the one-time verdict reads the out-families
+    lab = fg.default_labeling(g)
+    if g.is_finite:  # exclusion sets take embed_table through edge_by_number
+        assert any(p.F for p in t.pieces)
+    calls = _count_structure_calls(monkeypatch, g)
+    image = fg.embed_table(t, lab)
+    assert image.pieces and calls == []
+
+
+def _admissible(g):
+    try:
+        fg.require_admissible(g)
+    except AdmissibilityError:
+        return False
+    return True
+
+
+_EMBEDDABLE = [g for g in algebra_graphs() if _admissible(g)]
+
+
+@functools.cache
+def _points(g):
+    return enumerate_points(g, 2, 2, omega_bound=2)
+
+
+@st.composite
+def custom_labelings(draw):
+    g = draw(st.sampled_from(_EMBEDDABLE))
+    edges = {}
+    for v in g.vertices:
+        if draw(st.booleans()):
+            edges[v] = draw(st.permutations([f.id for f in g.out_singles(v)]))
+    return fg.Labeling(g, draw(st.permutations(g.vertices)), edges)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(custom_labelings(), st.randoms(use_true_random=False))
+def test_embedding_is_an_equivariant_homomorphism_under_custom_labelings(lab, rnd):
+    g = lab.graph
+    s = fg.random_table(g, rnd, splits=3, omega_bound=2)
+    t = fg.random_table(g, rnd, splits=3, omega_bound=2)
+    vs = fg.embed_table(s, lab)
+    assert fg.germ_equal(fg.embed_table(fg.compose(s, t), lab),
+                         fg.compose(vs, fg.embed_table(t, lab)))
+    for p in _points(g):
+        assert fg.point_map(fg.apply(s, p), lab) == fg.apply(vs, fg.point_map(p, lab))
 
 
 class TestMonomials:

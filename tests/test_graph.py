@@ -10,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fullgroups as fg
-from fullgroups.errors import GraphError, UnsupportedConditionError
+from fullgroups.errors import GraphError, PathError, UnsupportedConditionError
 from fullgroups.graph import _cycle_vertices
+
+import pairwise_reference as ref
 
 from conftest import (
     make_e2,
     make_e_inf,
     make_e_nr,
     make_leveled_chain_graph,
+    make_leveled_mixed_graph,
     make_no_cover,
     make_one_orbit,
     make_two_vertex_omega,
@@ -454,3 +457,97 @@ def test_count_paths_capped_matches_walk_counts(g):
         for w in g.vertices:
             want = min(2, walks.get(w, 0) + (v == w))
             assert fg.count_paths_capped(g, v, w, 2) == (">=2" if want == 2 else want)
+
+
+# ---------------------------------------------------------------------------
+# Lookup tables: refusals, and the queries they replaced as a reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("i", [0, -1, 3, 4])
+def test_vertex_by_index_refuses_numbers_outside_the_graph(i):
+    g = fg.Graph(["u", "w"], [fg.EdgeFamily("uw", "u", "w"), fg.EdgeFamily("wu", "w", "u"),
+                              fg.EdgeFamily("h", "u", "u")])
+    with pytest.raises(GraphError):
+        g.vertex_by_index(i)
+
+
+@pytest.mark.parametrize("g", [make_two_vertex_omega(), make_leveled_mixed_graph()],
+                         ids=["graph", "leveled"])
+@pytest.mark.parametrize("name", ["zz", "x@", "x@1x", "x@²", "x@01", "x@٣", "t3", "t04",
+                                  "t4@0", "ra"])
+def test_unknown_vertices_are_typed_errors(g, name):
+    assert not g.has_vertex(name)
+    for query in (g.vertex_index, g.out_families, g.out_singles, g.out_degree, g.is_sink,
+                  g.is_regular):
+        with pytest.raises(GraphError, match="unknown vertex"):
+            query(name)
+    lab = fg.default_labeling(g)
+    for query in (lab.vertex_number, lab.singles_at):
+        with pytest.raises(PathError, match="unknown vertex"):
+            query(name)
+    with pytest.raises(PathError, match="unknown vertex"):
+        fg.Labeling(g, edge_orders={name: []})
+
+
+def _check_against_reference(g, names, fids):
+    """Every query on ``names`` and ``fids``, plus the vertices and ids they
+    lead to, equals its reference; returns the vertices met."""
+    met, fams = [], set(fids)
+    for name in names:
+        if g.is_finite:
+            if not g.has_vertex(name):
+                continue
+            assert g.out_singles(name) == ref.old_out_singles(g, name)
+            assert g.omega_family(name) == ref.old_omega_family(g, name)
+        else:
+            assert g.resolve_vertex(name) == ref.old_resolve_vertex(g, name)
+            if g.resolve_vertex(name) is None:
+                continue
+        met.append(name)
+        assert g.vertex_index(name) == ref.old_vertex_index(g, name)
+        assert g.out_families(name) == ref.old_out_families(g, name)
+        omega = g.is_finite and ref.old_omega_family(g, name) is not None
+        assert g.out_degree(name) == (fg.OMEGA if omega else len(ref.old_out_families(g, name)))
+        fams.update(f.id for f in g.out_families(name))
+    for fid in sorted(fams):
+        if not g.is_finite:
+            assert g.resolve_family(fid) == ref.old_resolve_family(g, fid)
+            if g.resolve_family(fid) is None:
+                continue
+        elif fid not in {f.id for f in g.families}:
+            continue
+        for idx in (1, 2):
+            assert g.ref_sort_key((fid, idx)) == ref.old_ref_sort_key(g, (fid, idx))
+    return met
+
+
+def test_graph_queries_match_the_reference_on_random_graphs(rng):
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=6, max_edges=10, omega_chance=0.3)
+        assert _check_against_reference(g, g.vertices, ["x0", "zz"]) == list(g.vertices)
+
+
+# names and ids that are not instantiated on the graphs below
+_ODD_VERTEX_NAMES = ["zz", "", "@0", "w0", "x@", "x@1x", "x@-1", "t{}@0", "t3", "t5", "t6@0",
+                     "r@0", "a@1", "xy@0"]
+_ODD_FAMILY_IDS = ["zz", "@0", "e0", "f2", "xy@", "xy@a", "s3", "s5", "l{}@0", "ra@0", "xt"]
+
+
+@pytest.mark.parametrize("g", [make_leveled_chain_graph(), make_leveled_mixed_graph()],
+                         ids=["chain", "mixed"])
+def test_leveled_queries_match_the_reference(g):
+    base = sum(len(l) for l in g.base_levels)
+    block = sum(len(l) for l in g.block_levels)
+    indices = list(range(1, base + 3 * block + 1)) + [base + 97 * block + 1, 1000]
+    names = [g.vertex_by_index(i) for i in indices]
+    assert names == [ref.old_vertex_by_index(g, i) for i in indices]
+    assert [g.vertex_index(n) for n in names] == indices
+    assert _check_against_reference(g, names + _ODD_VERTEX_NAMES, _ODD_FAMILY_IDS) == names
+
+
+@pytest.mark.parametrize("name", ["w01", "w02", "w٣", "e01", "f03", "x@01", "xy@00", "s04"])
+def test_leveled_numbers_have_one_spelling(name):
+    """A level or repetition number is written as instantiation writes it."""
+    for g in (make_leveled_chain_graph(), make_leveled_mixed_graph()):
+        assert g.resolve_vertex(name) is None and g.resolve_family(name) is None
