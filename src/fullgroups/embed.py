@@ -433,9 +433,12 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
     """Images of the vertex projections and edge isometries.
 
     Omega families are truncated at ``edge_bound`` edges; for leveled graphs
-    the same bound truncates the vertex enumeration.
+    the same bound truncates the vertex enumeration.  A bound below 1 is
+    refused.
     """
     require_admissible(g)
+    if edge_bound < 1:
+        raise GraphError("edge bound must be at least 1")
     if g.is_finite:
         vertex_names = [lab.vertex_by_number(i) for i in range(1, g.vertex_count() + 1)]
     else:
@@ -478,6 +481,29 @@ def format_generator_image(img: GeneratorImage) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _comparable_pairs(left, right):
+    """Sorted index pairs ``(i, j)``, ``i < j``, with ``left[i]`` and
+    ``right[j]`` prefix-comparable.
+
+    Both word lists go into one list tagged by side and index, and it is
+    sorted.  The words extending ``w`` then follow ``w`` in one contiguous
+    block, so each entry scans forward only while its extensions last.
+    """
+    tagged = sorted([(w, 0, i) for i, w in enumerate(left)]
+                    + [(w, 1, j) for j, w in enumerate(right)])
+    pairs = []
+    for k, (w, side, i) in enumerate(tagged):
+        for m in range(k + 1, len(tagged)):
+            x, other, j = tagged[m]
+            if not x.startswith(w):
+                break
+            if side != other:
+                pair = (i, j) if side == 0 else (j, i)
+                if pair[0] < pair[1]:
+                    pairs.append(pair)
+    return sorted(pairs)
+
+
 def ck_check(g, img: GeneratorImage):
     """Verify the graph-algebra relations on the emitted images.
 
@@ -486,6 +512,11 @@ def ck_check(g, img: GeneratorImage):
     p_s(e) s_e = s_e, and same-vertex orthogonality; regular vertices satisfy
     the reconstruction identity sum_e s_e s_e* = p_v.  Omega families are
     only sampled up to the emitted bound.
+
+    A product ``p_i p_j`` (``s_i* s_j``) is nonzero exactly when ``beta_i``
+    and ``alpha_j`` (the two alphas) are prefix-comparable.  The
+    orthogonality checks find those pairs by sorting the words, among which
+    the extensions of a word are contiguous.
     """
     failures = []
     vmap = {v.vertex: v.mono for v in img.vertices}
@@ -496,16 +527,11 @@ def ck_check(g, img: GeneratorImage):
     for v in img.vertices:
         if not v.mono.is_projection():
             fail(f"p[{v.vertex}] is not a projection")
-    for i, v1 in enumerate(img.vertices):
-        for v2 in img.vertices[i + 1:]:
-            if mono_mult(v1.mono, v2.mono) is not None:
-                fail(f"p[{v1.vertex}] p[{v2.vertex}] != 0")
-    if g.is_finite:
-        total = FormalSum()
-        for v in img.vertices:
-            total = total + FormalSum.of(v.mono)
-        if not total.equals(FormalSum.of(ONE)):
-            fail("vertex projections do not sum to 1")
+    vs = img.vertices
+    for i, j in _comparable_pairs([v.mono.beta for v in vs], [v.mono.alpha for v in vs]):
+        fail(f"p[{vs[i].vertex}] p[{vs[j].vertex}] != 0")
+    if g.is_finite and not FormalSum.of(*(v.mono for v in vs)).equals(FormalSum.of(ONE)):
+        fail("vertex projections do not sum to 1")
     for e in img.edges:
         if e.range in vmap:
             left = mono_mult(e.mono.star(), e.mono)
@@ -518,15 +544,12 @@ def ck_check(g, img: GeneratorImage):
     for e in img.edges:
         by_source.setdefault(e.source, []).append(e)
     for v, edges in by_source.items():
-        for i, e1 in enumerate(edges):
-            for e2 in edges[i + 1:]:
-                if mono_mult(e1.mono.star(), e2.mono) is not None:
-                    fail(f"s[{e1.name}]* s[{e2.name}] != 0")
+        alphas = [e.mono.alpha for e in edges]
+        for i, j in _comparable_pairs(alphas, alphas):
+            fail(f"s[{edges[i].name}]* s[{edges[j].name}] != 0")
         if g.is_finite and g.is_regular(v) and v in vmap:
-            total = FormalSum()
-            for e in edges:
-                total = total + FormalSum.of(mono_mult(e.mono, e.mono.star()))
-            if not total.equals(FormalSum.of(vmap[v])):
+            ranges = FormalSum.of(*(mono_mult(e.mono, e.mono.star()) for e in edges))
+            if not ranges.equals(FormalSum.of(vmap[v])):
                 fail(f"sum of ranges at {v} != p[{v}]")
     return (not failures), failures
 

@@ -1,7 +1,8 @@
 """Code that faster versions replaced, kept as a reference for the
 differential tests: the pairwise compact-open algebra that the stem index
 replaced, the restarting canonical form that the one-pass merge replaced,
-and the graph and labeling queries that the lookup tables replaced.
+the graph and labeling queries that the lookup tables replaced, and the
+all-pairs relation check that the sorted word pass replaced.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
@@ -15,10 +16,14 @@ They rescan them on every call, and a leveled vertex index sums every level
 below the vertex.  The ``old_`` labeling queries read the labeling's
 ``vertex_order`` and ``edge_orders``, the graph through these, and the
 package's ``code_word``.
+
+``old_ck_check`` tests the orthogonality relations by multiplying every
+pair of vertex images and every pair of edge images at one source, and
+builds its formal sums one term at a time.
 """
 import re
 
-from fullgroups.embed import code_word
+from fullgroups.embed import ONE, FormalSum, code_word, mono_mult
 from fullgroups.errors import GraphError, TableError
 from fullgroups.graph import OMEGA, EdgeFamily
 from fullgroups.pathspace import (
@@ -473,3 +478,56 @@ def old_edge_word(lab, ref):
     else:
         k = len(old_out_families(g, source))
     return code_word(old_edge_number(lab, ref), k)
+
+
+def old_ck_check(g, img):
+    """Verify the graph-algebra relations on the emitted images.
+
+    Checks: vertex images are projections, mutually orthogonal, and (finite
+    vertex set) sum to the identity; edges satisfy s_e* s_e = p_r(e),
+    p_s(e) s_e = s_e, and same-vertex orthogonality; regular vertices satisfy
+    the reconstruction identity sum_e s_e s_e* = p_v.  Omega families are
+    only sampled up to the emitted bound.
+    """
+    failures = []
+    vmap = {v.vertex: v.mono for v in img.vertices}
+
+    def fail(msg):
+        failures.append(msg)
+
+    for v in img.vertices:
+        if not v.mono.is_projection():
+            fail(f"p[{v.vertex}] is not a projection")
+    for i, v1 in enumerate(img.vertices):
+        for v2 in img.vertices[i + 1:]:
+            if mono_mult(v1.mono, v2.mono) is not None:
+                fail(f"p[{v1.vertex}] p[{v2.vertex}] != 0")
+    if g.is_finite:
+        total = FormalSum()
+        for v in img.vertices:
+            total = total + FormalSum.of(v.mono)
+        if not total.equals(FormalSum.of(ONE)):
+            fail("vertex projections do not sum to 1")
+    for e in img.edges:
+        if e.range in vmap:
+            left = mono_mult(e.mono.star(), e.mono)
+            if left != vmap[e.range]:
+                fail(f"s[{e.name}]* s[{e.name}] != p[{e.range}]")
+        if e.source in vmap:
+            if mono_mult(vmap[e.source], e.mono) != e.mono:
+                fail(f"p[{e.source}] s[{e.name}] != s[{e.name}]")
+    by_source = {}
+    for e in img.edges:
+        by_source.setdefault(e.source, []).append(e)
+    for v, edges in by_source.items():
+        for i, e1 in enumerate(edges):
+            for e2 in edges[i + 1:]:
+                if mono_mult(e1.mono.star(), e2.mono) is not None:
+                    fail(f"s[{e1.name}]* s[{e2.name}] != 0")
+        if g.is_finite and g.is_regular(v) and v in vmap:
+            total = FormalSum()
+            for e in edges:
+                total = total + FormalSum.of(mono_mult(e.mono, e.mono.star()))
+            if not total.equals(FormalSum.of(vmap[v])):
+                fail(f"sum of ranges at {v} != p[{v}]")
+    return (not failures), failures

@@ -191,6 +191,16 @@ class TestCkCheck:
         assert code == 0
         assert json.loads(out) == {"ok": True, "failures": []}
 
+    @pytest.mark.parametrize("command", ["emit", "ck-check"])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one_is_refused(self, files, command, bound):
+        code, out, err = _run_cli([command, files["leveled"], "--bound", bound])
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == {"code": "bad-graph",
+                                             "message": "edge bound must be at least 1"}
+
 
 class TestBratteli:
     def test_order(self, files, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import pathlib
 import random
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fullgroups as fg
+from fullgroups import embed
 from fullgroups.embed import ONE, FormalSum, Monomial, edge_word
 from fullgroups.errors import AdmissibilityError, GraphError, PathError
 
@@ -498,10 +500,44 @@ class TestEmit:
             "w1": Monomial("b", "b"), "w2": Monomial("a", "a")}
 
 
+_CK_FACTORIES = [make_e2, make_two_vertex_omega, lambda: make_e_nr(2, 2),
+                 lambda: make_e_nr(3, 2), make_e_inf, make_leveled_chain_graph]
+
+
+def _words(img):
+    return [w for x in (*img.vertices, *img.edges) for w in (x.mono.alpha, x.mono.beta)]
+
+
+def _with_words(img, words):
+    """``img`` with the words of its monomials replaced, in ``_words`` order."""
+    gens = [dataclasses.replace(x, mono=Monomial(*words[2 * k:2 * k + 2]))
+            for k, x in enumerate((*img.vertices, *img.edges))]
+    nv = len(img.vertices)
+    return fg.GeneratorImage(tuple(gens[:nv]), tuple(gens[nv:]))
+
+
+@st.composite
+def _scrambled_images(draw):
+    """An emitted image whose words were swapped, duplicated or truncated,
+    so that equal words and nested prefix chains occur."""
+    g = draw(st.sampled_from(_CK_FACTORIES))()
+    img = fg.emit_generators(g, fg.default_labeling(g), draw(st.integers(1, 6)))
+    words = _words(img)
+    slot = st.integers(0, len(words) - 1)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(slot), draw(slot)
+        kind = draw(st.sampled_from(["swap", "duplicate", "truncate"]))
+        if kind == "swap":
+            words[i], words[j] = words[j], words[i]
+        elif kind == "duplicate":
+            words[j] = words[i]
+        else:
+            words[i] = words[i][:draw(st.integers(0, len(words[i])))]
+    return g, _with_words(img, words)
+
+
 class TestCkCheck:
-    @pytest.mark.parametrize("factory", [make_e2, make_two_vertex_omega,
-                                         lambda: make_e_nr(2, 2), lambda: make_e_nr(3, 2),
-                                         make_e_inf, make_leveled_chain_graph])
+    @pytest.mark.parametrize("factory", _CK_FACTORIES)
     def test_passes(self, factory):
         g = factory()
         img = fg.emit_generators(g, fg.default_labeling(g), 6)
@@ -533,6 +569,47 @@ class TestCkCheck:
         for name, side in escaped:
             # the escape is exactly the trailing-letter flip
             assert side == "alpha"
+
+    @pytest.mark.parametrize("bound", [2, 3, 5, 8])
+    @pytest.mark.parametrize("factory", _CK_FACTORIES)
+    def test_matches_pairwise_reference_on_mutations(self, factory, bound):
+        g = factory()
+        img = fg.emit_generators(g, fg.default_labeling(g), bound)
+        for case in [img, *(mutated for mutated, _ in mutations(img))]:
+            assert fg.ck_check(g, case) == ref.old_ck_check(g, case)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_scrambled_images())
+    def test_matches_pairwise_reference_on_scrambled_words(self, case):
+        g, img = case
+        assert fg.ck_check(g, img) == ref.old_ck_check(g, img)
+
+    def test_orthogonality_forms_no_pairwise_products(self, monkeypatch):
+        g = make_two_vertex_omega()
+        img = fg.emit_generators(g, fg.default_labeling(g), 400)
+        calls = []
+        mult = embed.mono_mult
+        monkeypatch.setattr(embed, "mono_mult", lambda x, y: calls.append(1) or mult(x, y))
+        ok, failures = fg.ck_check(g, img)
+        assert ok, failures
+        assert len(calls) <= len(img.vertices) + 3 * len(img.edges)
+
+    def test_pair_search_scans_only_extensions(self):
+        # a word compares only with the words that extend it and the one
+        # after them, so the prefix tests stay linear in the image size
+        scans = []
+
+        class Word(str):
+            def startswith(self, prefix):
+                scans.append(1)
+                return str.startswith(self, prefix)
+
+        g = make_two_vertex_omega()
+        img = fg.emit_generators(g, fg.default_labeling(g), 400)
+        img = _with_words(img, [Word(w) for w in _words(img)])
+        assert fg.ck_check(g, img) == (True, [])
+        assert len(scans) <= 8 * (len(img.vertices) + len(img.edges))
+
 
 
 def mutations(img):

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import random
 
@@ -746,6 +747,25 @@ class TestGroupLawsRandomized:
                                  fg.compose(s, fg.compose(t, u)))
             assert fg.is_identity(fg.compose(s, fg.inverse(s)))
             assert fg.is_identity(fg.compose(fg.inverse(s), s))
+
+
+@functools.cache
+def _law_points(g):
+    return enumerate_points(g, 2, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(_GRAPHS).flatmap(
+    lambda g: st.tuples(_random_tables(g), _random_tables(g), _random_tables(g))))
+def test_group_laws_on_random_tables(case):
+    # every graph of algebra_graphs satisfies (L), so the germ calculus applies
+    s, t, u = case
+    product = fg.compose(s, t)
+    assert fg.germ_equal(fg.compose(product, u), fg.compose(s, fg.compose(t, u)))
+    assert fg.is_identity(fg.compose(s, fg.inverse(s)))
+    assert fg.is_identity(fg.compose(fg.inverse(s), s))
+    for p in _law_points(s.graph):
+        assert fg.apply(product, p) == fg.apply(s, fg.apply(t, p))
 
 
 class TestJson:
