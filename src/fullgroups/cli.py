@@ -29,6 +29,10 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_graph(path: str):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AdmissibilityError, GraphError, ParseError, PathError
 from .graph import OMEGA, EdgeFamily, Graph, _strings, _unknown_family
-from .pathspace import BoundaryPoint, FinitePath, make_path, periodic_point
+from .pathspace import BoundaryPoint, FinitePath, periodic_point
 from .tables import Piece, Table, make_table
 
 E2 = Graph(
@@ -29,11 +29,13 @@ E2 = Graph(
 
 
 def binary_path(word: str) -> FinitePath:
-    """A finite path over the binary graph from a string of a's and b's."""
-    for ch in word:
-        if ch not in "ab":
-            raise PathError(f"not a binary word: {word!r}")
-    return make_path(E2, "v", [(ch, 1) for ch in word])
+    """A finite path over the binary graph from a string of a's and b's.
+
+    Both letters are loops at ``v``, so every word is a path there.
+    """
+    if word.strip("ab"):
+        raise PathError(f"not a binary word: {word!r}")
+    return FinitePath("v", tuple(zip(word, [1] * len(word))), "v")
 
 
 def binary_point(prefix: str, cycle: str) -> BoundaryPoint:
@@ -368,27 +370,39 @@ class FormalSum:
         return FormalSum({m: c for m, c in out.items() if c})
 
     def reduced(self) -> "FormalSum":
-        """Collect sibling pairs: c(s_xa s_ya*) + c(s_xb s_yb*) -> c(s_x s_y*)."""
-        terms = {m: c for m, c in self.terms.items() if c}
-        changed = True
-        while changed:
-            changed = False
-            for m, c in list(terms.items()):
-                if not (m.alpha.endswith("a") and m.beta.endswith("a")):
-                    continue
+        """Collect sibling pairs: c(s_xa s_ya*) + c(s_xb s_yb*) -> c(s_x s_y*).
+
+        One pass over the alpha lengths present, longest first: siblings of
+        one sign move their smaller coefficient to the parent, one letter
+        shorter, whose length comes later; so each term is looked at once.
+        The moves keep the value, and in a zero sum the deepest siblings
+        carry equal coefficients, so the sum is zero exactly when nothing is
+        left.
+        """
+        levels = {}
+        for m, c in self.terms.items():
+            levels.setdefault(len(m.alpha), {})[m] = c
+        out = {}
+        depths = sorted(levels)
+        while depths:
+            d = depths.pop()
+            level = levels.pop(d)
+            for m in [m for m in level if m.alpha.endswith("a") and m.beta.endswith("a")]:
+                c = level[m]
                 sib = Monomial(m.alpha[:-1] + "b", m.beta[:-1] + "b")
-                c2 = terms.get(sib, 0)
+                c2 = level.get(sib, 0)
                 if not c2 or (c > 0) != (c2 > 0):
                     continue
-                step = min(abs(c), abs(c2)) * (1 if c > 0 else -1)
+                step = min(c, c2) if c > 0 else max(c, c2)
+                level[m] -= step
+                level[sib] -= step
+                if d - 1 not in levels:  # below every depth left
+                    levels[d - 1] = {}
+                    depths.append(d - 1)
                 parent = Monomial(m.alpha[:-1], m.beta[:-1])
-                for key, delta in ((m, -step), (sib, -step), (parent, step)):
-                    terms[key] = terms.get(key, 0) + delta
-                    if not terms[key]:
-                        del terms[key]
-                changed = True
-                break
-        return FormalSum(terms)
+                levels[d - 1][parent] = levels[d - 1].get(parent, 0) + step
+            out.update(level)
+        return FormalSum(out)
 
     def is_zero(self) -> bool:
         return not self.reduced().terms

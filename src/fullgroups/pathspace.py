@@ -91,10 +91,11 @@ def _out_refs(g, vertex: str):
     return frozenset((f.id, 1) for f in g.out_singles(vertex))
 
 
-def _atom_or_none(g, mu: FinitePath, F) -> CylinderAtom | None:
-    """Atom constructor that returns None instead of an empty atom."""
-    F = frozenset(tuple(e) for e in F)
-    if g.is_regular(mu.rng) and F == _out_refs(g, mu.rng):
+def _atom_or_none(g, mu: FinitePath, F: frozenset) -> CylinderAtom | None:
+    """Atom constructor that returns None instead of an empty atom.  ``F``
+    holds only edges out of ``mu.rng``: it excludes all of them when it has
+    as many as the out-degree, which is infinite at an omega vertex."""
+    if F and len(F) == g.out_degree(mu.rng):
         return None
     return CylinderAtom(mu, F)
 

@@ -23,7 +23,6 @@ from .pathspace import (
     CylinderAtom,
     FinitePath,
     _StemIndex,
-    _merge_atoms,
     _out_refs,
     atom,
     atom_intersect,
@@ -31,7 +30,6 @@ from .pathspace import (
     atom_split,
     atom_subtract,
     co_contains_point,
-    co_equals,
     co_intersect,
     co_make,
     co_subtract,
@@ -107,34 +105,76 @@ def make_table(g, pieces, validate: bool = True) -> Table:
 
 
 def validate_table(t: Table) -> None:
-    """Bisection invariants: disjoint domains, disjoint codomains, equal unions."""
+    """Bisection invariants: disjoint domains, disjoint codomains, equal unions.
+
+    The pieces' ``lam`` and ``mu`` go into one stem trie as domain and
+    codomain atoms.  One walk down it carries, for each side, the least atom
+    covering the current stem ``s``.  The branches at ``s`` are its out-edges
+    and, at a singular vertex, ``s`` itself; an atom at ``s`` holds those
+    outside its F.  Atoms meet when one covers the other's stem or both hold
+    a branch, so the walk finds the least overlapping pair ``(i, j)``,
+    domains first.  The unions agree when each branch with no stem below is
+    covered on both sides or on neither.
+    """
     g = t.graph
-    doms = []
-    cods = []
-    for p in t.pieces:
+    pieces = t.pieces
+    checked = set()
+    roots = {}  # start vertex -> node; a node is ([domain ids], [codomain ids], {edge: node})
+    for i, p in enumerate(pieces):
         if p.mu.rng != p.lam.rng:
             raise TableError("piece stems end at different vertices")
-        atom(g, p.mu, p.F)
-        atom(g, p.lam, p.F)
-        doms.append(domain_atom(p))
-        cods.append(codomain_atom(p))
-    # Each piece looks up the earlier ones it overlaps.  The error names the
-    # first overlapping pair (i, j) of pieces, least i then least j, and at
-    # that pair the domains before the codomains.
-    dom_index, cod_index = _StemIndex(g), _StemIndex(g)
-    first = None
-    for d, c in zip(doms, cods):
-        hit_d, hit_c = dom_index.meeting(d), cod_index.meeting(c)
-        if hit_d or hit_c:
-            i = min(hit_d[:1] + hit_c[:1])
-            if first is None or i < first[0]:
-                first = (i, "domain" if hit_d[:1] == [i] else "codomain")
-        dom_index.add(d)
-        cod_index.add(c)
-    if first is not None:
-        raise TableError(f"overlapping {first[1]} atoms")
-    if not co_equals(g, _merge_atoms(g, doms), _merge_atoms(g, cods)):
+        if (p.mu.rng, p.F) not in checked:  # the checks read only the range and F
+            atom(g, p.mu, p.F)
+            checked.add((p.mu.rng, p.F))
+        for side, stem in ((0, p.lam), (1, p.mu)):
+            node = roots.get(stem.start)
+            if node is None:
+                node = roots[stem.start] = ([], [], {})
+            for e in stem.edges:
+                below = node[2]
+                node = below.get(e)
+                if node is None:
+                    node = below[e] = ([], [], {})
+            node[side].append(i)
+    overlaps = []  # (i, j, side) of overlapping atoms, side 0 the domain
+    differ = False
+    stack = [(node, None, None) for node in roots.values()]
+    while stack:
+        (dom, cod, kids), dc, cc = stack.pop()
+        excluded = {e for i in dom + cod for e in pieces[i].F}
+        for e in excluded:
+            d = _cover(dc, [i for i in dom if e not in pieces[i].F], 0, overlaps)
+            k = _cover(cc, [i for i in cod if e not in pieces[i].F], 1, overlaps)
+            if e in kids:
+                stack.append((kids[e], d, k))
+            elif (d is None) != (k is None):
+                differ = True
+        if excluded:
+            v = pieces[(dom or cod)[0]].mu.rng
+            if not (g.is_singular(v) or len(excluded) < g.out_degree(v)):
+                continue  # no branch that every atom here holds
+        d, k = _cover(dc, dom, 0, overlaps), _cover(cc, cod, 1, overlaps)
+        stack.extend((kid, d, k) for e, kid in kids.items() if e not in excluded)
+        if (d is None) != (k is None) and not differ:
+            v = pieces[(dom or cod)[0]].mu.rng if dom or cod else g.ref_source(next(iter(kids)))
+            differ = g.is_singular(v) or len(excluded.union(kids)) < g.out_degree(v)
+    if overlaps:
+        raise TableError(f"overlapping {('domain', 'codomain')[min(overlaps)[2]]} atoms")
+    if differ:
         raise TableError("domain union differs from codomain union")
+
+
+def _cover(c, held, side, overlaps):
+    """The least atom covering a branch: ``c`` from above or the least of the
+    ``held`` atoms at the stem.  Records the overlapping pairs this shows."""
+    if not held:
+        return c
+    if len(held) > 1:
+        overlaps.append((held[0], held[1], side))
+    if c is None:
+        return held[0]
+    overlaps.append((min(c, held[0]), max(c, held[0]), side))
+    return min(c, held[0])
 
 
 def apply(t: Table, p: BoundaryPoint) -> BoundaryPoint:

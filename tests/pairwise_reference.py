@@ -1,8 +1,9 @@
 """Code that faster versions replaced, kept as a reference for the
 differential tests: the pairwise compact-open algebra that the stem index
 replaced, the restarting canonical form that the one-pass merge replaced,
-the graph and labeling queries that the lookup tables replaced, and the
-all-pairs relation check that the sorted word pass replaced.
+the graph and labeling queries that the lookup tables replaced, the
+all-pairs relation check that the sorted word pass replaced, and the
+restarting reduction of formal sums that the one-pass reduction replaced.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
@@ -19,11 +20,12 @@ package's ``code_word``.
 
 ``old_ck_check`` tests the orthogonality relations by multiplying every
 pair of vertex images and every pair of edge images at one source, and
-builds its formal sums one term at a time.
+builds its formal sums one term at a time.  ``old_reduced`` restarts its
+scan of a formal sum's terms after every merge of two siblings.
 """
 import re
 
-from fullgroups.embed import ONE, FormalSum, code_word, mono_mult
+from fullgroups.embed import ONE, FormalSum, Monomial, code_word, mono_mult
 from fullgroups.errors import GraphError, TableError
 from fullgroups.graph import OMEGA, EdgeFamily
 from fullgroups.pathspace import (
@@ -531,3 +533,26 @@ def old_ck_check(g, img):
             if not total.equals(FormalSum.of(vmap[v])):
                 fail(f"sum of ranges at {v} != p[{v}]")
     return (not failures), failures
+
+
+def old_reduced(s):
+    terms = {m: c for m, c in s.terms.items() if c}
+    changed = True
+    while changed:
+        changed = False
+        for m, c in list(terms.items()):
+            if not (m.alpha.endswith("a") and m.beta.endswith("a")):
+                continue
+            sib = Monomial(m.alpha[:-1] + "b", m.beta[:-1] + "b")
+            c2 = terms.get(sib, 0)
+            if not c2 or (c > 0) != (c2 > 0):
+                continue
+            step = min(abs(c), abs(c2)) * (1 if c > 0 else -1)
+            parent = Monomial(m.alpha[:-1], m.beta[:-1])
+            for key, delta in ((m, -step), (sib, -step), (parent, step)):
+                terms[key] = terms.get(key, 0) + delta
+                if not terms[key]:
+                    del terms[key]
+            changed = True
+            break
+    return FormalSum(terms)

@@ -281,6 +281,25 @@ class TestErrorsAndRoundtrips:
         (line,) = err.splitlines()
         assert json.loads(line)["error"]["code"] == "parse-error"
 
+    @pytest.mark.parametrize("content, message", [
+        (b'\xff\xfe{"vertices": []}', "not UTF-8 text (byte 0)"),
+        (b"[" * 100000, "JSON nested too deeply"),
+        (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+    ], ids=["not-utf8", "deep-unclosed", "deep-closed"])
+    @pytest.mark.parametrize("role", ["graph", "table"])
+    def test_unreadable_json_is_parse_error(self, files, tmp_path, content, message, role):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = {"graph": ["analyze", str(bad)],
+                "table": ["invert", str(bad), "--graph", files["e2"]]}[role]
+        code, out, err = _run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == {"code": "parse-error",
+                                             "message": f"{bad}: {message}"}
+
     def test_negative_level_is_refused(self, files):
         code, out, err = _run_cli(["bratteli-order", files["gamma2"], "--level", "-1"])
         assert code == 1

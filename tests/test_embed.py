@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -468,6 +469,89 @@ class TestMonomials:
         # vertex projections sum to the identity
         total = FormalSum.of(Monomial("b", "b")) + FormalSum.of(Monomial("a", "a"))
         assert total.equals(FormalSum.of(ONE))
+
+
+@st.composite
+def _formal_sums(draw):
+    """Terms ``T`` and a refinement ``R`` of them (a term ``(x|y)`` split into
+    ``(xa|ya) + (xb|yb)`` again and again), each a dict in shuffled order;
+    ``T - R`` is zero.  Sometimes one more term is added to ``T``."""
+    words = st.text("ab", max_size=3)
+    items = [(Monomial(x, y), c) for x, y, c in draw(st.lists(
+        st.tuples(words, words, st.integers(-3, 3).filter(bool)), max_size=6))]
+    refined = list(items)
+    for _ in range(draw(st.integers(0, 12))):
+        if not refined:
+            break
+        m, c = refined.pop(draw(st.integers(0, len(refined) - 1)))
+        refined += [(Monomial(m.alpha + x, m.beta + x), c) for x in "ab"]
+    extra = draw(st.booleans())
+    if extra:
+        items.append((Monomial(draw(words), draw(words)), draw(st.sampled_from([-1, 1]))))
+
+    def collected(pairs):
+        terms = {}
+        for m, c in draw(st.permutations(pairs)):
+            terms[m] = terms.get(m, 0) + c
+        return FormalSum(terms)
+
+    return collected(items), collected(refined), extra
+
+
+class TestFormalSumReduction:
+    """The one-pass reduction against the restarting one."""
+
+    def test_mixed_signs(self):
+        m = {w: Monomial(w, w) for w in ("aa", "ab", "aaa", "aab")}
+        first = FormalSum({m["aa"]: -1, m["ab"]: -1, m["aaa"]: 1, m["aab"]: 1})
+        last = FormalSum({m["aaa"]: 1, m["aab"]: 1, m["aa"]: -1, m["ab"]: -1})
+        for s in (first, last):
+            assert not s.is_zero() and ref.old_reduced(s).terms
+            assert s.reduced().terms == {m["ab"]: -1}
+        assert first.equals(last) and last.equals(first)
+        assert str(ref.old_reduced(first)) == "-1*(a|a) + 1*(aa|aa)"
+
+    @pytest.mark.parametrize("alpha, beta", [("a", "b"), ("b", "a")])
+    def test_only_aligned_siblings_merge(self, alpha, beta):
+        # s_a s_b* + s_b s_b* is not 1: (a|b) and (b|b) are not siblings
+        s = FormalSum.of(Monomial(alpha, beta), Monomial("b", "b"))
+        assert not s.equals(FormalSum.of(ONE))
+        assert ref.old_reduced(s - FormalSum.of(ONE)).terms
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_formal_sums())
+    def test_matches_restarting_reduction(self, case):
+        terms, refined, extra = case
+        assert terms.equals(refined) == (not ref.old_reduced(terms - refined).terms)
+        assert terms.equals(refined) or extra
+
+    @pytest.mark.parametrize("plus, minus", [
+        # the words of length 10, the b-ending ones first, minus 1: a scan
+        # that restarts after each merge passes those 512 again each time
+        (sorted((format(k, "010b").replace("0", "a").replace("1", "b") for k in range(1024)),
+                key=lambda w: w.endswith("a")), [""]),
+        # one sibling pair 3000 letters deep: a pass over every length below
+        # the longest steps through 3000 of them
+        (["a" * 3000, "a" * 2999 + "b"], ["a" * 2999]),
+    ], ids=["restart", "depth"])
+    def test_work_is_linear(self, plus, minus):
+        total = (FormalSum.of(*(Monomial(w, w) for w in plus))
+                 - FormalSum.of(*(Monomial(w, w) for w in minus)))
+        n = len(total.terms)
+        events = []
+
+        def record(frame, event, arg):
+            events.append(event)
+            return record
+
+        outer = sys.gettrace()
+        sys.settrace(record)
+        try:
+            zero = total.is_zero()
+        finally:
+            sys.settrace(outer)
+        assert zero
+        assert len(events) <= 100 * n  # calls, lines and returns traced
 
 
 class TestEmit:

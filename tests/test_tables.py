@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fullgroups as fg
 from fullgroups import pathspace, tables
-from fullgroups.errors import ArrowError, AtomError, GermError, TableError
+from fullgroups.errors import ArrowError, AtomError, GermError, TableError, ToolkitError
 
 from conftest import (
     _refs_at,
@@ -17,6 +17,9 @@ from conftest import (
     enumerate_points,
     make_e2,
     make_e_inf,
+    make_e_nr,
+    make_gamma2_diagram,
+    make_gamma24_diagram,
     make_no_cover,
     make_one_orbit,
     make_two_vertex_omega,
@@ -180,6 +183,175 @@ class TestStemIndexTables:
         assert len(t.pieces) >= 200
         fg.validate_table(t)
         assert calls == []
+
+
+def _verdict(check, t):
+    """None, or the type and message of the error ``check(t)`` raises."""
+    try:
+        check(t)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _mutations(g, pieces):
+    """Single mutations of a piece list: a piece dropped or doubled, one stem
+    moved to another stem ending at the same vertex, one exclusion set
+    swapped for another piece's or changed by one edge."""
+    for k in range(len(pieces)):
+        yield pieces[:k] + pieces[k + 1:]
+        yield pieces + [pieces[k]]
+    for k, p in enumerate(pieces):
+        v = p.mu.rng
+        stems = {q.mu for q in pieces} | {q.lam for q in pieces}
+        for stem in (p.mu, p.lam):  # one edge shorter or longer, along loops
+            if stem.edges and g.ref_source(stem.edges[-1]) == v:
+                stems.add(fg.FinitePath(stem.start, stem.edges[:-1], v))
+            stems.update(fg.extend(g, stem, e) for e in _refs_at(g, v, 2)
+                         if g.ref_range(e) == v)
+        for stem in sorted((s for s in stems if s.rng == v and s not in (p.mu, p.lam)),
+                           key=lambda s: pathspace.path_sort_key(g, s))[:3]:
+            yield pieces[:k] + [fg.Piece(stem, p.F, p.lam)] + pieces[k + 1:]
+            yield pieces[:k] + [fg.Piece(p.mu, p.F, stem)] + pieces[k + 1:]
+        exclusions = {q.F for q in pieces if q.mu.rng == v}
+        exclusions.update(p.F ^ {e} for e in _refs_at(g, v, 2))
+        for F in exclusions - {p.F}:
+            yield pieces[:k] + [fg.Piece(p.mu, F, p.lam)] + pieces[k + 1:]
+
+
+def _random_gamma_element(b, level, rnd):
+    """A random permutation of each fiber at ``level``."""
+    mapping = {}
+    for paths in b.fibers(level).values():
+        images = paths[:]
+        rnd.shuffle(images)
+        mapping.update(zip(paths, images))
+    return fg.GammaElement(b, level, mapping)
+
+
+def _assert_mutations_agree(t):
+    outcomes = set()
+    for pieces in _mutations(t.graph, list(t.pieces)):
+        m = fg.make_table(t.graph, pieces, validate=False)
+        outcome = _verdict(fg.validate_table, m)
+        assert outcome == _verdict(old_validate_table, m)
+        outcomes.add(outcome and outcome[1])
+    return outcomes
+
+
+class TestValidateWalk:
+    """The one walk of the stem trie against the pairwise reference."""
+
+    @pytest.mark.parametrize("b, level", [
+        (make_gamma2_diagram(), 2), (make_gamma2_diagram(), 3),
+        (make_gamma24_diagram(), 2), (make_gamma24_diagram(), 3),
+    ], ids=["gamma2-2", "gamma2-3", "gamma24-2", "gamma24-3"])
+    def test_leveled_tables_and_mutations(self, b, level):
+        outcomes = set()
+        for seed in range(3):
+            t = fg.gamma_to_table(_random_gamma_element(b, level, random.Random(seed)))
+            assert t.pieces and not t.graph.is_finite
+            assert _verdict(old_validate_table, t) is None
+            outcomes |= _assert_mutations_agree(t)
+        assert {"overlapping domain atoms", "overlapping codomain atoms",
+                "domain union differs from codomain union"} <= outcomes
+
+    @pytest.mark.parametrize("g", [make_e2(), make_one_orbit(), make_e_inf(),
+                                   make_two_vertex_omega()],
+                             ids=["e2", "one_orbit", "e_inf", "two_vertex_omega"])
+    def test_binary_images_and_mutations(self, g):
+        lab = fg.default_labeling(g)
+        outcomes = set()
+        for seed in range(3):
+            t = fg.embed_table(fg.random_table(g, random.Random(seed), splits=12,
+                                               omega_bound=2), lab)
+            assert t.graph == fg.E2
+            assert _verdict(old_validate_table, t) is None
+            outcomes |= _assert_mutations_agree(t)
+        assert {"overlapping domain atoms", "overlapping codomain atoms",
+                "domain union differs from codomain union"} <= outcomes
+
+    @pytest.mark.parametrize("b", [make_gamma2_diagram(), make_gamma24_diagram()],
+                             ids=["gamma2", "gamma24"])
+    def test_binary_images_of_leveled_tables(self, b):
+        t = fg.af_to_v(_random_gamma_element(b, 3, random.Random(7)))
+        assert t.graph == fg.E2
+        assert _verdict(old_validate_table, t) is None
+        assert {"overlapping domain atoms", "overlapping codomain atoms",
+                "domain union differs from codomain union"} <= _assert_mutations_agree(t)
+
+    def test_deep_stem(self):
+        w = "a" * 2999
+        swap = [(fg.binary_path(w + "a"), frozenset(), fg.binary_path(w + "b")),
+                (fg.binary_path(w + "b"), frozenset(), fg.binary_path(w + "a"))]
+        assert len(fg.make_table(fg.E2, swap).pieces[0].mu) == 3000
+        overlapping = swap + [(fg.binary_path(w + "aa"), frozenset(),
+                               fg.binary_path(w + "aa"))]
+        with pytest.raises(TableError, match="^overlapping domain atoms$"):
+            fg.make_table(fg.E2, overlapping)
+        unequal = swap[:1] + [(fg.binary_path(w + "b"), frozenset(), fg.binary_path(w + "aa"))]
+        with pytest.raises(TableError, match="^domain union differs from codomain union$"):
+            fg.make_table(fg.E2, unequal)
+
+    def test_union_gap_under_a_stem_without_atoms(self, e2):
+        # domains Z(v \ {b}) = Z(a) and Z(ba); codomains Z(b \ {b}) = Z(ba)
+        # and Z(aa).  Only Z(ab) differs: the walk meets it at the stem "a",
+        # which holds no atom, covered from above on the domain side only.
+        pieces = [(path(e2, "v", "b"), {("b", 1)}, path(e2, "v")),
+                  (path(e2, "v", "a", "a"), frozenset(), path(e2, "v", "b", "a"))]
+        t = fg.make_table(e2, pieces, validate=False)
+        message = (TableError, "domain union differs from codomain union")
+        assert _verdict(fg.validate_table, t) == _verdict(old_validate_table, t) == message
+
+    def test_atoms_sharing_a_stem(self, e2):
+        # Z(v \ {a}) and Z(v \ {b}) split the branches at v between them;
+        # a third atom there meets one of them.
+        split = [(path(e2, "v"), {("a", 1)}, path(e2, "v")),
+                 (path(e2, "v"), {("b", 1)}, path(e2, "v"))]
+        assert _verdict(fg.validate_table, fg.make_table(e2, split, validate=False)) is None
+        t = fg.make_table(e2, split + [(path(e2, "v", "a"), frozenset(), path(e2, "v", "b"))],
+                          validate=False)
+        assert (_verdict(fg.validate_table, t) == _verdict(old_validate_table, t)
+                == (TableError, "overlapping domain atoms"))
+
+    def test_excluded_branch_with_no_stem_below(self):
+        # One vertex, loops e1, e2, e3.  At the stem e1 the domain atom
+        # Z(e1 \ {e1}) holds e2 and e3, which codomain atoms below cover;
+        # e1 e1 is in neither union.
+        g = make_e_nr(3, 1)
+        pieces = [(path(g, "w1", "e2"), {("e1", 1)}, path(g, "w1", "e1")),
+                  (path(g, "w1", "e1", "e2"), frozenset(), path(g, "w1", "e2", "e2")),
+                  (path(g, "w1", "e1", "e3"), frozenset(), path(g, "w1", "e2", "e3"))]
+        t = fg.make_table(g, pieces, validate=False)
+        assert _verdict(fg.validate_table, t) is None
+        assert _verdict(old_validate_table, t) is None
+
+    def test_least_pair_names_the_side(self):
+        # In this order the least overlapping pair is (0, 1), codomains Z(a)
+        # and Z(aa), seen through the cover piece 0 passes down; the domains
+        # overlap first at (0, 2).
+        stems = [("a", "b"), ("aa", "ab"), ("bab", "bb"), ("", "aa")]
+        t = tables.Table(fg.E2, tuple(fg.Piece(fg.binary_path(mu), frozenset(),
+                                               fg.binary_path(lam)) for mu, lam in stems))
+        assert (_verdict(fg.validate_table, t) == _verdict(old_validate_table, t)
+                == (TableError, "overlapping codomain atoms"))
+
+    def test_one_atom_check_per_range_and_exclusions(self, monkeypatch):
+        g = make_two_vertex_omega()
+        t = fg.random_table(g, random.Random(5), splits=300, omega_bound=3)
+        assert len(t.pieces) >= 200 and any(p.F for p in t.pieces)
+        calls = []
+        for mod in (pathspace, tables):
+            for name in ("_merge_atoms", "co_equals", "atom_subtract"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
+        checked = []
+        atom = tables.atom
+        monkeypatch.setattr(tables, "atom", lambda g, mu, F=frozenset():
+                            checked.append((mu.rng, F)) or atom(g, mu, F))
+        fg.validate_table(t)
+        assert calls == []
+        assert len(checked) == len(set(checked)) == len({(p.mu.rng, p.F) for p in t.pieces})
 
 
 class TestApply:
