@@ -51,8 +51,11 @@ def _load_labeling(path, g):
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -156,8 +159,15 @@ def _cmd_bratteli_embed(args):
     _emit_json(args, tb.table_to_json(br.af_to_v(el)))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ``ParseError``, which ``main`` reports."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="fullgroups",
         description="Exact toolkit for topological full groups of graph groupoids.",
     )
@@ -228,18 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.fn(args)
         return 0
-    except ParseError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"code": exc.code, "message": str(exc)}}, sort_keys=True) + "\n")
-        return 2
     except ToolkitError as exc:
         sys.stderr.write(json.dumps(
             {"error": {"code": exc.code, "message": str(exc)}}, sort_keys=True) + "\n")
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 if __name__ == "__main__":

@@ -91,13 +91,16 @@ def _out_refs(g, vertex: str):
     return frozenset((f.id, 1) for f in g.out_singles(vertex))
 
 
+def _excludes_all(g, v: str, F) -> bool:
+    """``Z(mu \\ F)`` is empty for a stem ``mu`` ending at ``v``.  ``F`` holds
+    only edges out of ``v``: it excludes all of them when it has as many as
+    the out-degree, which is infinite at an omega vertex."""
+    return bool(F) and len(F) == g.out_degree(v)
+
+
 def _atom_or_none(g, mu: FinitePath, F: frozenset) -> CylinderAtom | None:
-    """Atom constructor that returns None instead of an empty atom.  ``F``
-    holds only edges out of ``mu.rng``: it excludes all of them when it has
-    as many as the out-degree, which is infinite at an omega vertex."""
-    if F and len(F) == g.out_degree(mu.rng):
-        return None
-    return CylinderAtom(mu, F)
+    """Atom constructor that returns None instead of an empty atom."""
+    return None if _excludes_all(g, mu.rng, F) else CylinderAtom(mu, F)
 
 
 def atom(g, mu: FinitePath, F=frozenset()) -> CylinderAtom:

@@ -23,6 +23,7 @@ from .pathspace import (
     CylinderAtom,
     FinitePath,
     _StemIndex,
+    _excludes_all,
     _out_refs,
     atom,
     atom_intersect,
@@ -192,36 +193,121 @@ def inverse(t: Table) -> Table:
 
 
 def compose(s: Table, t: Table) -> Table:
-    """Table of ``s after t``; pieces are refined until they line up."""
+    """Table of ``s after t``; both must be valid tables, as ``validate_table``
+    checks.
+
+    One walk of one stem trie of t's codomains (kind 0), s's domains (kind 1)
+    and t's domains (kind 2) carries, for each kind, the atom covering the
+    current stem from above.  A t codomain and an s domain meet where one
+    covers the other's stem, or where both sit at it and their Fs leave a
+    branch.  ``_cut`` cuts what is left of a t codomain outside the s domains
+    (s is the identity there) and of an s domain outside the t domains (t is)
+    at each stem the walk carries it to.  Identity pieces are not built.
+    """
     if s.graph != t.graph:
         raise TableError("tables live over different graphs")
     g = s.graph
+    tp, sp = t.pieces, s.pieces
     out = []
-    s_doms = _StemIndex(g, [domain_atom(pj) for pj in s.pieces])
-    for pi in t.pieces:
-        cod = codomain_atom(pi)
-        remaining = [cod]
-        for j in s_doms.meeting(cod):
-            pj, dj = s.pieces[j], s_doms.atoms[j]
-            inter = atom_intersect(g, cod, dj)
-            rel = inter.mu.edges[len(pi.mu.edges):]
-            dom_stem = FinitePath(pi.lam.start, pi.lam.edges + rel, inter.mu.rng)
-            rel2 = inter.mu.edges[len(pj.lam.edges):]
-            cod_stem = FinitePath(pj.mu.start, pj.mu.edges + rel2, inter.mu.rng)
-            out.append(Piece(cod_stem, inter.F, dom_stem))
-            remaining = [r for a in remaining for r in atom_subtract(g, a, dj)]
-        for left in remaining:
-            rel = left.mu.edges[len(pi.mu.edges):]
-            dom_stem = FinitePath(pi.lam.start, pi.lam.edges + rel, left.mu.rng)
-            out.append(Piece(left.mu, left.F, dom_stem))
-    t_doms = _StemIndex(g, [domain_atom(pi) for pi in t.pieces])
-    for pj in s.pieces:
-        for part in t_doms.subtract_from(domain_atom(pj)):
-            rel = part.mu.edges[len(pj.lam.edges):]
-            cod_stem = FinitePath(pj.mu.start, pj.mu.edges + rel, part.mu.rng)
-            out.append(Piece(cod_stem, part.F, part.mu))
-    out = [p for p in out if p.mu != p.lam]
+
+    def emit(p, q, w, v, F):
+        """The piece on ``Z(w \\ F)``, ``w`` a stem from ``start``, through t's
+        piece ``p`` and s's piece ``q``; None stands for the identity."""
+        ds, de = (p.lam.start, p.lam.edges + w[len(p.mu.edges):]) if p else (start, w)
+        cs, ce = (q.mu.start, q.mu.edges + w[len(q.lam.edges):]) if q else (start, w)
+        if de != ce or ds != cs:
+            out.append(Piece(FinitePath(cs, ce, v), F, FinitePath(ds, de, v)))
+
+    roots = _stem_trie([p.mu for p in tp], [p.lam for p in sp], [p.lam for p in tp])
+    for start, root in roots.items():
+        stack = [(root, (), None, None, None, None, None)]
+        while stack:
+            (h0, h1, h2, kids, _), w, c0, c1, c2, o0, o1 = stack.pop()
+            if not (h0 or h1 or o0 is not None or o1 is not None):
+                stack.extend((kid, w + (e,), c0, c1, _holder(c2, h2, tp, e), None, None)
+                             for e, kid in kids.items() if kid[4] & 3)
+                continue
+            v = g.ref_range(w[-1]) if w else start
+            for j in h1 if c0 is not None else ():
+                emit(tp[c0], sp[j], w, v, sp[j].F)
+            for i in h0 if c1 is not None else ():
+                emit(tp[i], sp[c1], w, v, tp[i].F)
+            for i in h0:
+                for j in h1:
+                    F = tp[i].F | sp[j].F
+                    if not _excludes_all(g, v, F):
+                        emit(tp[i], sp[j], w, v, F)
+            left = [(0, i, tp[i].F) for i in h0 if c1 is None]
+            left += [(1, j, sp[j].F) for j in h1 if c2 is None]
+            left += [(k, i, frozenset()) for k, i in ((0, o0), (1, o1)) if i is not None]
+            opens = {}, {}  # per kind: kid edge -> piece whose leftover goes on there
+            for k, i, F in left:  # s's domains cut kind 0, t's domains kind 1
+                p, q = (tp[i], None) if k == 0 else (None, sp[i])
+                for x, u, H in _cut(g, w, v, F, (sp, tp)[k], (h1, h2)[k], kids, 2 << k,
+                                    opens[k], i):
+                    emit(p, q, x, u, H)
+            for e, kid in kids.items():
+                k0, k1 = opens[0].get(e), opens[1].get(e)
+                if kid[4] & 3 or k0 is not None or k1 is not None:
+                    stack.append((kid, w + (e,), _holder(c0, h0, tp, e), _holder(c1, h1, sp, e),
+                                  _holder(c2, h2, tp, e), k0, k1))
     return make_table(g, out, validate=False)
+
+
+def _stem_trie(*kinds):
+    """One trie of three kinds of stems, each a list of paths: a root per
+    start vertex and a node ``[ids of kind 0, 1, 2, {edge: node}, mask]`` per
+    stem prefix.  Bit ``k`` of the mask marks a kind ``k`` stem at or below."""
+    roots = {}
+    for k, stems in enumerate(kinds):
+        bit = 1 << k
+        for i, stem in enumerate(stems):
+            node = roots.get(stem.start)
+            if node is None:
+                node = roots[stem.start] = [[], [], [], {}, 0]
+            node[4] |= bit
+            for e in stem.edges:
+                below = node[3]
+                if e in below:
+                    node = below[e]
+                    node[4] |= bit
+                else:
+                    node = below[e] = [[], [], [], {}, bit]
+            node[k].append(i)
+    return roots
+
+
+def _cut(g, w, v, F, pieces, subs, kids, bit, opens, i):
+    """The parts ``(stem, range, F)`` of the leftover ``Z(w \\ F)`` of piece
+    ``i`` outside the domains of ``pieces`` at ``w`` (ids ``subs``) and below
+    it.  The kids with such domains below (``bit`` of their mask) where the
+    leftover goes on map to ``i`` in ``opens``.  Subtrahends at ``w`` that
+    meet it leave the plain children they all exclude; else it excludes the
+    branches with subtrahends below.  Subtracting the domains one at a time,
+    in any order, gives the same parts.
+    """
+    meet = [pieces[j].F for j in subs if not _excludes_all(g, v, F | pieces[j].F)]
+    if meet:
+        parts = []
+        for e in meet[0].intersection(*meet[1:]).difference(F):
+            kid = kids.get(e)
+            if kid is not None and kid[4] & bit:
+                opens[e] = i
+            else:
+                parts.append((w + (e,), g.ref_range(e), frozenset()))
+        return parts
+    below = [e for e, kid in kids.items() if kid[4] & bit and e not in F]
+    opens.update(dict.fromkeys(below, i))
+    F = F.union(below)
+    return [] if _excludes_all(g, v, F) else [(w, v, F)]
+
+
+def _holder(c, held, pieces, e):
+    """The atom covering branch ``e``: ``c`` from above, or the one of the
+    ``held`` atoms at the stem that does not exclude ``e``."""
+    if c is not None or not held:
+        return c
+    return next((i for i in held if e not in pieces[i].F), None)
 
 
 def commutator(s: Table, t: Table) -> Table:

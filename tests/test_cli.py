@@ -300,6 +300,42 @@ class TestErrorsAndRoundtrips:
         assert json.loads(line)["error"] == {"code": "parse-error",
                                              "message": f"{bad}: {message}"}
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_parse_error(self, files, target):
+        out = {"missing-dir": str(files["dir"] / "no-such-dir" / "x.json"),
+               "directory": str(files["dir"])}[target]
+        code, stdout, err = _run_cli(["compose", files["swap"], files["swap"],
+                                      "--graph", files["e2"], "--out", out])
+        assert code == 2
+        assert stdout == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        message = json.loads(line)["error"]["message"]
+        assert message.startswith(f"cannot write {out}: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compose", "t.json"], "the following arguments are required: table2, --graph"),
+        (["emit", "g.json", "--bound", "abc"], "argument --bound: invalid int value: 'abc'"),
+        (["bratteli-order", "d.json", "--level", "x"],
+         "argument --level: invalid int value: 'x'"),
+        (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+    ], ids=["missing-argument", "bad-bound", "bad-level", "unknown-command"])
+    def test_usage_error_is_one_json_line(self, argv, message):
+        code, out, err = _run_cli(argv)
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["code"] == "parse-error"
+        assert error["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["compose", "-h"]], ids=["top", "command"])
+    def test_help_goes_to_stdout(self, argv):
+        code, out, err = _run_cli(argv)
+        assert code == 0
+        assert out.startswith("usage: fullgroups")
+        assert err == ""
+
     def test_negative_level_is_refused(self, files):
         code, out, err = _run_cli(["bratteli-order", files["gamma2"], "--level", "-1"])
         assert code == 1

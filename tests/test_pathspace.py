@@ -21,6 +21,7 @@ from conftest import (
     make_one_orbit,
     make_two_vertex_omega,
     path,
+    random_graph,
 )
 from pairwise_reference import old_co_intersect, old_co_make, old_co_subtract
 
@@ -238,6 +239,23 @@ class TestMembershipOracle:
                 assert fg.co_contains_point(g, fg.co_intersect(g, x, y), p) == (in_x and in_y)
                 assert fg.co_contains_point(g, fg.co_subtract(g, x, y), p) == (in_x and not in_y)
                 assert fg.co_contains_point(g, fg.co_union(g, x, y), p) == (in_x or in_y)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1).map(lambda k: random_graph(random.Random(k))).flatmap(
+        lambda g: st.tuples(st.just(g), atom_lists(g), atom_lists(g))))
+    def test_ops_vs_membership_on_random_graphs(self, case):
+        # sinks, omega vertices and graphs without (L)
+        g, xa, ya = case
+        x, y = fg.co_make(g, xa), fg.co_make(g, ya)
+        union, meet, minus = (fg.co_union(g, x, y), fg.co_intersect(g, x, y),
+                              fg.co_subtract(g, x, y))
+        for p in enumerate_points(g, 3, 1, omega_bound=3):
+            in_x = any(fg.point_in_atom(g, p, a) for a in xa)
+            in_y = any(fg.point_in_atom(g, p, a) for a in ya)
+            assert fg.co_contains_point(g, x, p) == in_x
+            assert fg.co_contains_point(g, union, p) == (in_x or in_y)
+            assert fg.co_contains_point(g, meet, p) == (in_x and in_y)
+            assert fg.co_contains_point(g, minus, p) == (in_x and not in_y)
 
 
 class TestWitness:

@@ -22,8 +22,10 @@ from conftest import (
     make_gamma24_diagram,
     make_no_cover,
     make_one_orbit,
+    make_sink_graph,
     make_two_vertex_omega,
     path,
+    random_graph,
 )
 from pairwise_reference import (
     old_canonicalize,
@@ -352,6 +354,129 @@ class TestValidateWalk:
         fg.validate_table(t)
         assert calls == []
         assert len(checked) == len(set(checked)) == len({(p.mu.rng, p.F) for p in t.pieces})
+
+
+@st.composite
+def _refined_copy(draw, t):
+    """``t`` with pieces split along single and omega edges: the same map."""
+    g, pieces = t.graph, list(t.pieces)
+    for _ in range(draw(st.integers(0, 12))):
+        if not pieces:
+            break
+        i = draw(st.integers(0, len(pieces) - 1))
+        refs = [e for e in _refs_at(g, pieces[i].lam.rng, 2) if e not in pieces[i].F]
+        if refs:
+            pieces[i:i + 1] = _split_piece(g, pieces[i], draw(st.sampled_from(refs)))
+    return fg.make_table(g, pieces)
+
+
+_ANY_GRAPH = st.one_of(st.sampled_from(_GRAPHS),
+                       st.integers(0, 2**32 - 1).map(lambda k: random_graph(random.Random(k))))
+
+
+@st.composite
+def _larger_tables(draw, g):
+    seed = draw(st.integers(0, 2**32 - 1))
+    return fg.random_table(g, random.Random(seed), splits=draw(st.integers(0, 40)),
+                           omega_bound=2)
+
+
+def _compose_shapes(s, t, refined):
+    """The products the germ calculus builds: a refined copy after the
+    inverse of the original, an element after its inverse, a square, and a
+    product after the inverse of its right factor.  Then products after the
+    refined copy, whose domains and codomains are cut at different stems."""
+    return [(refined, fg.inverse(s)), (s, fg.inverse(s)), (s, s),
+            (fg.compose(s, t), fg.inverse(t)), (t, refined), (refined, refined)]
+
+
+class TestComposeWalk:
+    """The one walk of the stem trie against the pairwise reference."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_ANY_GRAPH.flatmap(lambda g: st.tuples(_larger_tables(g), _larger_tables(g)))
+           .flatmap(lambda pair: st.tuples(st.just(pair), _refined_copy(pair[0]))))
+    def test_germ_shapes_match_pairwise_reference(self, case):
+        (s, t), refined = case
+        for a, b in _compose_shapes(s, t, refined):
+            assert fg.compose(a, b) == old_compose(a, b)
+
+    @pytest.mark.parametrize("b, level", [
+        (make_gamma2_diagram(), 2), (make_gamma2_diagram(), 3),
+        (make_gamma24_diagram(), 2), (make_gamma24_diagram(), 3),
+    ], ids=["gamma2-2", "gamma2-3", "gamma24-2", "gamma24-3"])
+    def test_leveled_tables(self, b, level):
+        rnd = random.Random(level)
+        for _ in range(4):
+            s, t = (fg.gamma_to_table(_random_gamma_element(b, level, rnd)) for _ in "st")
+            for a, c in _compose_shapes(s, t, s):
+                assert fg.compose(a, c) == old_compose(a, c)
+
+    def test_sink_graph_tables(self):
+        g = make_sink_graph()
+        rnd = random.Random(3)
+        for _ in range(30):
+            s, t = (fg.random_table(g, rnd, splits=rnd.randint(0, 20), omega_bound=2)
+                    for _ in "st")
+            for a, b in _compose_shapes(s, t, s):
+                assert fg.compose(a, b) == old_compose(a, b)
+
+    def test_atoms_at_one_stem_that_miss(self, e2):
+        # t's codomain Z(a \ {a}) and s's domain Z(a \ {b}) share the stem
+        # "a" but exclude both branches between them: the codomain is left
+        # whole, not cut into its children.
+        a, b = ("a", 1), ("b", 1)
+        t = fg.make_table(e2, [(path(e2, "v", "a"), {a}, path(e2, "v")),
+                               (path(e2, "v"), {a}, path(e2, "v", "a"))])
+        s = fg.make_table(e2, [(path(e2, "v", "b"), {b}, path(e2, "v", "a")),
+                               (path(e2, "v", "a"), {b}, path(e2, "v", "b"))])
+        product = fg.compose(s, t)
+        assert product == old_compose(s, t)
+        assert fg.table_to_json(product)["pieces"] == [
+            {"mu": "v:a", "F": ["a"], "lambda": "v:"},
+            {"mu": "v:b", "F": ["b"], "lambda": "v:a"},
+            {"mu": "v:a", "F": ["b"], "lambda": "v:a,b"},
+            {"mu": "v:b,b", "F": [], "lambda": "v:a,b,b"}]
+
+    def test_domains_sharing_a_stem(self, e2):
+        # s swaps Z(bb) with Z(aab) and Z(ba) with Z(aba); its domains
+        # Z(b \ {a}) and Z(b \ {b}) both meet t's codomain Z(b), which
+        # leaves nothing of it outside them.
+        a, b = ("a", 1), ("b", 1)
+        s = fg.make_table(e2, [(path(e2, "v", "b"), {a}, path(e2, "v", "a", "a")),
+                               (path(e2, "v", "a", "a"), {a}, path(e2, "v", "b")),
+                               (path(e2, "v", "b"), {b}, path(e2, "v", "a", "b")),
+                               (path(e2, "v", "a", "b"), {b}, path(e2, "v", "b"))])
+        t = swap_table(e2)
+        assert fg.compose(s, t) == old_compose(s, t)
+        assert fg.compose(t, s) == old_compose(t, s)
+        assert not any(p.mu == path(e2, "v", "b") and not p.F for p in fg.compose(s, t))
+
+    def test_deep_stem(self):
+        w = "a" * 2999
+        swap = fg.make_table(fg.E2, [(fg.binary_path(w + "a"), frozenset(), fg.binary_path(w + "b")),
+                                     (fg.binary_path(w + "b"), frozenset(), fg.binary_path(w + "a"))])
+        assert len(swap.pieces[0].mu) == 3000
+        refined = fg.make_table(fg.E2, [q for p in swap.pieces
+                                        for q in _split_piece(fg.E2, p, ("b", 1))])
+        assert fg.compose(swap, fg.inverse(swap)).pieces == ()
+        assert fg.compose(refined, fg.inverse(swap)).pieces == ()
+        assert fg.compose(refined, swap) == old_compose(refined, swap)
+
+    def test_no_pairwise_atom_operations(self, monkeypatch):
+        rnd = random.Random(5)
+        g = make_two_vertex_omega()
+        s, t = (fg.random_table(g, rnd, splits=300) for _ in "st")
+        expected = old_compose(s, t)
+        calls = []
+        for mod in (pathspace, tables):
+            for name in ("atom_subtract", "atom_intersect"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(pathspace._StemIndex, "meeting",
+                            lambda *args: calls.append("meeting"))
+        assert fg.compose(s, t) == expected
+        assert calls == []
 
 
 class TestApply:
@@ -938,6 +1063,19 @@ def test_group_laws_on_random_tables(case):
     assert fg.is_identity(fg.compose(fg.inverse(s), s))
     for p in _law_points(s.graph):
         assert fg.apply(product, p) == fg.apply(s, fg.apply(t, p))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1).map(lambda k: random_graph(random.Random(k))).flatmap(
+    lambda g: st.tuples(_larger_tables(g), _larger_tables(g))))
+def test_pointwise_laws_on_random_graphs(case):
+    # sinks, omega vertices and graphs without (L): no germ calculus needed
+    s, t = case
+    product, back = fg.compose(s, t), fg.inverse(t)
+    for p in enumerate_points(t.graph, 2, 2):
+        q = fg.apply(t, p)
+        assert fg.apply(product, p) == fg.apply(s, q)
+        assert fg.apply(back, q) == p
 
 
 class TestJson:
