@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import AtomError, GraphError, ParseError, PathError
 from .graph import EdgeRef, _strings
@@ -66,11 +67,6 @@ def is_prefix(p: FinitePath, q: FinitePath) -> bool:
     return p.start == q.start and q.edges[: len(p.edges)] == p.edges
 
 
-def path_sort_key(g, p: FinitePath):
-    vkey = g.vertex_index(p.start)
-    return (vkey, tuple(g.ref_sort_key(e) for e in p.edges))
-
-
 # ---------------------------------------------------------------------------
 # Cylinder atoms
 # ---------------------------------------------------------------------------
@@ -118,10 +114,6 @@ def atom(g, mu: FinitePath, F=frozenset()) -> CylinderAtom:
     return a
 
 
-def atom_sort_key(g, a: CylinderAtom):
-    return (path_sort_key(g, a.mu), tuple(sorted(g.ref_sort_key(e) for e in a.F)))
-
-
 def atom_intersect(g, a: CylinderAtom, b: CylinderAtom):
     """Intersection of two atoms: None, one of them, or a merged-F atom."""
     if a.mu == b.mu:
@@ -142,36 +134,27 @@ def atom_subtract(g, a: CylinderAtom, b: CylinderAtom):
         return [a]
     if inter == a:
         return []
-    out = []
     if a.mu == b.mu:
-        for e in b.F - a.F:
-            out.append(_atom_or_none(g, extend(g, a.mu, e), frozenset()))
-        return [x for x in out if x is not None]
+        return [CylinderAtom(extend(g, a.mu, e), frozenset()) for e in b.F - a.F]
     # here a.mu < b.mu strictly and b's branch is allowed in a
     k = len(a.mu.edges)
-    out.append(_atom_or_none(g, a.mu, a.F | {b.mu.edges[k]}))
+    out = [_atom_or_none(g, a.mu, a.F | {b.mu.edges[k]})]
     for d in range(k + 1, len(b.mu.edges)):
         stem = FinitePath(a.mu.start, b.mu.edges[:d], g.ref_source(b.mu.edges[d]))
         out.append(_atom_or_none(g, stem, frozenset({b.mu.edges[d]})))
-    for e in b.F:
-        out.append(_atom_or_none(g, extend(g, b.mu, e), frozenset()))
+    out += (CylinderAtom(extend(g, b.mu, e), frozenset()) for e in b.F)
     return [x for x in out if x is not None]
 
 
 def atom_split(g, a: CylinderAtom, e: EdgeRef):
-    """Z(mu\\F) = Z(mu\\(F+{e})) + Z(mu e); empty residual is dropped."""
+    """Z(mu\\F) = Z(mu\\(F+{e})) + Z(mu e) in atom order; an empty residual is dropped."""
     e = tuple(e)
-    fam = g.check_ref(e)
-    if fam.source != a.mu.rng:
+    if g.check_ref(e).source != a.mu.rng:
         raise AtomError(f"edge {e!r} is not outgoing at {a.mu.rng!r}")
     if e in a.F:
         raise AtomError(f"edge {e!r} already excluded")
-    parts = [
-        _atom_or_none(g, a.mu, a.F | {e}),
-        _atom_or_none(g, extend(g, a.mu, e), frozenset()),
-    ]
-    kept = sorted((x for x in parts if x is not None), key=lambda x: atom_sort_key(g, x))
-    return CompactOpen(tuple(kept))
+    parts = (_atom_or_none(g, a.mu, a.F | {e}), CylinderAtom(extend(g, a.mu, e), frozenset()))
+    return CompactOpen(tuple(x for x in parts if x is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +274,25 @@ def _merge_atoms(g, atoms) -> CompactOpen:
                 plain.append(CylinderAtom(FinitePath(start, edges, w), frozenset()))
             else:
                 merged.extend(sibs)
-    return CompactOpen(tuple(sorted(merged + plain, key=lambda a: atom_sort_key(g, a))))
+    return CompactOpen(_in_atom_order(g, merged + plain, attrgetter("mu", "F")))
+
+
+def _in_atom_order(g, items, atom_of) -> tuple:
+    """``items`` sorted stably by their atoms ``atom_of(item) = (stem, F)``:
+    by the stem's start vertex index, its edges, then F's sorted edges, each
+    edge ranked once by ``g.ref_sort_key``.  That key is injective on the
+    edges out of one vertex, where two stems from one start first differ and
+    where an F's edges leave, so ranks order the items as keys would."""
+    atoms = [atom_of(x) for x in items]
+    refs, starts = set(), set()
+    for stem, F in atoms:
+        starts.add(stem.start)
+        refs.update(stem.edges, F)
+    rank = {e: r for r, e in enumerate(sorted(refs, key=g.ref_sort_key))}.__getitem__
+    index = {v: g.vertex_index(v) for v in starts}
+    keys = [(index[stem.start], tuple(map(rank, stem.edges)), sorted(map(rank, F)) if F else [])
+            for stem, F in atoms]
+    return tuple(items[i] for i in sorted(range(len(items)), key=keys.__getitem__))
 
 
 def co_union(g, x: CompactOpen, y: CompactOpen) -> CompactOpen:

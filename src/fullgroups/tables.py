@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ArrowError, GermError, ParseError, TableError
 from .pathspace import (
@@ -24,12 +25,12 @@ from .pathspace import (
     FinitePath,
     _StemIndex,
     _excludes_all,
+    _in_atom_order,
+    _merge_atoms,
     _out_refs,
     atom,
     atom_intersect,
-    atom_sort_key,
     atom_split,
-    atom_subtract,
     co_contains_point,
     co_intersect,
     co_make,
@@ -95,11 +96,10 @@ def identity(g) -> Table:
 
 
 def make_table(g, pieces, validate: bool = True) -> Table:
-    norm = tuple(
-        p if isinstance(p, Piece) else make_piece(g, *p) for p in pieces
-    )
-    norm = tuple(sorted(norm, key=lambda p: atom_sort_key(g, domain_atom(p))))
-    t = Table(g, norm)
+    """The pieces in the order of their domain atoms ``Z(lam \\ F)``: by the
+    start of ``lam``, its edges, then F (``pathspace._in_atom_order``)."""
+    norm = [p if isinstance(p, Piece) else make_piece(g, *p) for p in pieces]
+    t = Table(g, _in_atom_order(g, norm, attrgetter("lam", "F")))
     if validate:
         validate_table(t)
     return t
@@ -188,8 +188,8 @@ def apply(t: Table, p: BoundaryPoint) -> BoundaryPoint:
 
 
 def inverse(t: Table) -> Table:
-    return Table(t.graph, tuple(sorted((p.inverse() for p in t.pieces),
-                                       key=lambda p: atom_sort_key(t.graph, domain_atom(p)))))
+    pieces = _in_atom_order(t.graph, t.pieces, attrgetter("mu", "F"))  # the inverses' domains
+    return Table(t.graph, tuple(p.inverse() for p in pieces))
 
 
 def compose(s: Table, t: Table) -> Table:
@@ -381,9 +381,9 @@ def germ_equal(s: Table, t: Table) -> bool:
 
 
 def support(t: Table) -> CompactOpen:
-    """Union of the canonical domain atoms (the closed support)."""
-    c = canonicalize(t)
-    return co_make(t.graph, [domain_atom(p) for p in c.pieces])
+    """Union of the canonical domain atoms (the closed support).  ``t`` must be
+    valid, as ``validate_table`` checks: then those atoms are disjoint."""
+    return _merge_atoms(t.graph, [domain_atom(p) for p in canonicalize(t).pieces])
 
 
 def table_image(t: Table, x: CompactOpen) -> CompactOpen:
@@ -574,8 +574,7 @@ def random_table(g, rng: random.Random, splits: int = 5, omega_bound: int = 3) -
         if not candidates:
             continue
         e = rng.choice(candidates)
-        parts = list(atom_split(g, a, e).atoms)
-        atoms[i:i + 1] = parts
+        atoms[i:i + 1] = atom_split(g, a, e).atoms
     groups = {}
     for a in atoms:
         key = (a.mu.rng, tuple(sorted(a.F)))

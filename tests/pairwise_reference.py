@@ -2,8 +2,9 @@
 differential tests: the pairwise compact-open algebra that the stem index
 replaced, the restarting canonical form that the one-pass merge replaced,
 the graph and labeling queries that the lookup tables replaced, the
-all-pairs relation check that the sorted word pass replaced, and the
-restarting reduction of formal sums that the one-pass reduction replaced.
+all-pairs relation check that the sorted word pass replaced, the
+restarting reduction of formal sums that the one-pass reduction replaced,
+and the per-edge sort keys that the ranked atom order replaced.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
@@ -34,7 +35,6 @@ from fullgroups.pathspace import (
     FinitePath,
     atom,
     atom_intersect,
-    atom_sort_key,
     atom_subtract,
     extend,
 )
@@ -45,6 +45,15 @@ from fullgroups.tables import (
     domain_atom,
     make_table,
 )
+
+
+def path_sort_key(g, p):
+    return (g.vertex_index(p.start), tuple(g.ref_sort_key(e) for e in p.edges))
+
+
+def atom_sort_key(g, a):
+    """The canonical order of atoms, one ``ref_sort_key`` call per edge."""
+    return (path_sort_key(g, a.mu), tuple(sorted(g.ref_sort_key(e) for e in a.F)))
 
 
 def old_co_make(g, atoms):

@@ -442,6 +442,28 @@ def test_embedding_is_an_equivariant_homomorphism_under_custom_labelings(lab, rn
         assert fg.point_map(fg.apply(s, p), lab) == fg.apply(vs, fg.point_map(p, lab))
 
 
+def _admissible_random_graph(seed):
+    """The first admissible ``random_graph`` of a seeded stream."""
+    rnd = random.Random(seed)
+    while True:
+        g = random_graph(rnd)
+        if _admissible(g):
+            return g
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(_EMBEDDABLE),
+                 st.integers(0, 2**32 - 1).map(_admissible_random_graph)),
+       st.randoms(use_true_random=False))
+def test_embedding_is_a_homomorphism_on_random_graphs(g, rnd):
+    lab = fg.default_labeling(g)
+    s, t = (fg.random_table(g, rnd, splits=rnd.randint(0, 6), omega_bound=2) for _ in "st")
+    vs = fg.embed_table(s, lab)
+    assert fg.germ_equal(fg.embed_table(fg.compose(s, t), lab),
+                         fg.compose(vs, fg.embed_table(t, lab)))
+    assert fg.germ_equal(fg.embed_table(fg.inverse(s), lab), fg.inverse(vs))
+
+
 class TestMonomials:
     def test_mult_examples(self):
         assert fg.mono_mult(Monomial("a", "ab"), Monomial("abb", "b")) == Monomial("ab", "b")

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import fullgroups as fg
 from fullgroups import pathspace, tables
-from fullgroups.errors import ArrowError, AtomError, GermError, TableError, ToolkitError
+from fullgroups.errors import (
+    ArrowError, AtomError, GermError, GraphError, TableError, ToolkitError,
+)
 
 from conftest import (
     _refs_at,
@@ -28,10 +30,12 @@ from conftest import (
     random_graph,
 )
 from pairwise_reference import (
+    atom_sort_key,
     old_canonicalize,
     old_compose,
     old_table_image,
     old_validate_table,
+    path_sort_key,
 )
 
 
@@ -178,9 +182,10 @@ class TestStemIndexTables:
     def test_valid_table_is_not_cut(self, e2, monkeypatch):
         calls = []
         for mod in (pathspace, tables):
-            subtract = mod.atom_subtract
-            monkeypatch.setattr(mod, "atom_subtract",
-                                lambda *args, f=subtract: calls.append(1) or f(*args))
+            if hasattr(mod, "atom_subtract"):
+                subtract = mod.atom_subtract
+                monkeypatch.setattr(mod, "atom_subtract",
+                                    lambda *args, f=subtract: calls.append(1) or f(*args))
         t = fg.random_table(e2, random.Random(11), splits=340)
         assert len(t.pieces) >= 200
         fg.validate_table(t)
@@ -212,7 +217,7 @@ def _mutations(g, pieces):
             stems.update(fg.extend(g, stem, e) for e in _refs_at(g, v, 2)
                          if g.ref_range(e) == v)
         for stem in sorted((s for s in stems if s.rng == v and s not in (p.mu, p.lam)),
-                           key=lambda s: pathspace.path_sort_key(g, s))[:3]:
+                           key=lambda s: path_sort_key(g, s))[:3]:
             yield pieces[:k] + [fg.Piece(stem, p.F, p.lam)] + pieces[k + 1:]
             yield pieces[:k] + [fg.Piece(p.mu, p.F, stem)] + pieces[k + 1:]
         exclusions = {q.F for q in pieces if q.mu.rng == v}
@@ -479,6 +484,84 @@ class TestComposeWalk:
         assert calls == []
 
 
+def _reference_order(g, items, atom_of):
+    return tuple(sorted(items, key=lambda x: atom_sort_key(g, atom_of(x))))
+
+
+def _assert_reference_order(g, pieces, atoms, rnd):
+    """``make_table`` and ``inverse`` of the shuffled pieces, ``co_make`` of
+    the shuffled atoms and ``atom_split`` order them as the per-edge sort
+    keys do."""
+    pieces, atoms = list(pieces), list(atoms)
+    rnd.shuffle(pieces)
+    rnd.shuffle(atoms)
+    dom = tables.domain_atom
+    assert (fg.make_table(g, pieces, validate=False).pieces
+            == _reference_order(g, pieces, dom))
+    assert (fg.inverse(fg.Table(g, tuple(pieces))).pieces
+            == _reference_order(g, [p.inverse() for p in pieces], dom))
+    x = fg.co_make(g, atoms).atoms
+    assert x == _reference_order(g, x, lambda a: a)
+    for a in atoms[:4]:
+        for e in _refs_at(g, a.mu.rng, 2):
+            if e not in a.F:
+                parts = fg.atom_split(g, a, e).atoms
+                assert parts == _reference_order(g, parts, lambda a: a)
+
+
+class TestAtomOrder:
+    """Pieces and atoms ordered by per-call edge ranks, against the keys."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_ANY_GRAPH.flatmap(lambda g: st.tuples(
+        st.just(g), _piece_lists(g), atom_lists(g), st.randoms(use_true_random=False))))
+    def test_finite_graphs(self, case):
+        g, pieces, atoms, rnd = case
+        _assert_reference_order(g, pieces, atoms, rnd)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.sampled_from([make_gamma2_diagram(), make_gamma24_diagram()]),
+           st.integers(2, 3), st.randoms(use_true_random=False))
+    def test_leveled_tables(self, b, level, rnd):
+        t = fg.gamma_to_table(_random_gamma_element(b, level, rnd))
+        assert not t.graph.is_finite
+        pieces = t.pieces + fg.inverse(t).pieces
+        _assert_reference_order(t.graph, pieces, map(tables.domain_atom, pieces), rnd)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([make_e2(), make_one_orbit(), make_e_inf(), make_two_vertex_omega()]),
+           st.randoms(use_true_random=False))
+    def test_binary_images(self, g, rnd):
+        t = fg.embed_table(fg.random_table(g, rnd, splits=rnd.randint(0, 12), omega_bound=2),
+                           fg.default_labeling(g))
+        pieces = t.pieces + fg.inverse(t).pieces
+        _assert_reference_order(fg.E2, pieces, map(tables.domain_atom, pieces), rnd)
+
+    def test_one_key_per_distinct_edge(self, monkeypatch):
+        g = make_two_vertex_omega()
+        t = fg.embed_table(fg.random_table(g, random.Random(5), splits=200, omega_bound=3),
+                           fg.default_labeling(g))
+        assert len(t.pieces) >= 200
+        pieces = list(t.pieces)
+        random.Random(1).shuffle(pieces)
+        expected = _reference_order(fg.E2, pieces, tables.domain_atom)
+        refs = {e for p in pieces for e in p.lam.edges + tuple(p.F)}
+        calls = []
+        key = type(fg.E2).ref_sort_key
+        monkeypatch.setattr(type(fg.E2), "ref_sort_key",
+                            lambda self, ref: calls.append(ref) or key(self, ref))
+        assert fg.make_table(fg.E2, pieces, validate=False).pieces == expected
+        assert len(calls) <= len(refs)
+
+    def test_unknown_family_is_a_graph_error(self, e2):
+        ok = fg.Piece(path(e2, "v", "a"), frozenset(), path(e2, "v", "b"))
+        in_stem = fg.Piece(ok.mu, frozenset(), fg.FinitePath("v", (("c", 1),), "v"))
+        in_F = fg.Piece(ok.mu, frozenset({("c", 1)}), ok.lam)
+        for pieces in ([ok, in_stem], [in_F, ok]):
+            with pytest.raises(GraphError, match="unknown family id 'c'"):
+                fg.make_table(e2, pieces, validate=False)
+
+
 class TestApply:
     def test_baker_on_points(self, e2):
         T = baker_table(e2)
@@ -706,6 +789,12 @@ class TestSupport:
             sup = fg.support(fg.compose(s, t))
             bound = fg.co_union(e2, fg.support(s), fg.support(t))
             assert fg.co_subtract(e2, sup, bound).is_empty()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([g for g in _GRAPHS if g._effective]).flatmap(_germ_tables))
+    def test_merges_the_canonical_domains_as_co_make_does(self, t):
+        domains = [tables.domain_atom(p) for p in fg.canonicalize(t).pieces]
+        assert fg.support(t) == fg.co_make(t.graph, domains)
 
     def test_support_of_inverse_is_image(self, e2, rng):
         for _ in range(15):
