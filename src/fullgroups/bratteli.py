@@ -2,10 +2,12 @@
 
 A diagram declares finitely many levels.  With a ``repeat`` rule the last
 declared level must repeat the block's first level verbatim: it only fixes
-the wrap edge pattern, and the block then repeats forever.  Level-N group
-elements are range-preserving permutations of the source-rooted paths down
-to level N; they convert to prefix-exchange tables over the underlying
-graph (all lags zero) and from there into the binary full group.
+the wrap edge pattern, and the block then repeats forever.  The diagram is
+a view of its underlying graph, built with it: paths, their vertex names and
+their out-edges are the graph's.  Level-N group elements are
+range-preserving permutations of the source-rooted paths down to level N;
+they convert to prefix-exchange tables over the underlying graph (all lags
+zero) and from there into the binary full group.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ class BratteliDiagram:
             self, "edges", tuple(tuple((s, r) for s, r in e) for e in self.edges)
         )
         self._validate()
-        object.__setattr__(self, "_graph", None)  # see underlying_graph
+        # not a field, so equality and hashing see only the declaration
+        object.__setattr__(self, "_graph", _underlying(self))
 
     def _validate(self) -> None:
         if not self.levels or any(not l for l in self.levels):
@@ -78,100 +81,47 @@ class BratteliDiagram:
 
     # -- the underlying graph ------------------------------------------------
 
-    @property
-    def declared_levels(self) -> int:
-        return len(self.levels)
-
     def underlying_graph(self):
         """Forget the level partition (leveled-infinite when repeating).
 
-        Built once into ``_graph``, which ``__post_init__`` creates (see
-        ``graph._GraphBase`` for why not ``cached_property``)."""
-        if self._graph is None:
-            object.__setattr__(self, "_graph", _underlying(self))
+        Its names are the diagram's: vertex ``u`` of a block level is
+        ``u@k`` at repetition ``k`` (a ``{}`` name gets the level number) and
+        the ``k``-th edge of ``E_n`` is ``e{n}_{k}`` (``@rep`` in the block)."""
         return self._graph
 
-    def _instance(self, level: int, name: str) -> str:
-        if self.repeat is None or level < self.repeat[0]:
-            return name
-        return _leveled_name(self, level, name)
-
-    def edge_list(self, n: int):
-        """Instantiated edges of E_n as (src_name, rng_name, EdgeRef)."""
-        if self.repeat is None:
-            if not 1 <= n <= len(self.edges):
-                raise GraphError(f"edge set E_{n} is not declared")
-            return [
-                (s, r, (f"e{n}_{k}", 1))
-                for k, (s, r) in enumerate(self.edges[n - 1], start=1)
-            ]
-        f, p = self.repeat
-        if n <= f:
-            return [
-                (self._instance(n - 1, s), self._instance(n, r), (f"e{n}_{k}", 1))
-                for k, (s, r) in enumerate(self.edges[n - 1], start=1)
-            ]
-        rel = (n - 1 - f) % p
-        rep = (n - 1 - f) // p
-        pattern = self.edges[f + rel]
-        out = []
-        for k, (s, r) in enumerate(pattern, start=1):
-            sname = _leveled_name(self, n - 1, s)
-            rname = _leveled_name(self, n, r)
-            out.append((sname, rname, (f"e{f + rel + 1}_{k}@{rep}", 1)))
-        return out
-
-    def vertex_names_at(self, level: int):
-        if self.repeat is None:
-            if not 0 <= level < len(self.levels):
-                raise GraphError(f"level {level} is not declared")
-            return tuple(self.levels[level])
-        f, p = self.repeat
-        if level < f:
-            return tuple(self.levels[level])
-        rel = (level - f) % p
-        return tuple(_leveled_name(self, level, v) for v in self.levels[f + rel])
+    def _check_level(self, N: int) -> None:
+        if N < 0 or self.repeat is None and N >= len(self.levels):
+            raise GraphError(f"level {N} is not declared")
 
     def sources(self):
         """(level, instantiated name) of every source vertex."""
-        out = [(0, self._instance(0, v)) for v in self.levels[0]]
+        g = self._graph
         top = len(self.levels) if self.repeat is None else self.repeat[0] + 1
-        for lev in range(1, top):
-            incoming = {r for _, r in self.edges[lev - 1]}
-            out.extend(
-                (lev, self._instance(lev, v))
-                for v in self.levels[lev]
-                if v not in incoming
-            )
+        out = []
+        for lev in range(top):
+            incoming = {r for _, r in self.edges[lev - 1]} if lev else ()
+            names = self.levels[lev] if g.is_finite else g.level_vertex_names(lev)
+            out.extend((lev, name) for v, name in zip(self.levels[lev], names)
+                       if v not in incoming)
         return out
 
     # -- paths and the finitary groups ----------------------------------------
 
     def fibers(self, N: int):
         """Source-rooted paths reaching level N, grouped by their range vertex."""
-        if N < 0 or self.repeat is None and N >= len(self.levels):
-            raise GraphError(f"level {N} is not declared")
-        g = self.underlying_graph()
-        by_vertex = {}
+        self._check_level(N)
+        by_level = {}
         for lev, name in self.sources():
             if lev <= N:
-                by_vertex.setdefault(lev, []).append(make_path(g, name))
-        paths = []
-        frontier = []
-        for lev in range(N + 1):
-            frontier.extend(by_vertex.get(lev, []))
-            if lev == N:
-                paths = frontier
-                break
-            nxt = []
-            elist = self.edge_list(lev + 1)
-            for p in frontier:
-                for s, r, ref in elist:
-                    if s == p.rng:
-                        nxt.append(FinitePath(p.start, p.edges + (ref,), r))
-            frontier = nxt
+                by_level.setdefault(lev, []).append(make_path(self._graph, name))
+        frontier = by_level.get(0, [])
+        for lev in range(1, N + 1):
+            outs = _out_edges(self._graph, (p.rng for p in frontier))
+            frontier = [FinitePath(p.start, p.edges + (ref,), r)
+                        for p in frontier for ref, r in outs[p.rng]]
+            frontier.extend(by_level.get(lev, []))
         fibers = {}
-        for p in paths:
+        for p in frontier:
             fibers.setdefault(p.rng, []).append(p)
         return fibers
 
@@ -204,34 +154,22 @@ class BratteliDiagram:
 
 
 def _underlying(b: BratteliDiagram):
+    edges = [(n, f"e{n}_{k}", s, r) for n, eset in enumerate(b.edges, start=1)
+             for k, (s, r) in enumerate(eset, start=1)]
     if b.repeat is None:
-        vertices = [v for l in b.levels for v in l]
-        families = []
-        for n, eset in enumerate(b.edges, start=1):
-            for k, (s, r) in enumerate(eset, start=1):
-                families.append(EdgeFamily(f"e{n}_{k}", s, r))
-        return Graph(vertices, families)
+        return Graph([v for l in b.levels for v in l],
+                     [EdgeFamily(fid, s, r) for _, fid, s, r in edges])
     f, p = b.repeat
-    base_levels = b.levels[:f]
-    block_levels = b.levels[f:f + p]
-    base_families = []
-    for n in range(1, f + 1):
-        for k, (s, r) in enumerate(b.edges[n - 1], start=1):
-            base_families.append(TemplateFamily(f"e{n}_{k}", s, r, "next"))
-    block_families = []
-    for rel in range(p):
-        n = f + rel + 1
-        for k, (s, r) in enumerate(b.edges[n - 1], start=1):
-            block_families.append(TemplateFamily(f"e{n}_{k}", s, r, "next"))
-    return LeveledGraph(base_levels, block_levels, base_families, block_families)
+    base = [TemplateFamily(fid, s, r) for n, fid, s, r in edges if n <= f]
+    block = [TemplateFamily(fid, s, r) for n, fid, s, r in edges if n > f]
+    return LeveledGraph(b.levels[:f], b.levels[f:f + p], base, block)
 
 
-def _leveled_name(b: BratteliDiagram, level: int, template: str) -> str:
-    f, p = b.repeat
-    if level < f:
-        return template
-    rep = (level - f) // p
-    return f"{template}@{rep}"
+def _out_edges(g, vertices):
+    """``(ref, range)`` of each out-edge of each of ``vertices``: one
+    ``out_families`` call per distinct vertex, not one per path."""
+    return {v: [((fam.id, 1), fam.range) for fam in g.out_families(v)]
+            for v in set(vertices)}
 
 
 @dataclass(frozen=True)
@@ -276,13 +214,13 @@ class GammaElement:
     def extend(self) -> "GammaElement":
         """The same element one level deeper (the direct-limit inclusion)."""
         b = self.diagram
-        elist = b.edge_list(self.level + 1)
+        b._check_level(self.level + 1)
+        outs = _out_edges(b.underlying_graph(), (p.rng for p in self.mapping))
         mapping = {}
         for p, q in self.mapping.items():
-            for s, r, ref in elist:
-                if s == p.rng:
-                    mapping[FinitePath(p.start, p.edges + (ref,), r)] = FinitePath(
-                        q.start, q.edges + (ref,), r)
+            for ref, r in outs[p.rng]:
+                mapping[FinitePath(p.start, p.edges + (ref,), r)] = FinitePath(
+                    q.start, q.edges + (ref,), r)
         return GammaElement(b, self.level + 1, mapping)
 
     def __hash__(self):

@@ -288,10 +288,10 @@ class TemplateFamily:
 class LeveledGraph(_GraphBase):
     """Infinite graph given by base levels plus a forever-repeating block.
 
-    Block vertex names containing ``{}`` are instantiated with the 1-based
-    global level number (requires a singleton level); other block names get
-    an ``@k`` repetition suffix.  Vertices enumerate the naturals level by
-    level, which fixes the labeling used for embedding.
+    Block vertex names containing ``{}`` have their first ``{}`` replaced by
+    the 1-based global level number (requires a singleton level); other block
+    names get an ``@k`` repetition suffix.  Vertices enumerate the naturals
+    level by level, which fixes the labeling used for embedding.
     """
 
     is_finite = False
@@ -313,7 +313,7 @@ class LeveledGraph(_GraphBase):
     # - ``_offsets``: prefix sums of the canonical level sizes;
     # - ``_base_loc`` / ``_block_loc``: base name / plain block stem to its
     #   ``(canonical level, position)``; ``_vertex_patterns``: a regex per
-    #   ``{}`` block template with its block level;
+    #   ``{}`` block template with its block level and position 0;
     # - ``_base_fams`` / ``_block_fams``: family id / plain block stem to
     #   ``(source level, template)``; ``_family_patterns`` likewise for ``{}``
     #   ids;
@@ -359,7 +359,7 @@ class LeveledGraph(_GraphBase):
                           for pos, n in enumerate(l)}
         self._block_loc = {n: (bl, pos) for bl, l in enumerate(self.block_levels)
                            for pos, n in enumerate(l) if "{}" not in n}
-        self._vertex_patterns = [(_number_pattern(l[0]), bl)
+        self._vertex_patterns = [(_number_pattern(l[0]), bl, 0)
                                  for bl, l in enumerate(self.block_levels) if "{}" in l[0]]
         outs = [[[] for _ in l] for l in self._levels]
         self._base_fams, self._block_fams, self._family_patterns = {}, {}, []
@@ -413,43 +413,45 @@ class LeveledGraph(_GraphBase):
 
     # -- instantiation ------------------------------------------------------
 
-    def _vertex_name(self, level: int, template: str) -> str:
+    def _instantiate(self, level: int, template: str) -> str:
+        """Instance at ``level`` of a vertex name, or of a family id whose
+        source is on ``level``: the first ``{}`` filled with the 1-based level
+        number, as ``_number_pattern`` reads it, else an ``@k`` suffix."""
         if level < self._nbase:
             return template
         if "{}" in template:
-            return template.format(level + 1)
+            return template.replace("{}", str(level + 1), 1)
         rep = (level - self._nbase) // self._period
         return f"{template}@{rep}"
 
-    def _family_id(self, src_level: int, template_id: str) -> str:
-        if src_level < self._nbase:
-            return template_id
-        if "{}" in template_id:
-            return template_id.format(src_level + 1)
-        rep = (src_level - self._nbase) // self._period
-        return f"{template_id}@{rep}"
-
     def level_vertex_names(self, level: int):
-        return tuple(self._vertex_name(level, t) for t in self._level_vertices(level))
+        return tuple(self._instantiate(level, t) for t in self._level_vertices(level))
 
-    def resolve_vertex(self, name: str):
-        """Return ``(level, position)`` for an instantiated vertex name."""
-        loc = self._base_loc.get(name)
+    def _resolve(self, name: str, base: dict, block: dict, patterns):
+        """Parse an instantiated name back to ``(level, payload)``: ``base``
+        maps base names, ``block`` plain block stems (to their block level
+        and payload) and ``patterns`` holds ``(regex, block level, payload)``
+        per ``{}`` template; ``None`` if ``name`` is not an instance."""
+        loc = base.get(name)
         if loc is not None:
             return loc
         if "@" in name:
             stem, _, rep_s = name.rpartition("@")
-            loc = self._block_loc.get(stem)
+            loc = block.get(stem)
             if loc is not None and _numeral(rep_s):
                 return self._nbase + int(rep_s) * self._period + loc[0], loc[1]
             return None
-        for pattern, bl in self._vertex_patterns:
+        for pattern, bl, payload in patterns:
             m = pattern.fullmatch(name)
             if m:
                 level = int(m.group(1)) - 1
                 if level >= self._nbase and (level - self._nbase) % self._period == bl:
-                    return level, 0
+                    return level, payload
         return None
+
+    def resolve_vertex(self, name: str):
+        """Return ``(level, position)`` for an instantiated vertex name."""
+        return self._resolve(name, self._base_loc, self._block_loc, self._vertex_patterns)
 
     def has_vertex(self, name: str) -> bool:
         return self.resolve_vertex(name) is not None
@@ -474,7 +476,7 @@ class LeveledGraph(_GraphBase):
             k += base_total
         level = bisect.bisect_right(self._offsets, k) - 1
         template = self._levels[level][k - self._offsets[level]]
-        return self._vertex_name(level + reps * self._period, template)
+        return self._instantiate(level + reps * self._period, template)
 
     def vertex_count(self):
         return OMEGA
@@ -490,8 +492,8 @@ class LeveledGraph(_GraphBase):
     def out_families(self, name: str):
         level, templates = self._out_templates(name)
         return tuple(
-            EdgeFamily(self._family_id(level, t.id), name,
-                       self._vertex_name(level if t.where == "same" else level + 1, t.range))
+            EdgeFamily(self._instantiate(level, t.id), name,
+                       self._instantiate(level if t.where == "same" else level + 1, t.range))
             for t in templates)
 
     def out_singles(self, name: str):
@@ -500,7 +502,7 @@ class LeveledGraph(_GraphBase):
     def _out_ids(self, name: str):
         """The ids of ``out_families(name)``, without building the families."""
         level, templates = self._out_templates(name)
-        return tuple(self._family_id(level, t.id) for t in templates)
+        return tuple(self._instantiate(level, t.id) for t in templates)
 
     def omega_family(self, name: str):
         return None
@@ -513,22 +515,7 @@ class LeveledGraph(_GraphBase):
 
     def resolve_family(self, fid: str):
         """Return ``(source_level, template)`` for an instantiated family id."""
-        loc = self._base_fams.get(fid)
-        if loc is not None:
-            return loc
-        if "@" in fid:
-            stem, _, rep_s = fid.rpartition("@")
-            loc = self._block_fams.get(stem)
-            if loc is not None and _numeral(rep_s):
-                return self._nbase + int(rep_s) * self._period + loc[0], loc[1]
-            return None
-        for pattern, sl, f in self._family_patterns:
-            m = pattern.fullmatch(fid)
-            if m:
-                level = int(m.group(1)) - 1
-                if level >= self._nbase and (level - self._nbase) % self._period == sl:
-                    return level, f
-        return None
+        return self._resolve(fid, self._base_fams, self._block_fams, self._family_patterns)
 
     def _edge_slot(self, fid: str):
         """``(source level, position among the source's out-families, source
@@ -545,8 +532,8 @@ class LeveledGraph(_GraphBase):
             raise _unknown_family(fid)
         level, t = loc
         tgt_level = level if t.where == "same" else level + 1
-        return EdgeFamily(fid, self._vertex_name(level, t.source),
-                          self._vertex_name(tgt_level, t.range))
+        return EdgeFamily(fid, self._instantiate(level, t.source),
+                          self._instantiate(tgt_level, t.range))
 
     def check_ref(self, ref: EdgeRef) -> EdgeFamily:
         fid, idx = ref

@@ -4,7 +4,10 @@ replaced, the restarting canonical form that the one-pass merge replaced,
 the graph and labeling queries that the lookup tables replaced, the
 all-pairs relation check that the sorted word pass replaced, the
 restarting reduction of formal sums that the one-pass reduction replaced,
-and the per-edge sort keys that the ranked atom order replaced.
+the per-edge sort keys that the ranked atom order replaced, and the
+Bratteli fibers and extension that scanned the whole edge set of a level,
+named by the diagram, before it read names and out-edges from its
+underlying graph.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
@@ -565,3 +568,71 @@ def old_reduced(s):
             changed = True
             break
     return FormalSum(terms)
+
+
+# ---------------------------------------------------------------------------
+# Bratteli fibers before the diagram read its underlying graph
+# ---------------------------------------------------------------------------
+
+
+def _old_instance(b, level, name):
+    if b.repeat is None or level < b.repeat[0]:
+        return name
+    return f"{name}@{(level - b.repeat[0]) // b.repeat[1]}"
+
+
+def _old_edge_list(b, n):
+    """Instantiated edges of E_n as (src_name, rng_name, EdgeRef)."""
+    if b.repeat is None:
+        if not 1 <= n <= len(b.edges):
+            raise GraphError(f"edge set E_{n} is not declared")
+        return [(s, r, (f"e{n}_{k}", 1)) for k, (s, r) in enumerate(b.edges[n - 1], start=1)]
+    f, p = b.repeat
+    if n <= f:
+        return [(_old_instance(b, n - 1, s), _old_instance(b, n, r), (f"e{n}_{k}", 1))
+                for k, (s, r) in enumerate(b.edges[n - 1], start=1)]
+    rel, rep = (n - 1 - f) % p, (n - 1 - f) // p
+    return [(_old_instance(b, n - 1, s), _old_instance(b, n, r), (f"e{f + rel + 1}_{k}@{rep}", 1))
+            for k, (s, r) in enumerate(b.edges[f + rel], start=1)]
+
+
+def _old_sources(b):
+    out = [(0, _old_instance(b, 0, v)) for v in b.levels[0]]
+    top = len(b.levels) if b.repeat is None else b.repeat[0] + 1
+    for lev in range(1, top):
+        incoming = {r for _, r in b.edges[lev - 1]}
+        out.extend((lev, _old_instance(b, lev, v)) for v in b.levels[lev] if v not in incoming)
+    return out
+
+
+def old_fibers(b, N):
+    if N < 0 or b.repeat is None and N >= len(b.levels):
+        raise GraphError(f"level {N} is not declared")
+    by_level = {}
+    for lev, name in _old_sources(b):
+        if lev <= N:
+            by_level.setdefault(lev, []).append(FinitePath(name, (), name))
+    frontier = []
+    for lev in range(N + 1):
+        frontier.extend(by_level.get(lev, []))
+        if lev == N:
+            break
+        elist = _old_edge_list(b, lev + 1)
+        frontier = [FinitePath(p.start, p.edges + (ref,), r)
+                    for p in frontier for s, r, ref in elist if s == p.rng]
+    fibers = {}
+    for p in frontier:
+        fibers.setdefault(p.rng, []).append(p)
+    return fibers
+
+
+def old_extend(el):
+    """The mapping of ``el`` one level deeper."""
+    elist = _old_edge_list(el.diagram, el.level + 1)
+    mapping = {}
+    for p, q in el.mapping.items():
+        for s, r, ref in elist:
+            if s == p.rng:
+                mapping[FinitePath(p.start, p.edges + (ref,), r)] = FinitePath(
+                    q.start, q.edges + (ref,), r)
+    return mapping

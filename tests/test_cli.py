@@ -79,6 +79,23 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["L"]["holds"] is True
 
+    @pytest.mark.parametrize("name", ["w{}{}", "w{}{", "w{}}", "w{0}{}"])
+    def test_leveled_name_with_more_braces(self, files, tmp_path, name):
+        """Only the first ``{}`` of a template takes the level number."""
+        text = pathlib.Path(files["leveled"]).read_text().replace('"w{}"', json.dumps(name))
+        assert json.dumps(name) in text
+        bad = tmp_path / "braces.graph"
+        bad.write_text(text)
+        code, out, err = _run_cli(["analyze", str(bad)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["L"]["holds"] is True
+        g = fg.graph_from_json(json.loads(text))
+        for i in range(1, 13):
+            v = g.vertex_by_index(i)
+            assert g.vertex_index(v) == i
+            for fam in g.out_families(v):
+                assert g.family(fam.id) == fam
+
 
 class TestValidate:
     def test_graph(self, files, capsys):
@@ -91,6 +108,18 @@ class TestValidate:
 
     def test_bratteli(self, files, capsys):
         assert run(capsys, "validate", files["gamma2"], "--kind", "bratteli")[0] == 0
+
+    def test_bratteli_with_a_reserved_name(self, tmp_path, capsys):
+        """A block name the underlying leveled graph refuses is refused on
+        parsing, not by the first command that builds the graph."""
+        bad = tmp_path / "at.bratteli"
+        bad.write_text(json.dumps({"levels": [["v"], ["x@1"], ["x@1"]],
+                                   "edges": [[["v", "x@1"]], [["x@1", "x@1"]] * 2],
+                                   "repeat": {"from": 1, "period": 1}}))
+        code, out, err = run(capsys, "validate", str(bad), "--kind", "bratteli")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "code": "parse-error", "message": "reserved character in block vertex 'x@1'"}
 
     def test_bad_table_is_domain_error(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.table"
@@ -223,6 +252,24 @@ class TestBratteli:
         vt = fg.table_from_json(fg.E2, json.loads(out))
         assert not fg.is_identity(vt)
         assert fg.is_identity(fg.compose(vt, vt))
+
+
+    def test_brace_block_name(self, capsys, tmp_path):
+        """A ``{}`` block vertex is named by its level number in paths."""
+        diagram = tmp_path / "braces.bratteli"
+        diagram.write_text(json.dumps({
+            "levels": [["v"], ["x{}"], ["x{}"]],
+            "edges": [[["v", "x{}"]], [["x{}", "x{}"], ["x{}", "x{}"]]],
+            "repeat": {"from": 1, "period": 1}}))
+        code, out, _ = run(capsys, "bratteli-order", str(diagram), "--level", "2")
+        assert (code, json.loads(out)) == (0, {"order": 2})
+        elfile = tmp_path / "swap.json"
+        elfile.write_text(json.dumps({"level": 2, "images": {
+            "v:e1_1,e2_1@0": "v:e1_1,e2_2@0", "v:e1_1,e2_2@0": "v:e1_1,e2_1@0"}}))
+        code, out, err = run(capsys, "bratteli-embed", str(diagram), "--element", str(elfile))
+        assert (code, err) == (0, "")
+        vt = fg.table_from_json(fg.E2, json.loads(out))
+        assert not fg.is_identity(vt) and fg.is_identity(fg.compose(vt, vt))
 
 
 class TestHashSeed:

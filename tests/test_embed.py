@@ -451,10 +451,12 @@ def _admissible_random_graph(seed):
             return g
 
 
+_embeddable_graphs = st.one_of(st.sampled_from(_EMBEDDABLE),
+                               st.integers(0, 2**32 - 1).map(_admissible_random_graph))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.one_of(st.sampled_from(_EMBEDDABLE),
-                 st.integers(0, 2**32 - 1).map(_admissible_random_graph)),
-       st.randoms(use_true_random=False))
+@given(_embeddable_graphs, st.randoms(use_true_random=False))
 def test_embedding_is_a_homomorphism_on_random_graphs(g, rnd):
     lab = fg.default_labeling(g)
     s, t = (fg.random_table(g, rnd, splits=rnd.randint(0, 6), omega_bound=2) for _ in "st")
@@ -462,6 +464,16 @@ def test_embedding_is_a_homomorphism_on_random_graphs(g, rnd):
     assert fg.germ_equal(fg.embed_table(fg.compose(s, t), lab),
                          fg.compose(vs, fg.embed_table(t, lab)))
     assert fg.germ_equal(fg.embed_table(fg.inverse(s), lab), fg.inverse(vs))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_embeddable_graphs, st.randoms(use_true_random=False))
+def test_embedding_conjugates_the_action_on_random_graphs(g, rnd):
+    lab = fg.default_labeling(g)
+    t = fg.random_table(g, rnd, splits=rnd.randint(0, 6), omega_bound=2)
+    vt = fg.embed_table(t, lab)
+    for p in _points(g):
+        assert fg.point_map(fg.apply(t, p), lab) == fg.apply(vt, fg.point_map(p, lab))
 
 
 class TestMonomials:
