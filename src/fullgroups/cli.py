@@ -173,11 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **pos):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "text"), default=None)
         return p
 
     p = add("analyze", _cmd_analyze)
@@ -198,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
 
     p = add("apply", _cmd_apply)
+    p.add_argument("--format", choices=("json", "text"), default=None)
     p.add_argument("table")
     p.add_argument("--graph", required=True)
     p.add_argument("--point", required=True)
@@ -217,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeling", default=None)
 
     p = add("emit", _cmd_emit)
+    p.add_argument("--format", choices=("json", "text"), default=None)
     p.add_argument("graph_file")
     p.add_argument("--labeling", default=None)
     p.add_argument("--bound", type=int, default=10)

@@ -453,10 +453,8 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
     require_admissible(g)
     if edge_bound < 1:
         raise GraphError("edge bound must be at least 1")
-    if g.is_finite:
-        vertex_names = [lab.vertex_by_number(i) for i in range(1, g.vertex_count() + 1)]
-    else:
-        vertex_names = [g.vertex_by_index(i) for i in range(1, edge_bound + 1)]
+    count = g.vertex_count() if g.is_finite else edge_bound
+    vertex_names = [lab.vertex_by_number(i) for i in range(1, count + 1)]
     vwords = [word_of_vertex(v, lab) for v in vertex_names]
     vimages = [VertexImage(v, Monomial(w, w)) for v, w in zip(vertex_names, vwords)]
     eimages = []

@@ -30,6 +30,9 @@ EdgeRef = tuple  # (family_id: str, index: int)
 SINGLE = "single"
 OMEGA_MULT = "omega"
 
+# a separator of the path and point literals, or whitespace they would strip
+_UNSPELLABLE = re.compile(r"[:,\[\]/|]|^\s|\s$")
+
 
 @dataclass(frozen=True)
 class EdgeFamily:
@@ -57,12 +60,35 @@ class Verdict:
 class _GraphBase:
     """What ``Graph`` and ``LeveledGraph`` share.
 
-    The vertex and edge-ref queries are written once, over each class's own
-    ``is_sink``, ``omega_family`` and ``family``.  The whole-graph verdicts
-    other modules ask for again and again are kept in the ``_verdicts`` dict
-    each constructor makes, so they go away with the graph.  Not
-    ``cached_property``: on CPython 3.11 an attribute added to an object
-    after construction slows every later attribute read on it."""
+    The vertex and edge-ref queries, equality and hashing are written once,
+    over each class's own ``out_degree``, ``omega_family``, ``family`` and
+    ``_key``.  Each class's ``_template_levels`` lists vertex names that
+    stand for the whole graph: every vertex of a ``Graph``; the base levels
+    and one block repetition of a ``LeveledGraph``, whose other levels repeat
+    them.  The whole-graph verdicts other modules ask for again and again
+    are kept in the ``_verdicts`` dict each constructor makes, so they go
+    away with the graph.  Not ``cached_property``: on CPython 3.11 an
+    attribute added to an object after construction slows every later
+    attribute read on it."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @staticmethod
+    def _check_spellable(vertices, family_ids) -> None:
+        """Refuse names the literals (``v:e,g[2] / (f)``, arrows split at
+        ``|``) cannot read back: they split at these characters and strip
+        whitespace.  Instantiation adds only digits and ``@k``."""
+        for what, names in (("vertex name", vertices), ("family id", family_ids)):
+            for n in names:
+                if _UNSPELLABLE.search(n) or not n and what == "family id":
+                    raise GraphError(f"{what} {n!r} cannot be written in a path literal")
+
+    def is_sink(self, name: str) -> bool:
+        return not self.out_degree(name)
 
     def is_singular(self, name: str) -> bool:
         return self.is_sink(name) or self.omega_family(name) is not None
@@ -75,6 +101,15 @@ class _GraphBase:
 
     def ref_range(self, ref: EdgeRef) -> str:
         return self.family(ref[0]).range
+
+    def check_ref(self, ref: EdgeRef) -> EdgeFamily:
+        fid, idx = ref
+        fam = self.family(fid)
+        if not isinstance(idx, int) or idx < 1:
+            raise GraphError(f"bad edge index in {ref!r}")
+        if not fam.is_omega and idx != 1:
+            raise GraphError(f"single family {fid!r} has no edge #{idx}")
+        return fam
 
     @property
     def _effective(self) -> bool:
@@ -148,16 +183,13 @@ class Graph(_GraphBase):
                 if f.source in omega_owner:
                     raise GraphError(f"two omega-families at vertex {f.source!r}")
                 omega_owner.add(f.source)
+        self._check_spellable(self.vertices, (f.id for f in self.families))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.families == other.families
-        )
+    def _key(self):
+        return self.vertices, self.families
 
-    def __hash__(self):
-        return hash((self.vertices, self.families))
+    def _template_levels(self):
+        return (self.vertices,)
 
     def __repr__(self):
         return f"Graph(vertices={list(self.vertices)}, families={len(self.families)})"
@@ -213,26 +245,11 @@ class Graph(_GraphBase):
         except KeyError:
             raise _unknown_vertex(name) from None
 
-    def is_sink(self, name: str) -> bool:
-        try:
-            return not self._out[name]
-        except KeyError:
-            raise _unknown_vertex(name) from None
-
     def family(self, fid: str) -> EdgeFamily:
         try:
             return self._family_by_id[fid]
         except KeyError:
             raise _unknown_family(fid) from None
-
-    def check_ref(self, ref: EdgeRef) -> EdgeFamily:
-        fid, idx = ref
-        fam = self.family(fid)
-        if not isinstance(idx, int) or idx < 1:
-            raise GraphError(f"bad edge index in {ref!r}")
-        if not fam.is_omega and idx != 1:
-            raise GraphError(f"single family {fid!r} has no edge #{idx}")
-        return fam
 
     def ref_sort_key(self, ref: EdgeRef):
         fid, idx = ref
@@ -350,6 +367,8 @@ class LeveledGraph(_GraphBase):
                     raise GraphError(f"reserved character in block vertex {n!r}")
                 if "{}" in n and len(l) != 1:
                     raise GraphError("'{}' vertex template requires a singleton level")
+        self._check_spellable(itertools.chain(*self.base_levels, *self.block_levels),
+                              (f.id for f in self.base_families + self.block_families))
         nbase = self._nbase = len(self.base_levels)
         self._period = len(self.block_levels)
         self._levels = self.base_levels + self.block_levels
@@ -398,18 +417,19 @@ class LeveledGraph(_GraphBase):
         self._outs = [[tuple(fs) for fs in l] for l in outs]
         self._slots = {(lev, f.id): (i, len(fs)) for lev, l in enumerate(self._outs)
                        for fs in l for i, f in enumerate(fs)}
-        # instantiating a few repetitions must give distinct names and ids
-        probe_levels = nbase + 3 * self._period
-        seen_v, seen_f = set(), set()
-        for lev in range(probe_levels):
-            for name in self.level_vertex_names(lev):
-                if name in seen_v:
+        # over a few repetitions each instantiated name and id must read back
+        # as itself: its level and position, or its level, template and slot
+        for lev in range(nbase + 3 * self._period):
+            outs = self._outs[self._canon(lev)]
+            for pos, name in enumerate(self.level_vertex_names(lev)):
+                if self.resolve_vertex(name) != (lev, pos):
                     raise GraphError(f"vertex name collision at {name!r}")
-                seen_v.add(name)
-                for fam in self.out_families(name):
-                    if fam.id in seen_f:
-                        raise GraphError(f"family id collision at {fam.id!r}")
-                    seen_f.add(fam.id)
+                for i, t in enumerate(outs[pos]):
+                    fid = self._instantiate(lev, t.id)
+                    back = self.resolve_family(fid)
+                    if (back is None or back[0] != lev or back[1] is not t
+                            or self._slots[self._canon(lev), t.id][0] != i):
+                        raise GraphError(f"family id collision at {fid!r}")
 
     # -- instantiation ------------------------------------------------------
 
@@ -426,6 +446,9 @@ class LeveledGraph(_GraphBase):
 
     def level_vertex_names(self, level: int):
         return tuple(self._instantiate(level, t) for t in self._level_vertices(level))
+
+    def _template_levels(self):
+        return tuple(map(self.level_vertex_names, range(self._nbase + self._period)))
 
     def _resolve(self, name: str, base: dict, block: dict, patterns):
         """Parse an instantiated name back to ``(level, payload)``: ``base``
@@ -510,9 +533,6 @@ class LeveledGraph(_GraphBase):
     def out_degree(self, name: str):
         return len(self._out_templates(name)[1])
 
-    def is_sink(self, name: str) -> bool:
-        return not self._out_templates(name)[1]
-
     def resolve_family(self, fid: str):
         """Return ``(source_level, template)`` for an instantiated family id."""
         return self._resolve(fid, self._base_fams, self._block_fams, self._family_patterns)
@@ -535,34 +555,12 @@ class LeveledGraph(_GraphBase):
         return EdgeFamily(fid, self._instantiate(level, t.source),
                           self._instantiate(tgt_level, t.range))
 
-    def check_ref(self, ref: EdgeRef) -> EdgeFamily:
-        fid, idx = ref
-        fam = self.family(fid)
-        if idx != 1:
-            raise GraphError(f"single family {fid!r} has no edge #{idx}")
-        return fam
-
     def ref_sort_key(self, ref: EdgeRef):
         level, pos, _ = self._edge_slot(ref[0])
         return (level, pos, ref[1])
 
-    def __eq__(self, other):
-        return isinstance(other, LeveledGraph) and (
-            self.base_levels,
-            self.block_levels,
-            self.base_families,
-            self.block_families,
-        ) == (
-            other.base_levels,
-            other.block_levels,
-            other.base_families,
-            other.block_families,
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.base_levels, self.block_levels, self.base_families, self.block_families)
-        )
+    def _key(self):
+        return self.base_levels, self.block_levels, self.base_families, self.block_families
 
     def __repr__(self):
         return f"LeveledGraph(base={len(self.base_levels)}, block={len(self.block_levels)})"
@@ -790,39 +788,29 @@ def _functional_cycle(next_map: dict):
     return None
 
 
-def _exitless_cycle_finite(g):
-    next_map = {}
-    via = {}
-    for v in g.vertices:
-        singles = g.out_singles(v)
-        if g.omega_family(v) is None and len(singles) == 1:
-            next_map[v] = singles[0].range
-            via[v] = singles[0].id
-    cyc = _functional_cycle(next_map)
-    if cyc is None:
-        return None
-    return {"start": cyc[0], "cycle": [via[u] for u in cyc]}
+def _exitless_cycle(g):
+    """An exitless cycle as ``{"start", "cycle"}`` (its family ids), or None.
+
+    Such a cycle runs through vertices with one single out-family.  On a
+    leveled graph it stays on one level, so a walk that leaves the level
+    ends there, and the template levels stand for all the others."""
+    for level in g._template_levels():
+        next_map, via = {}, {}
+        for v in level:
+            fams = g.out_families(v)
+            if len(fams) == 1 and not fams[0].is_omega:
+                next_map[v] = fams[0].range
+                via[v] = fams[0].id
+        cyc = _functional_cycle(next_map)
+        if cyc is not None:
+            return {"start": cyc[0], "cycle": [via[u] for u in cyc]}
+    return None
 
 
 def check_condition_L(g) -> Verdict:
     """Every cycle has an exit; witness is an exitless cycle."""
-    if g.is_finite:
-        w = _exitless_cycle_finite(g)
-        return Verdict(w is None, w)
-    # leveled: cycles live inside single levels; the template repeats, so the
-    # base levels plus one block repetition cover all of them
-    for level in range(g._nbase + g._period):
-        names = g.level_vertex_names(level)
-        next_map, via = {}, {}
-        for n in names:
-            fams = g.out_families(n)
-            if len(fams) == 1 and g.resolve_vertex(fams[0].range)[0] == level:
-                next_map[n] = fams[0].range
-                via[n] = fams[0].id
-        cyc = _functional_cycle(next_map)
-        if cyc is not None:
-            return Verdict(False, {"start": cyc[0], "cycle": [via[u] for u in cyc]})
-    return Verdict(True)
+    w = _exitless_cycle(g)
+    return Verdict(w is None, w)
 
 
 def check_condition_K(g) -> Verdict:
@@ -974,18 +962,19 @@ def check_strongly_connected(g) -> Verdict:
     return Verdict(pair is None, pair)
 
 
+def _sinks(g):
+    return [v for level in g._template_levels() for v in level if g.is_sink(v)]
+
+
 def has_sinks(g) -> bool:
+    return bool(_sinks(g))
+
+
+def _semi_tail_witness(g):
+    """Cycle in the out-degree-1 level-quotient of the repeating block; a
+    finite graph has none."""
     if g.is_finite:
-        return any(g.is_sink(v) for v in g.vertices)
-    for level in range(g._nbase + g._period):
-        for n in g.level_vertex_names(level):
-            if not g.out_families(n):
-                return True
-    return False
-
-
-def _semi_tail_witness(g: LeveledGraph):
-    """Cycle in the out-degree-1 level-quotient of the repeating block."""
+        return None
     p = g._period
     next_map, via = {}, {}
     for r in range(p):
@@ -1011,32 +1000,18 @@ def _semi_tail_witness(g: LeveledGraph):
 
 
 def has_semi_tails(g) -> bool:
-    if g.is_finite:
-        return False
     return _semi_tail_witness(g) is not None
 
 
 def isolated_point_witnesses(g):
     """Sinks, exitless cycles and (leveled graphs) semi-tails."""
-    out = []
-    if g.is_finite:
-        for v in g.vertices:
-            if g.is_sink(v):
-                out.append({"kind": "sink", "vertex": v})
-        w = _exitless_cycle_finite(g)
-        if w is not None:
-            out.append({"kind": "exitless-cycle", **w})
-        return out
-    for level in range(g._nbase + g._period):
-        for n in g.level_vertex_names(level):
-            if not g.out_families(n):
-                out.append({"kind": "sink", "vertex": n})
-    lw = check_condition_L(g)
-    if not lw.holds:
-        out.append({"kind": "exitless-cycle", **lw.witness})
-    st = _semi_tail_witness(g)
-    if st is not None:
-        out.append({"kind": "semi-tail", **st})
+    out = [{"kind": "sink", "vertex": v} for v in _sinks(g)]
+    w = _exitless_cycle(g)
+    if w is not None:
+        out.append({"kind": "exitless-cycle", **w})
+    w = _semi_tail_witness(g)
+    if w is not None:
+        out.append({"kind": "semi-tail", **w})
     return out
 
 
@@ -1044,11 +1019,11 @@ def condition_report(g) -> dict:
     """All condition verdicts as one JSON-ready mapping."""
 
     def cell(verdict: Verdict):
-        return {"holds": verdict.holds, "witness": _json_witness(verdict.witness)}
+        w = verdict.witness
+        return {"holds": verdict.holds, "witness": list(w) if isinstance(w, tuple) else w}
 
-    report = {}
+    report = {"L": cell(check_condition_L(g))}
     if g.is_finite:
-        report["L"] = cell(check_condition_L(g))
         report["K"] = cell(check_condition_K(g))
         report["T"] = cell(check_condition_T(g))
         report["W"] = cell(check_condition_W(g))
@@ -1057,7 +1032,6 @@ def condition_report(g) -> dict:
         report["strongly_connected"] = cell(check_strongly_connected(g))
         report["minimal"] = cell(check_minimal(g))
     else:
-        report["L"] = cell(check_condition_L(g))
         for name in ("K", "T", "infinity", "cofinal", "strongly_connected", "minimal"):
             report[name] = {"holds": None, "note": "not decided for leveled-infinite graphs"}
         report["W"] = {"holds": None, "note": "condition W undecidable in this presentation"}
@@ -1070,17 +1044,15 @@ def condition_report(g) -> dict:
     return report
 
 
-def _json_witness(w):
-    if w is None or isinstance(w, (str, dict)):
-        return w
-    if isinstance(w, tuple):
-        return list(w)
-    return w
-
-
 # ---------------------------------------------------------------------------
 # JSON format
 # ---------------------------------------------------------------------------
+
+
+def _template_edges(families):
+    return [{"id": f.id, "src": f.source, "rng": f.range, "where": f.where,
+             **({"src_level": f.src_level} if f.src_level is not None else {})}
+            for f in families]
 
 
 def graph_to_json(g) -> dict:
@@ -1101,16 +1073,8 @@ def graph_to_json(g) -> dict:
         "kind": "leveled",
         "base_levels": [list(l) for l in g.base_levels],
         "block_levels": [list(l) for l in g.block_levels],
-        "base_edges": [
-            {"id": f.id, "src": f.source, "rng": f.range, "where": f.where,
-             **({"src_level": f.src_level} if f.src_level is not None else {})}
-            for f in g.base_families
-        ],
-        "block_edges": [
-            {"id": f.id, "src": f.source, "rng": f.range, "where": f.where,
-             **({"src_level": f.src_level} if f.src_level is not None else {})}
-            for f in g.block_families
-        ],
+        "base_edges": _template_edges(g.base_families),
+        "block_edges": _template_edges(g.block_families),
     }
 
 

@@ -459,10 +459,7 @@ def witness_point(g, a: CylinderAtom) -> BoundaryPoint:
     # and position).  Once every vertex or template has been passed, the
     # walk has returned, or it repeats a template a block later and wanders
     # forever.
-    if g.is_finite:
-        steps = len(g.vertices)
-    else:
-        steps = sum(map(len, g.base_levels + g.block_levels))
+    steps = sum(map(len, g._template_levels()))
     for _ in range(steps + 2):
         v = path.rng
         if g.is_sink(v) or g.omega_family(v) is not None:

@@ -202,6 +202,56 @@ def random_graph(rng: random.Random, max_vertices=4, max_edges=6, omega_chance=0
     return fg.Graph(vertices, fams)
 
 
+def random_diagram(rnd: random.Random):
+    """A valid diagram: repeating with ``from`` 0-2 and period 1-3, or not
+    repeating (then with sinks and sources below level 0)."""
+    if rnd.random() < 0.25:
+        repeat, n_levels = None, rnd.randint(2, 5)
+    else:
+        repeat = (rnd.randint(0, 2), rnd.randint(1, 3))
+        n_levels = sum(repeat) + 1
+    levels = [[f"v{lev}_{i}" for i in range(rnd.randint(1, 3))] for lev in range(n_levels)]
+    if repeat is not None:
+        levels[-1] = levels[repeat[0]]
+    edges = []
+    for lev in range(1, n_levels):
+        srcs, rngs = levels[lev - 1], levels[lev]
+        eset = [(s, rnd.choice(rngs)) for s in srcs for _ in range(rnd.randint(1, 2))]
+        if repeat is None:
+            eset = [e for e in eset if rnd.random() < 0.8] or eset[:1]
+        elif lev > repeat[0]:  # recurring levels have no sources
+            eset += [(rnd.choice(srcs), r) for r in rngs if r not in {r for _, r in eset}]
+        rnd.shuffle(eset)
+        edges.append(eset)
+    return fg.BratteliDiagram(levels, edges, repeat)
+
+
+def random_leveled_graph(rng: random.Random):
+    """A leveled graph of 0-2 base and 1-3 block levels of 1-3 vertices, a
+    ``{}`` name on some singleton block levels, and 0-2 out-families per
+    vertex to the same level or the next: sinks, exitless cycles and
+    semi-tails all occur."""
+    def level(prefix, lev, block):
+        if block and rng.random() < 0.2:
+            return [f"{prefix}{lev}t{{}}"]
+        return [f"{prefix}{lev}_{i}" for i in range(rng.randint(1, 3))]
+
+    base = [level("b", lev, False) for lev in range(rng.randint(0, 2))]
+    block = [level("k", lev, True) for lev in range(rng.randint(1, 3))]
+    levels = base + block
+    fams = ([], [])
+    for lev, names in enumerate(levels):
+        in_block = lev >= len(base)
+        nxt = levels[lev + 1] if lev + 1 < len(levels) else block[0]
+        for v in names:
+            for _ in range(rng.choice([0, 1, 1, 1, 2, 2])):
+                where = "same" if rng.random() < 0.4 else "next"
+                rng_v = rng.choice(names if where == "same" else nxt)
+                fid = f"{'pq'[in_block]}{len(fams[in_block])}" + ("_{}" if "{}" in v else "")
+                fams[in_block].append(fg.TemplateFamily(fid, v, rng_v, where))
+    return fg.LeveledGraph(base, block, *fams)
+
+
 def enumerate_paths_upto(g, v, length):
     """All finite paths from v of length <= length (singles only, omega by index 1..2)."""
     out = [fg.trivial_path(g, v)]

@@ -4,10 +4,12 @@ replaced, the restarting canonical form that the one-pass merge replaced,
 the graph and labeling queries that the lookup tables replaced, the
 all-pairs relation check that the sorted word pass replaced, the
 restarting reduction of formal sums that the one-pass reduction replaced,
-the per-edge sort keys that the ranked atom order replaced, and the
+the per-edge sort keys that the ranked atom order replaced, the
 Bratteli fibers and extension that scanned the whole edge set of a level,
 named by the diagram, before it read names and out-edges from its
-underlying graph.
+underlying graph, and the checkers for (L), sinks and isolated points with
+one branch per graph class, before they read both classes through their
+template levels.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
@@ -31,7 +33,7 @@ import re
 
 from fullgroups.embed import ONE, FormalSum, Monomial, code_word, mono_mult
 from fullgroups.errors import GraphError, TableError
-from fullgroups.graph import OMEGA, EdgeFamily
+from fullgroups.graph import OMEGA, EdgeFamily, Verdict, _functional_cycle, _semi_tail_witness
 from fullgroups.pathspace import (
     CompactOpen,
     CylinderAtom,
@@ -636,3 +638,75 @@ def old_extend(el):
                 mapping[FinitePath(p.start, p.edges + (ref,), r)] = FinitePath(
                     q.start, q.edges + (ref,), r)
     return mapping
+
+
+# ---------------------------------------------------------------------------
+# Graph checkers with one branch per graph class
+# ---------------------------------------------------------------------------
+
+
+def _old_exitless_cycle_finite(g):
+    next_map = {}
+    via = {}
+    for v in g.vertices:
+        singles = g.out_singles(v)
+        if g.omega_family(v) is None and len(singles) == 1:
+            next_map[v] = singles[0].range
+            via[v] = singles[0].id
+    cyc = _functional_cycle(next_map)
+    if cyc is None:
+        return None
+    return {"start": cyc[0], "cycle": [via[u] for u in cyc]}
+
+
+def old_check_condition_L(g):
+    if g.is_finite:
+        w = _old_exitless_cycle_finite(g)
+        return Verdict(w is None, w)
+    # leveled: cycles live inside single levels; the template repeats, so the
+    # base levels plus one block repetition cover all of them
+    for level in range(g._nbase + g._period):
+        names = g.level_vertex_names(level)
+        next_map, via = {}, {}
+        for n in names:
+            fams = g.out_families(n)
+            if len(fams) == 1 and g.resolve_vertex(fams[0].range)[0] == level:
+                next_map[n] = fams[0].range
+                via[n] = fams[0].id
+        cyc = _functional_cycle(next_map)
+        if cyc is not None:
+            return Verdict(False, {"start": cyc[0], "cycle": [via[u] for u in cyc]})
+    return Verdict(True)
+
+
+def old_has_sinks(g):
+    if g.is_finite:
+        return any(g.is_sink(v) for v in g.vertices)
+    for level in range(g._nbase + g._period):
+        for n in g.level_vertex_names(level):
+            if not g.out_families(n):
+                return True
+    return False
+
+
+def old_isolated_point_witnesses(g):
+    out = []
+    if g.is_finite:
+        for v in g.vertices:
+            if g.is_sink(v):
+                out.append({"kind": "sink", "vertex": v})
+        w = _old_exitless_cycle_finite(g)
+        if w is not None:
+            out.append({"kind": "exitless-cycle", **w})
+        return out
+    for level in range(g._nbase + g._period):
+        for n in g.level_vertex_names(level):
+            if not g.out_families(n):
+                out.append({"kind": "sink", "vertex": n})
+    lw = old_check_condition_L(g)
+    if not lw.holds:
+        out.append({"kind": "exitless-cycle", **lw.witness})
+    st = _semi_tail_witness(g)
+    if st is not None:
+        out.append({"kind": "semi-tail", **st})
+    return out

@@ -10,34 +10,10 @@ from hypothesis import given, settings, strategies as st
 import fullgroups as fg
 from fullgroups.errors import GraphError, ParseError
 
-from conftest import make_gamma2_diagram, make_gamma24_diagram
+from conftest import make_gamma2_diagram, make_gamma24_diagram, random_diagram
 from pairwise_reference import old_extend, old_fibers
 
 MAX_LEVEL = 5
-
-
-def random_diagram(rnd: random.Random):
-    """A valid diagram: repeating with ``from`` 0-2 and period 1-3, or not
-    repeating (then with sinks and sources below level 0)."""
-    if rnd.random() < 0.25:
-        repeat, n_levels = None, rnd.randint(2, 5)
-    else:
-        repeat = (rnd.randint(0, 2), rnd.randint(1, 3))
-        n_levels = sum(repeat) + 1
-    levels = [[f"v{lev}_{i}" for i in range(rnd.randint(1, 3))] for lev in range(n_levels)]
-    if repeat is not None:
-        levels[-1] = levels[repeat[0]]
-    edges = []
-    for lev in range(1, n_levels):
-        srcs, rngs = levels[lev - 1], levels[lev]
-        eset = [(s, rnd.choice(rngs)) for s in srcs for _ in range(rnd.randint(1, 2))]
-        if repeat is None:
-            eset = [e for e in eset if rnd.random() < 0.8] or eset[:1]
-        elif lev > repeat[0]:  # recurring levels have no sources
-            eset += [(rnd.choice(srcs), r) for r in rngs if r not in {r for _, r in eset}]
-        rnd.shuffle(eset)
-        edges.append(eset)
-    return fg.BratteliDiagram(levels, edges, repeat)
 
 
 def _levels(b):

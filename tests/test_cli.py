@@ -96,6 +96,23 @@ class TestAnalyze:
             for fam in g.out_families(v):
                 assert g.family(fam.id) == fam
 
+    @pytest.mark.parametrize("graph", [
+        {"kind": "leveled", "block_levels": [["w{}"]],
+         "block_edges": [{"id": "f{}@x", "src": "w{}", "rng": "w{}"}]},
+        {"vertices": ["v", "a:b"], "edges": [{"id": "x,y", "src": "v", "rng": "a:b"}]},
+        {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "rng": "v"},
+                                      {"id": "f[1]", "src": "v", "rng": "v"}]},
+    ], ids=["leveled-id-not-read-back", "literal-separators", "brackets-in-id"])
+    def test_names_that_do_not_read_back_are_refused(self, tmp_path, capsys, graph):
+        """Every instantiated name must parse back, and every name must be
+        writable in a path literal."""
+        bad = tmp_path / "bad.graph"
+        bad.write_text(json.dumps(graph))
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["code"] == "bad-graph"
+
 
 class TestValidate:
     def test_graph(self, files, capsys):
@@ -156,6 +173,12 @@ class TestTableCommands:
         assert code == 0
         assert out == "v:a,a / (b)\n"
 
+    def test_apply_json_format(self, files, capsys):
+        code, out, _ = run(capsys, "apply", files["baker"], "--graph", files["e2"],
+                           "--point", "v:a / (b)", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"point": "v:a,a / (b)"}
+
     def test_embed_with_labeling_file(self, files, capsys, tmp_path):
         labfile = tmp_path / "lab.json"
         labfile.write_text(json.dumps({"edges": {"v": ["b", "a"]}}))
@@ -197,6 +220,15 @@ class TestEmit:
         code, out, _ = run(capsys, "emit", files["leveled"], "--bound", "6")
         assert code == 0
         assert out == (GOLDEN / "emit_leveled_f.txt").read_text()
+
+    def test_both_formats(self, files, capsys):
+        argv = ["emit", files["einf"], "--bound", "10", "--format"]
+        code, out, _ = run(capsys, *argv, "text")
+        assert code == 0
+        assert out == (GOLDEN / "emit_einf.txt").read_text()
+        code, out, _ = run(capsys, *argv, "json")
+        assert code == 0
+        assert set(json.loads(out)) == {"vertices", "edges"}
 
     def test_emit_to_file_deterministic(self, files, capsys, tmp_path):
         out1 = tmp_path / "a.txt"
@@ -408,7 +440,10 @@ class TestErrorsAndRoundtrips:
         (["bratteli-order", "d.json", "--level", "x"],
          "argument --level: invalid int value: 'x'"),
         (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
-    ], ids=["missing-argument", "bad-bound", "bad-level", "unknown-command"])
+        (["compose", "s.json", "t.json", "--graph", "g.json", "--format", "text"],
+         "unrecognized arguments: --format text"),
+    ], ids=["missing-argument", "bad-bound", "bad-level", "unknown-command",
+            "format-not-read"])
     def test_usage_error_is_one_json_line(self, argv, message):
         code, out, err = _run_cli(argv)
         assert code == 2

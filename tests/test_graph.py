@@ -1,6 +1,8 @@
+import collections
 import gc
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import weakref
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fullgroups as fg
-from fullgroups.errors import GraphError, PathError, UnsupportedConditionError
+from fullgroups.errors import GraphError, ParseError, PathError, UnsupportedConditionError
 from fullgroups.graph import _cycle_vertices
 
 import pairwise_reference as ref
@@ -24,7 +26,9 @@ from conftest import (
     make_no_cover,
     make_one_orbit,
     make_two_vertex_omega,
+    random_diagram,
     random_graph,
+    random_leveled_graph,
 )
 
 
@@ -551,3 +555,80 @@ def test_leveled_numbers_have_one_spelling(name):
     """A level or repetition number is written as instantiation writes it."""
     for g in (make_leveled_chain_graph(), make_leveled_mixed_graph()):
         assert g.resolve_vertex(name) is None and g.resolve_family(name) is None
+
+
+# ---------------------------------------------------------------------------
+# One path for both graph classes; names that read back
+# ---------------------------------------------------------------------------
+
+
+def test_checkers_match_the_per_class_reference():
+    """(L), sinks and isolated points over the template levels agree with
+    the reference that branches on the graph class: verdict, witness and
+    list order."""
+    rnd = random.Random(2024)
+    graphs = [random_graph(rnd, max_vertices=6, max_edges=10, omega_chance=0.3)
+              for _ in range(200)]
+    graphs += [make_leveled_chain_graph(), make_leveled_mixed_graph()]
+    graphs += [random_leveled_graph(rnd) for _ in range(200)]
+    graphs += [random_diagram(rnd).underlying_graph() for _ in range(100)]
+    seen = collections.Counter()
+    for g in graphs:
+        assert fg.check_condition_L(g) == ref.old_check_condition_L(g)
+        assert fg.has_sinks(g) == ref.old_has_sinks(g)
+        iso = fg.isolated_point_witnesses(g)
+        assert iso == ref.old_isolated_point_witnesses(g)
+        seen.update((g.is_finite, w["kind"]) for w in iso)
+        seen[g.is_finite, bool(iso)] += 1
+    for key in [(True, "sink"), (True, "exitless-cycle"), (True, False), (False, "sink"),
+                (False, "exitless-cycle"), (False, "semi-tail"), (False, False)]:
+        assert seen[key], key
+
+
+def test_equality_is_by_class_and_declaration():
+    chain = fg.Graph(["w1"], [fg.EdgeFamily("e1", "w1", "w1")])
+    leveled = make_leveled_chain_graph()
+    assert chain != leveled and leveled != chain
+    for make in (make_e2, make_two_vertex_omega, make_leveled_chain_graph,
+                 make_leveled_mixed_graph):
+        assert make() == make() and hash(make()) == hash(make())
+    assert make_leveled_chain_graph() != make_leveled_mixed_graph()
+    assert make_e2() != make_e_inf()
+
+
+_T = fg.TemplateFamily
+_LOOP = _T("f", "a", "a", "same")
+
+
+@pytest.mark.parametrize("base, block, base_fams, block_fams", [
+    ([], [["w{}"]], [], [_T("f{}@x", "w{}", "w{}")]),
+    ([["a"]], [["c"]], [_LOOP, _T("f", "a", "a", "same"), _T("g", "a", "c")], []),
+    ([["a"]], [["c"]], [_LOOP, _LOOP, _T("g", "a", "c")], []),
+    ([["a", "b"]], [["c"]], [_T("g", "a", "c"), _T("g", "b", "c")], []),
+    ([["x2"]], [["x{}"]], [_T("g", "x2", "x{}")], [_T("h", "x{}", "x{}")]),
+    ([["x"]], [["y{}"]], [_T("h2", "x", "y{}")], [_T("h{}", "y{}", "y{}")]),
+], ids=["id-does-not-parse-back", "equal-templates", "one-template-twice",
+        "one-id-two-sources", "base-name-is-an-instance", "base-id-is-an-instance"])
+def test_leveled_names_must_read_back(base, block, base_fams, block_fams):
+    with pytest.raises(GraphError, match="collision"):
+        fg.LeveledGraph(base, block, base_fams, block_fams)
+
+
+@pytest.mark.parametrize("bad", ["a:b", "a,b", "a[1]", "a]", "a/b", "a|b", " a", "a\t"])
+def test_names_a_path_literal_cannot_spell_are_refused(bad):
+    E = fg.EdgeFamily
+    with pytest.raises(GraphError, match="path literal"):
+        fg.Graph(["v", bad], [E("e", "v", bad), E("f", bad, "v")])
+    with pytest.raises(GraphError, match="path literal"):
+        fg.Graph(["v"], [E(bad, "v", "v")])
+    with pytest.raises(GraphError, match="path literal"):
+        fg.LeveledGraph([], [[bad]], [], [_T("e", bad, bad)])
+    with pytest.raises(GraphError, match="path literal"):
+        fg.LeveledGraph([], [["v"]], [], [_T(bad, "v", "v")])
+    with pytest.raises(ParseError):
+        fg.bratteli_from_json({"levels": [["v"], [bad]], "edges": [[["v", bad]]]})
+
+
+def test_an_empty_family_id_is_refused():
+    with pytest.raises(GraphError, match="path literal"):
+        fg.Graph(["v"], [fg.EdgeFamily("", "v", "v")])
