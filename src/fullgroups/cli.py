@@ -72,7 +72,7 @@ def _cmd_analyze(args):
 def _cmd_validate(args):
     kind = args.kind
     if kind == "graph":
-        gr.validate_graph(_load_graph(args.file))
+        _load_graph(args.file)  # graph_from_json validates on construction
     elif kind == "table":
         if not args.graph:
             raise ParseError("validating a table needs --graph")

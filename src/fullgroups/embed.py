@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, GraphError, ParseError, PathError
-from .graph import OMEGA, EdgeFamily, Graph, _strings, _unknown_family
+from .graph import OMEGA, EdgeFamily, Graph, _strings
 from .pathspace import BoundaryPoint, FinitePath, periodic_point
 from .tables import Piece, Table, make_table
 
@@ -98,49 +98,36 @@ class Labeling:
     edges numbered after the singles.  Leveled graphs are enumerated level by
     level over the naturals and do not admit custom vertex orders.
 
-    The constructor builds the lookup tables.  On a finite graph these are
-    each vertex's number and tuple of single ids, and each single family's
-    edge number and code word.  On a leveled graph they cover only the
-    vertices given an edge order; an edge elsewhere is numbered by its
-    family's position among its source's out-families.
+    A labeling keeps only the orders its caller gave: a vertex order that is
+    not the declared one and ``edge_orders``.  Every other number comes from
+    the graph: a vertex's index, and ``_edge_slot``, the position of an edge
+    family among its source's out-families (singles first, the omega family
+    last) and the source's out-degree.  Code words are memoised per edge ref.
     """
 
     def __init__(self, graph, vertex_order=None, edge_orders=None):
         self.graph = graph
-        if graph.is_finite:
-            self.vertex_order = tuple(vertex_order) if vertex_order else graph.vertices
-            if sorted(self.vertex_order) != sorted(graph.vertices):
-                raise PathError("vertex order must be a permutation of the vertices")
-            self.n = graph.vertex_count()
-            self._numbers = {v: i for i, v in enumerate(self.vertex_order, 1)}
-        else:
-            if vertex_order is not None:
+        self.n = graph.vertex_count()
+        self.vertex_order = self._numbers = None
+        if vertex_order is not None:
+            if not graph.is_finite:
                 raise PathError("leveled graphs use the level-by-level labeling")
-            self.vertex_order = None
-            self.n = OMEGA
-            self._numbers = None
+            order = tuple(vertex_order)
+            if sorted(order) != sorted(graph.vertices):
+                raise PathError("vertex order must be a permutation of the vertices")
+            if order != graph.vertices:
+                self.vertex_order = order
+                self._numbers = {v: i for i, v in enumerate(order, 1)}
         self.edge_orders = {}
+        self._reordered = {}    # single family id -> its number in edge_orders
         for v, ids in (edge_orders or {}).items():
             if not graph.has_vertex(v):
                 raise _no_such_vertex(v)
-            declared = [f.id for f in graph.out_singles(v)]
-            if sorted(ids) != sorted(declared):
+            if sorted(ids) != sorted(graph._out_ids(v)):
                 raise PathError(f"edge order at {v!r} must permute its single edges")
             self.edge_orders[v] = tuple(ids)
-        self._singles = {}      # vertex -> its single family ids, in label order
-        self._edges = {}        # single family id -> (edge number, code word)
-        self._omega_base = {}   # omega family id -> singles count at its source
-        for v in graph.vertices if graph.is_finite else self.edge_orders:
-            singles = self.edge_orders.get(v)
-            if singles is None:
-                singles = tuple(f.id for f in graph.out_singles(v))
-            self._singles[v] = singles
-            k = graph.out_degree(v)
-            for j, fid in enumerate(singles, 1):
-                self._edges[fid] = (j, code_word(j, k))
-            fam = graph.omega_family(v)
-            if fam is not None:
-                self._omega_base[fam.id] = len(singles)
+            self._reordered.update((fid, j) for j, fid in enumerate(ids, 1))
+        self._words = {}        # edge ref -> code word
 
     def _key(self):
         return (self.graph, self.vertex_order,
@@ -168,25 +155,19 @@ class Labeling:
         return self.vertex_order[i - 1]
 
     def singles_at(self, vertex: str):
+        singles = self.edge_orders.get(vertex)
+        if singles is not None:
+            return singles
         try:
-            return self._singles[vertex]
-        except KeyError:
-            pass
-        if self.graph.is_finite or not self.graph.has_vertex(vertex):
-            raise _no_such_vertex(vertex)
-        return self.graph._out_ids(vertex)
+            return self.graph._out_ids(vertex)
+        except GraphError:
+            raise _no_such_vertex(vertex) from None
 
     def edge_number(self, ref) -> int:
+        """The caller's number of a reordered single; else the family's slot
+        plus the edge's index, as the omega family is last."""
         fid, idx = ref
-        try:
-            return self._edges[fid][0]
-        except KeyError:
-            pass
-        if fid in self._omega_base:
-            return self._omega_base[fid] + idx
-        if self.graph.is_finite:
-            raise _unknown_family(fid)
-        return self.graph._edge_slot(fid)[1] + 1
+        return self._reordered.get(fid) or self.graph._edge_slot(fid)[1] + idx
 
     def edge_by_number(self, vertex: str, j: int):
         if j < 1:
@@ -227,13 +208,11 @@ def word_of_vertex(v: str, lab: Labeling) -> str:
 
 
 def edge_word(ref, lab: Labeling) -> str:
-    entry = lab._edges.get(ref[0])
-    if entry is not None:
-        return entry[1]
-    if lab.graph.is_finite:  # an omega edge
-        return code_word(lab.edge_number(ref), OMEGA)
-    _, pos, degree = lab.graph._edge_slot(ref[0])
-    return code_word(pos + 1, degree)
+    word = lab._words.get(ref)
+    if word is None:
+        degree = lab.graph._edge_slot(ref[0])[2]
+        word = lab._words[ref] = code_word(lab.edge_number(ref), degree)
+    return word
 
 
 def word_of_path(mu: FinitePath, lab: Labeling) -> str:

@@ -61,15 +61,15 @@ class _GraphBase:
     """What ``Graph`` and ``LeveledGraph`` share.
 
     The vertex and edge-ref queries, equality and hashing are written once,
-    over each class's own ``out_degree``, ``omega_family``, ``family`` and
-    ``_key``.  Each class's ``_template_levels`` lists vertex names that
-    stand for the whole graph: every vertex of a ``Graph``; the base levels
-    and one block repetition of a ``LeveledGraph``, whose other levels repeat
-    them.  The whole-graph verdicts other modules ask for again and again
-    are kept in the ``_verdicts`` dict each constructor makes, so they go
-    away with the graph.  Not ``cached_property``: on CPython 3.11 an
-    attribute added to an object after construction slows every later
-    attribute read on it."""
+    over each class's own ``out_degree``, ``omega_family``, ``family``,
+    ``_edge_slot`` and ``_key``.  Each class's ``_template_levels`` lists
+    vertex names that stand for the whole graph: every vertex of a ``Graph``;
+    the base levels and one block repetition of a ``LeveledGraph``, whose
+    other levels repeat them.  The whole-graph verdicts other modules ask
+    for again and again are kept in the ``_verdicts`` dict each constructor
+    makes, so they go away with the graph.  Not ``cached_property``: on
+    CPython 3.11 an attribute added to an object after construction slows
+    every later attribute read on it."""
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
@@ -101,6 +101,10 @@ class _GraphBase:
 
     def ref_range(self, ref: EdgeRef) -> str:
         return self.family(ref[0]).range
+
+    def ref_sort_key(self, ref: EdgeRef):
+        where, pos, _ = self._edge_slot(ref[0])
+        return (where, pos, ref[1])
 
     def check_ref(self, ref: EdgeRef) -> EdgeFamily:
         fid, idx = ref
@@ -150,7 +154,7 @@ class Graph(_GraphBase):
         self._validate()
         # Lookup tables, built once: per vertex its out- and in-families (in
         # family order, so singles before the omega family), its singles and
-        # its omega family; per family id the family and its sort position.
+        # its omega family; per family id the family and its ``_edge_slot``.
         out = {v: [] for v in self.vertices}
         inn = {v: [] for v in self.vertices}
         for f in self.families:
@@ -165,8 +169,8 @@ class Graph(_GraphBase):
         self._degree = {v: len(fs) if self._omega[v] is None else OMEGA
                         for v, fs in self._out.items()}
         self._family_by_id = {f.id: f for f in self.families}
-        self._sort_pos = {f.id: (self._pos[v], i)
-                          for v, fs in self._out.items() for i, f in enumerate(fs)}
+        self._slots = {f.id: (self._pos[v], i, self._degree[v])
+                       for v, fs in self._out.items() for i, f in enumerate(fs)}
 
     def _validate(self) -> None:
         if len(self._pos) != len(self.vertices):
@@ -233,6 +237,13 @@ class Graph(_GraphBase):
         except KeyError:
             raise _unknown_vertex(name) from None
 
+    def _out_ids(self, name: str):
+        """The ids of ``out_singles(name)``."""
+        try:
+            return tuple(f.id for f in self._singles[name])
+        except KeyError:
+            raise _unknown_vertex(name) from None
+
     def omega_family(self, name: str):
         try:
             return self._omega[name]
@@ -251,10 +262,11 @@ class Graph(_GraphBase):
         except KeyError:
             raise _unknown_family(fid) from None
 
-    def ref_sort_key(self, ref: EdgeRef):
-        fid, idx = ref
+    def _edge_slot(self, fid: str):
+        """``(source position, position among the source's out-families,
+        source out-degree)`` of a family id."""
         try:
-            return self._sort_pos[fid] + (idx,)
+            return self._slots[fid]
         except KeyError:
             raise _unknown_family(fid) from None
 
@@ -523,7 +535,7 @@ class LeveledGraph(_GraphBase):
         return self.out_families(name)
 
     def _out_ids(self, name: str):
-        """The ids of ``out_families(name)``, without building the families."""
+        """The ids of ``out_singles(name)``, without building the families."""
         level, templates = self._out_templates(name)
         return tuple(self._instantiate(level, t.id) for t in templates)
 
@@ -554,10 +566,6 @@ class LeveledGraph(_GraphBase):
         tgt_level = level if t.where == "same" else level + 1
         return EdgeFamily(fid, self._instantiate(level, t.source),
                           self._instantiate(tgt_level, t.range))
-
-    def ref_sort_key(self, ref: EdgeRef):
-        level, pos, _ = self._edge_slot(ref[0])
-        return (level, pos, ref[1])
 
     def _key(self):
         return self.base_levels, self.block_levels, self.base_families, self.block_families

@@ -382,11 +382,12 @@ class TestErrorsAndRoundtrips:
         ("labeling", {"vertices": 5}),
         ("labeling", {"edges": ["a"]}),
         ("labeling", {"edges": {"zz": ["a", "b"]}}),
+        ("labeling", {"vertices": []}),
     ], ids=["element-level", "element-float-level", "element-bool-level",
             "element-string-level", "element-images", "graph-vertices", "table-pieces",
             "piece-mu", "bratteli-levels", "bratteli-edge-pair", "bratteli-float-repeat",
             "bratteli-string-repeat", "labeling-vertices", "labeling-edges",
-            "labeling-unknown-vertex"])
+            "labeling-unknown-vertex", "labeling-empty-vertices"])
     def test_malformed_shape_is_parse_error(self, files, tmp_path, kind, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -26,6 +26,7 @@ from conftest import (
     make_one_orbit,
     make_two_vertex_omega,
     path,
+    random_diagram,
     random_graph,
 )
 
@@ -286,10 +287,24 @@ class TestCustomLabeling:
         assert fg.word_of_vertex("w1", lab) == "a"
 
     def test_rejects_non_permutations(self, e2):
-        with pytest.raises(PathError):
-            fg.Labeling(e2, vertex_order=["v", "v"])
+        for order in (["v", "v"], []):
+            with pytest.raises(PathError):
+                fg.Labeling(e2, vertex_order=order)
         with pytest.raises(PathError):
             fg.Labeling(e2, edge_orders={"v": ["a"]})
+
+    def test_the_declared_order_is_the_default(self):
+        g = make_two_vertex_omega()
+        lab = fg.Labeling(g, list(g.vertices))
+        assert lab == fg.Labeling(g) and hash(lab) == hash(fg.Labeling(g))
+        assert lab.vertex_order is None
+        assert fg.Labeling(g, ["w2", "w1"]) != fg.Labeling(g)
+
+    def test_a_leveled_graph_refuses_a_vertex_order(self):
+        g = make_leveled_chain_graph()
+        for order in ([], [g.vertex_by_index(i) for i in (2, 1)]):
+            with pytest.raises(PathError, match="level-by-level"):
+                fg.Labeling(g, vertex_order=order)
 
     def test_conjugation_still_holds(self, rng):
         g = make_two_vertex_omega()
@@ -356,6 +371,23 @@ class TestLabelingTables:
         for lab in (fg.default_labeling(g), fg.Labeling(g, edge_orders=reordered)):
             _check_labeling_against_reference(lab, names)
 
+    def test_diagram_labelings_match_the_reference(self):
+        rnd, kinds = random.Random(23), set()
+        for _ in range(60):
+            g = random_diagram(rnd).underlying_graph()
+            kinds.add(g.is_finite)
+            names = (list(g.vertices) if g.is_finite
+                     else [g.vertex_by_index(i) for i in range(1, 30)])
+            picked = rnd.sample(names, min(3, len(names)))
+            reordered = {v: list(reversed(ids)) for v in picked
+                         if len(ids := [f.id for f in g.out_singles(v)]) > 1}
+            labs = [fg.default_labeling(g), fg.Labeling(g, edge_orders=reordered)]
+            if g.is_finite:
+                labs.append(fg.Labeling(g, rnd.sample(names, len(names)), reordered))
+            for lab in labs:
+                _check_labeling_against_reference(lab, names)
+        assert kinds == {True, False}
+
     def test_unknown_family_ids_are_graph_errors(self):
         for g in (make_two_vertex_omega(), make_leveled_chain_graph()):
             for query in (g.family, lambda fid: g.ref_sort_key((fid, 1))):
@@ -380,6 +412,14 @@ def _count_structure_calls(monkeypatch, g):
 
         monkeypatch.setattr(g, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("g", [make_two_vertex_omega(), make_leveled_mixed_graph()],
+                         ids=["graph", "leveled"])
+def test_default_labeling_reads_no_structure(monkeypatch, g):
+    calls = _count_structure_calls(monkeypatch, g)
+    fg.default_labeling(g)
+    assert calls == []
 
 
 def _moved_gamma24_table():
