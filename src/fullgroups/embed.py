@@ -217,7 +217,6 @@ def edge_word(ref, lab: Labeling) -> str:
 
 def word_of_path(mu: FinitePath, lab: Labeling) -> str:
     """Vertex code word of the start followed by the edge code words."""
-    require_admissible(lab.graph)
     return word_of_vertex(mu.start, lab) + "".join(edge_word(e, lab) for e in mu.edges)
 
 
@@ -229,7 +228,6 @@ def word_of_edges(mu: FinitePath, lab: Labeling) -> str:
 
 def point_map(p: BoundaryPoint, lab: Labeling) -> BoundaryPoint:
     """Image of a representable boundary point in the binary path space."""
-    require_admissible(lab.graph)
     if p.cycle is None:
         return binary_point(word_of_path(p.prefix, lab), "a")
     cyc = word_of_edges(p.cycle, lab)
@@ -240,12 +238,9 @@ def point_map(p: BoundaryPoint, lab: Labeling) -> BoundaryPoint:
 
 def _prefix_f_level(piece_F, lab: Labeling):
     """Largest labeled index in F, plus the indices below it that stay."""
-    if not piece_F:
-        return 0, []
-    numbers = sorted(lab.edge_number(e) for e in piece_F)
-    top = numbers[-1]
-    kept = [j for j in range(1, top) if j not in set(numbers)]
-    return top, kept
+    numbers = {lab.edge_number(e) for e in piece_F}
+    top = max(numbers, default=0)
+    return top, [j for j in range(1, top) if j not in numbers]
 
 
 def embed_table(t: Table, lab: Labeling) -> Table:
@@ -434,10 +429,10 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
         raise GraphError("edge bound must be at least 1")
     count = g.vertex_count() if g.is_finite else edge_bound
     vertex_names = [lab.vertex_by_number(i) for i in range(1, count + 1)]
-    vwords = [word_of_vertex(v, lab) for v in vertex_names]
-    vimages = [VertexImage(v, Monomial(w, w)) for v, w in zip(vertex_names, vwords)]
+    words = {v: word_of_vertex(v, lab) for v in vertex_names}
+    vimages = [VertexImage(v, Monomial(w, w)) for v, w in words.items()]
     eimages = []
-    for v, vword in zip(vertex_names, vwords):
+    for v, vword in words.items():
         refs = [(fid, 1) for fid in lab.singles_at(v)]
         fam = g.omega_family(v)
         if fam is not None:
@@ -445,7 +440,9 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
         for ref in refs:
             fam_obj = g.family(ref[0])
             word = vword + edge_word(ref, lab)
-            rword = word_of_vertex(fam_obj.range, lab)
+            rword = words.get(fam_obj.range)
+            if rword is None:  # a leveled vertex past the bound
+                rword = word_of_vertex(fam_obj.range, lab)
             name = f"{ref[0]}[{ref[1]}]" if fam_obj.is_omega else ref[0]
             eimages.append(EdgeImage(name, ref, v, fam_obj.range, Monomial(word, rword)))
     return GeneratorImage(tuple(vimages), tuple(eimages))

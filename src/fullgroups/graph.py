@@ -1090,6 +1090,11 @@ def _strings(x) -> bool:
     return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
+# the accepted values of an edge record's optional fields; type() refuses bools
+_EDGE_FIELDS = {"mult": ("1", "omega").__contains__, "where": ("same", "next").__contains__,
+                "src_level": lambda x: type(x) is int}
+
+
 def _edge_records(data, key: str, default=None):
     recs = data.get(key, default)
     if not (isinstance(recs, list) and all(
@@ -1097,6 +1102,10 @@ def _edge_records(data, key: str, default=None):
             for e in recs)):
         raise ParseError(f"graph JSON: {key!r} must be a list of edge objects "
                          "with string 'id', 'src' and 'rng'")
+    for e in recs:
+        for k, ok in _EDGE_FIELDS.items():
+            if k in e and not ok(e[k]):
+                raise ParseError(f"graph JSON: edge {e['id']!r} has a bad {k!r}: {e[k]!r}")
     return recs
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import attrgetter
+from sys import maxsize as _NO_ID  # above every atom id
 
 from .errors import AtomError, GraphError, ParseError, PathError
 from .graph import EdgeRef, _strings
@@ -170,75 +171,142 @@ class CompactOpen:
         return not self.atoms
 
 
-class _StemIndex:
-    """Atoms by stem, in insertion order, for finding the ones that meet an atom.
+def _stem_trie(*kinds):
+    """One trie of up to three kinds of stems, each a list of paths: a root per
+    start vertex and a node ``[ids of kind 0, 1, 2, {edge: node}, least id of
+    kind 0, 1, 2 at or below]`` per stem prefix, ``_NO_ID`` for none."""
+    roots = {}
+    for k, stems in enumerate(kinds):
+        least = 4 + k
+        for i, stem in enumerate(stems):
+            node = roots.get(stem.start) or roots.setdefault(
+                stem.start, [[], [], [], {}, _NO_ID, _NO_ID, _NO_ID])
+            if node[least] > i:
+                node[least] = i
+            for e in stem.edges:
+                below = node[3]
+                if e in below:
+                    node = below[e]
+                    if node[least] > i:
+                        node[least] = i
+                else:
+                    node = below[e] = [[], [], [], {}, _NO_ID, _NO_ID, _NO_ID]
+                    node[least] = i
+            node[k].append(i)
+    return roots
 
-    The stems form a trie: one root per start vertex, and a node per stem
-    holding the positions of the atoms at that stem and the stems one edge
-    below it.  An atom meets ``Z(mu \\ F)`` exactly when it sits at a proper
-    prefix of ``mu`` and does not exclude the next edge of ``mu``, at ``mu``
-    with a nonempty intersection, or below ``mu`` through an edge outside
-    ``F``.
+
+def _parts(g, report, stems, Fs):
+    """Cut three kinds of atoms, each kind disjoint, in one walk of one trie.
+
+    Kind ``k`` has stems ``stems[k]`` and exclusion sets ``Fs[k]``.  Each part
+    ``Z(edges \\ F)`` goes to ``report(i, j, start, edges, rng, F)``: the meet
+    of the kind-0 atom ``i`` and the kind-1 atom ``j``, or what is left of
+    ``i`` outside the kind-1 atoms (``j`` None) or of ``j`` outside the kind-2
+    atoms (``i`` None).  The walk carries, for each kind, the atom covering
+    the stem from above, and ``_cut`` cuts each leftover at every stem it is
+    carried to.
     """
+    F0, F1, F2 = Fs
+    for start, root in _stem_trie(*stems).items():
+        stack = [(root, (), None, None, None, None, None)]
+        while stack:
+            (h0, h1, h2, kids, _, _, _), w, c0, c1, c2, o0, o1 = stack.pop()
+            if not (h0 or h1 or o0 is not None or o1 is not None):
+                stack.extend((kid, w + (e,), c0, c1, _holder(c2, h2, F2, e), None, None)
+                             for e, kid in kids.items() if kid[4] < _NO_ID or kid[5] < _NO_ID)
+                continue
+            v = g.ref_range(w[-1]) if w else start
+            for j in h1 if c0 is not None else ():
+                report(c0, j, start, w, v, F1[j])
+            for i in h0 if c1 is not None else ():
+                report(i, c1, start, w, v, F0[i])
+            for i in h0:
+                for j in h1:
+                    F = F0[i] | F1[j]
+                    if not _excludes_all(g, v, F):
+                        report(i, j, start, w, v, F)
+            left = [(0, i, F0[i]) for i in h0 if c1 is None]
+            left += [(1, j, F1[j]) for j in h1 if c2 is None]
+            left += [(k, i, frozenset()) for k, i in ((0, o0), (1, o1)) if i is not None]
+            opens = {}, {}  # per kind: kid edge -> atom whose leftover goes on there
+            for k, i, F in left:  # kind 1 cuts kind 0, kind 2 cuts kind 1
+                i0, i1 = (None, i) if k else (i, None)
+                for x, u, H in _cut(g, w, v, F, Fs[k + 1], (h1, h2)[k], kids, k + 1,
+                                    opens[k], i):
+                    report(i0, i1, start, x, u, H)
+            for e, kid in kids.items():
+                k0, k1 = opens[0].get(e), opens[1].get(e)
+                if kid[4] < _NO_ID or kid[5] < _NO_ID or k0 is not None or k1 is not None:
+                    stack.append((kid, w + (e,), _holder(c0, h0, F0, e), _holder(c1, h1, F1, e),
+                                  _holder(c2, h2, F2, e), k0, k1))
 
-    def __init__(self, g, atoms=()):
-        self.g = g
-        self.atoms = []
-        self._roots = {}  # start vertex -> node; a node is (positions, {edge: node})
-        for a in atoms:
-            self.add(a)
 
-    def add(self, a: CylinderAtom) -> None:
-        node = self._roots.get(a.mu.start)
-        if node is None:
-            node = self._roots[a.mu.start] = ([], {})
-        for e in a.mu.edges:
-            below = node[1]
-            node = below.get(e)
-            if node is None:
-                node = below[e] = ([], {})
-        node[0].append(len(self.atoms))
-        self.atoms.append(a)
-
-    def meeting(self, a: CylinderAtom) -> list:
-        """Positions of the indexed atoms that meet ``a``, in insertion order."""
-        atoms = self.atoms
-        hits = []
-        node = self._roots.get(a.mu.start)
-        for e in a.mu.edges:
-            if node is None:
-                break
-            hits.extend(i for i in node[0] if e not in atoms[i].F)
-            node = node[1].get(e)
-        if node is not None:
-            hits.extend(i for i in node[0] if atom_intersect(self.g, a, atoms[i]) is not None)
-            stack = [kid for e, kid in node[1].items() if e not in a.F]
-            while stack:
-                node = stack.pop()
-                hits.extend(node[0])
-                stack.extend(node[1].values())
-        hits.sort()
-        return hits
-
-    def subtract_from(self, a: CylinderAtom) -> list:
-        """``a`` minus every indexed atom, as a disjoint list of atoms.
-
-        Only the atoms that meet ``a`` cut it, in insertion order: the parts
-        are subsets of ``a``, so the others miss every part.
-        """
-        parts = [a]
-        for i in self.meeting(a):
-            parts = [x for p in parts for x in atom_subtract(self.g, p, self.atoms[i])]
+def _cut(g, w, v, F, Fs, subs, kids, k, opens, i, limit=_NO_ID):
+    """The parts ``(stem, range, F)`` of the leftover ``Z(w \\ F)`` of atom
+    ``i`` outside the atoms ``Z(w \\ Fs[j])``, ``j`` in ``subs``, and the
+    kind-``k`` atoms with ids below ``limit`` below ``w``; the kids where it
+    goes on map to ``i`` in ``opens``.  Subtrahends at ``w`` that meet it
+    leave the plain children they all exclude; else it excludes the branches
+    with subtrahends below.  Any order of subtraction gives these parts.
+    """
+    meet = [Fs[j] for j in subs if not _excludes_all(g, v, F | Fs[j])]
+    least = 4 + k
+    if meet:
+        parts = []
+        for e in meet[0].intersection(*meet[1:]).difference(F):
+            kid = kids.get(e)
+            if kid is not None and kid[least] < limit:
+                opens[e] = i
+            else:
+                parts.append((w + (e,), g.ref_range(e), frozenset()))
         return parts
+    below = [e for e, kid in kids.items() if kid[least] < limit and e not in F]
+    opens.update(dict.fromkeys(below, i))
+    F = F.union(below)
+    return [] if _excludes_all(g, v, F) else [(w, v, F)]
+
+
+def _holder(c, held, Fs, e):
+    """The atom covering branch ``e``: ``c`` from above, or the one of the
+    ``held`` atoms at the stem that does not exclude ``e``."""
+    if c is not None or not held:
+        return c
+    return next((i for i in held if e not in Fs[i]), None)
 
 
 def co_make(g, atoms) -> CompactOpen:
-    """Normalize a list of atoms: disjointify, merge siblings, sort."""
-    index = _StemIndex(g)
-    for a in atoms:
-        for part in index.subtract_from(a):
-            index.add(part)
-    return _merge_atoms(g, index.atoms)
+    """Normalize a list of atoms: disjointify, merge siblings, sort.
+
+    Each atom keeps what the earlier atoms leave of it; exact repeats go
+    first.  That is what the earlier atoms' parts leave: a part of ``a_i``
+    misses every atom before ``a_j``, so it meets ``a_j`` where it meets
+    ``a_j``'s parts, and ``atom_subtract`` cuts it alike whether ``a_j``'s
+    stem lies above, at or below its own.  One walk of the stem trie carries
+    the least atom covering the stem from above and whether its leftover is
+    open there (no other can be); atoms held after it lie inside it.  The
+    rest go through ``_cut``, where the earlier atoms at the stem ``w`` make
+    up ``Z(w \\ H)``, ``H`` the intersection of their Fs.
+    """
+    atoms = list(dict.fromkeys(atoms))
+    Fs = [a.F for a in atoms]
+    parts = []
+    for start, root in _stem_trie([a.mu for a in atoms]).items():
+        stack = [(root, (), _NO_ID, False)]
+        while stack:
+            (held, _, _, kids, _, _, _), w, c, is_open = stack.pop()
+            v = g.ref_range(w[-1]) if w else start
+            opens = {}
+            earlier = []  # [H]: the atoms cut at w so far make up Z(w \ H)
+            for i, F in [(i, Fs[i]) for i in held if i < c] + [(c, frozenset())] * is_open:
+                cut = _cut(g, w, v, F, earlier, range(len(earlier)), kids, 0, opens, i, i)
+                parts += (CylinderAtom(FinitePath(start, x, u), H) for x, u, H in cut)
+                earlier = [earlier[0] & F] if earlier else [F]
+            for e, kid in kids.items():
+                cover = min(c, next((i for i in held if e not in Fs[i]), _NO_ID))
+                if kid[4] < cover:
+                    stack.append((kid, w + (e,), cover, e in opens))
+    return _merge_atoms(g, parts)
 
 
 def _merge_atoms(g, atoms) -> CompactOpen:
@@ -299,14 +367,29 @@ def co_union(g, x: CompactOpen, y: CompactOpen) -> CompactOpen:
     return co_make(g, list(x.atoms) + list(y.atoms))
 
 
+def _co_parts(g, x: CompactOpen, y: CompactOpen, keep) -> CompactOpen:
+    """The parts ``(i, j)`` of ``_parts`` on x's atoms (kind 0) and y's (kind
+    1) that ``keep(i, j)`` picks, merged.  x and y must be compact opens as
+    the package builds them, disjoint unions of atoms; then so are the parts."""
+    parts = []
+
+    def report(i, j, start, edges, rng, F):
+        if keep(i, j):
+            parts.append(CylinderAtom(FinitePath(start, edges, rng), F))
+
+    _parts(g, report, ([a.mu for a in x.atoms], [a.mu for a in y.atoms], ()),
+           ([a.F for a in x.atoms], [a.F for a in y.atoms], ()))
+    return _merge_atoms(g, parts)
+
+
 def co_intersect(g, x: CompactOpen, y: CompactOpen) -> CompactOpen:
-    index = _StemIndex(g, y.atoms)
-    return co_make(g, [atom_intersect(g, a, y.atoms[j]) for a in x.atoms for j in index.meeting(a)])
+    """x and y must be compact opens as the package builds them (``_co_parts``)."""
+    return _co_parts(g, x, y, lambda i, j: i is not None and j is not None)
 
 
 def co_subtract(g, x: CompactOpen, y: CompactOpen) -> CompactOpen:
-    index = _StemIndex(g, y.atoms)
-    return co_make(g, [part for a in x.atoms for part in index.subtract_from(a)])
+    """x and y must be compact opens as the package builds them (``_co_parts``)."""
+    return _co_parts(g, x, y, lambda i, j: j is None)
 
 
 def co_equals(g, x: CompactOpen, y: CompactOpen) -> bool:

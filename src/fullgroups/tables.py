@@ -23,16 +23,14 @@ from .pathspace import (
     CompactOpen,
     CylinderAtom,
     FinitePath,
-    _StemIndex,
-    _excludes_all,
     _in_atom_order,
     _merge_atoms,
     _out_refs,
+    _parts,
     atom,
     atom_intersect,
     atom_split,
     co_contains_point,
-    co_make,
     co_subtract,
     extend,
     format_path,
@@ -118,6 +116,8 @@ def validate_table(t: Table) -> None:
     g = t.graph
     pieces = t.pieces
     checked = set()
+    # Its own trie, without the least ids that ``pathspace._stem_trie`` keeps
+    # per node: built through that trie, validation took 12-18% longer.
     roots = {}  # start vertex -> node; a node is ([domain ids], [codomain ids], {edge: node})
     for i, p in enumerate(pieces):
         if p.mu.rng != p.lam.rng:
@@ -192,120 +192,27 @@ def inverse(t: Table) -> Table:
 
 def compose(s: Table, t: Table) -> Table:
     """Table of ``s after t``; both must be valid tables, as ``validate_table``
-    checks.
-
-    One walk of one stem trie of t's codomains (kind 0), s's domains (kind 1)
-    and t's domains (kind 2) carries, for each kind, the atom covering the
-    current stem from above.  A t codomain and an s domain meet where one
-    covers the other's stem, or where both sit at it and their Fs leave a
-    branch.  ``_cut`` cuts what is left of a t codomain outside the s domains
-    (s is the identity there) and of an s domain outside the t domains (t is)
-    at each stem the walk carries it to.  Identity pieces are not built.
-    """
+    checks.  ``pathspace._parts`` cuts t's codomains (kind 0), s's domains
+    (kind 1) and t's domains (kind 2) into their meets and the leftovers
+    where s or t is the identity; identity pieces are not built."""
     if s.graph != t.graph:
         raise TableError("tables live over different graphs")
     g = s.graph
     tp, sp = t.pieces, s.pieces
     out = []
 
-    def emit(p, q, w, v, F):
+    def emit(i, j, start, w, v, F):
         """The piece on ``Z(w \\ F)``, ``w`` a stem from ``start``, through t's
-        piece ``p`` and s's piece ``q``; None stands for the identity."""
+        piece ``i`` and s's piece ``j``; None stands for the identity."""
+        p, q = None if i is None else tp[i], None if j is None else sp[j]
         ds, de = (p.lam.start, p.lam.edges + w[len(p.mu.edges):]) if p else (start, w)
         cs, ce = (q.mu.start, q.mu.edges + w[len(q.lam.edges):]) if q else (start, w)
         if de != ce or ds != cs:
             out.append(Piece(FinitePath(cs, ce, v), F, FinitePath(ds, de, v)))
 
-    roots = _stem_trie([p.mu for p in tp], [p.lam for p in sp], [p.lam for p in tp])
-    for start, root in roots.items():
-        stack = [(root, (), None, None, None, None, None)]
-        while stack:
-            (h0, h1, h2, kids, _), w, c0, c1, c2, o0, o1 = stack.pop()
-            if not (h0 or h1 or o0 is not None or o1 is not None):
-                stack.extend((kid, w + (e,), c0, c1, _holder(c2, h2, tp, e), None, None)
-                             for e, kid in kids.items() if kid[4] & 3)
-                continue
-            v = g.ref_range(w[-1]) if w else start
-            for j in h1 if c0 is not None else ():
-                emit(tp[c0], sp[j], w, v, sp[j].F)
-            for i in h0 if c1 is not None else ():
-                emit(tp[i], sp[c1], w, v, tp[i].F)
-            for i in h0:
-                for j in h1:
-                    F = tp[i].F | sp[j].F
-                    if not _excludes_all(g, v, F):
-                        emit(tp[i], sp[j], w, v, F)
-            left = [(0, i, tp[i].F) for i in h0 if c1 is None]
-            left += [(1, j, sp[j].F) for j in h1 if c2 is None]
-            left += [(k, i, frozenset()) for k, i in ((0, o0), (1, o1)) if i is not None]
-            opens = {}, {}  # per kind: kid edge -> piece whose leftover goes on there
-            for k, i, F in left:  # s's domains cut kind 0, t's domains kind 1
-                p, q = (tp[i], None) if k == 0 else (None, sp[i])
-                for x, u, H in _cut(g, w, v, F, (sp, tp)[k], (h1, h2)[k], kids, 2 << k,
-                                    opens[k], i):
-                    emit(p, q, x, u, H)
-            for e, kid in kids.items():
-                k0, k1 = opens[0].get(e), opens[1].get(e)
-                if kid[4] & 3 or k0 is not None or k1 is not None:
-                    stack.append((kid, w + (e,), _holder(c0, h0, tp, e), _holder(c1, h1, sp, e),
-                                  _holder(c2, h2, tp, e), k0, k1))
+    _parts(g, emit, ([p.mu for p in tp], [q.lam for q in sp], [p.lam for p in tp]),
+           ([p.F for p in tp], [q.F for q in sp], [p.F for p in tp]))
     return make_table(g, out, validate=False)
-
-
-def _stem_trie(*kinds):
-    """One trie of three kinds of stems, each a list of paths: a root per
-    start vertex and a node ``[ids of kind 0, 1, 2, {edge: node}, mask]`` per
-    stem prefix.  Bit ``k`` of the mask marks a kind ``k`` stem at or below."""
-    roots = {}
-    for k, stems in enumerate(kinds):
-        bit = 1 << k
-        for i, stem in enumerate(stems):
-            node = roots.get(stem.start)
-            if node is None:
-                node = roots[stem.start] = [[], [], [], {}, 0]
-            node[4] |= bit
-            for e in stem.edges:
-                below = node[3]
-                if e in below:
-                    node = below[e]
-                    node[4] |= bit
-                else:
-                    node = below[e] = [[], [], [], {}, bit]
-            node[k].append(i)
-    return roots
-
-
-def _cut(g, w, v, F, pieces, subs, kids, bit, opens, i):
-    """The parts ``(stem, range, F)`` of the leftover ``Z(w \\ F)`` of piece
-    ``i`` outside the domains of ``pieces`` at ``w`` (ids ``subs``) and below
-    it.  The kids with such domains below (``bit`` of their mask) where the
-    leftover goes on map to ``i`` in ``opens``.  Subtrahends at ``w`` that
-    meet it leave the plain children they all exclude; else it excludes the
-    branches with subtrahends below.  Subtracting the domains one at a time,
-    in any order, gives the same parts.
-    """
-    meet = [pieces[j].F for j in subs if not _excludes_all(g, v, F | pieces[j].F)]
-    if meet:
-        parts = []
-        for e in meet[0].intersection(*meet[1:]).difference(F):
-            kid = kids.get(e)
-            if kid is not None and kid[4] & bit:
-                opens[e] = i
-            else:
-                parts.append((w + (e,), g.ref_range(e), frozenset()))
-        return parts
-    below = [e for e, kid in kids.items() if kid[4] & bit and e not in F]
-    opens.update(dict.fromkeys(below, i))
-    F = F.union(below)
-    return [] if _excludes_all(g, v, F) else [(w, v, F)]
-
-
-def _holder(c, held, pieces, e):
-    """The atom covering branch ``e``: ``c`` from above, or the one of the
-    ``held`` atoms at the stem that does not exclude ``e``."""
-    if c is not None or not held:
-        return c
-    return next((i for i in held if e not in pieces[i].F), None)
 
 
 def commutator(s: Table, t: Table) -> Table:
@@ -385,19 +292,25 @@ def support(t: Table) -> CompactOpen:
 
 
 def table_image(t: Table, x: CompactOpen) -> CompactOpen:
-    """Forward image of a compact open under the table's homeomorphism."""
-    g = t.graph
-    doms = _StemIndex(g, [domain_atom(p) for p in t.pieces])
-    x_atoms = _StemIndex(g, x.atoms)
-    moved = []
-    for p, d in zip(t.pieces, doms.atoms):
-        for k in x_atoms.meeting(d):
-            inter = atom_intersect(g, x.atoms[k], d)
-            rel = inter.mu.edges[len(p.lam.edges):]
-            moved.append(CylinderAtom(
-                FinitePath(p.mu.start, p.mu.edges + rel, inter.mu.rng), inter.F))
-    still = [part for a in x.atoms for part in doms.subtract_from(a)]
-    return co_make(g, moved + still)
+    """Forward image of a compact open under the table's homeomorphism.
+
+    ``t`` must be valid, as ``validate_table`` checks, and ``x`` a compact
+    open as the package builds it: then the meets of x with t's domains,
+    moved through their pieces, and what is left of x outside those domains
+    are disjoint."""
+    g, tp = t.graph, t.pieces
+    parts = []
+
+    def image(k, i, start, edges, rng, F):
+        if k is not None:  # x's part in t's domain i, or outside t's domains (i None)
+            if i is not None:
+                p = tp[i]
+                start, edges = p.mu.start, p.mu.edges + edges[len(p.lam.edges):]
+            parts.append(CylinderAtom(FinitePath(start, edges, rng), F))
+
+    _parts(g, image, ([a.mu for a in x.atoms], [p.lam for p in tp], ()),
+           ([a.F for a in x.atoms], [p.F for p in tp], ()))
+    return _merge_atoms(g, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +412,7 @@ def transposition_for_arrow(ar: Arrow, within: CompactOpen, g) -> Table:
         da, ca = domain_atom(piece), codomain_atom(piece)
         if atom_intersect(g, da, ca) is not None:
             continue
-        if _atom_inside(g, da, within) and _atom_inside(g, ca, within):
+        if co_subtract(g, CompactOpen((da, ca)), within).is_empty():
             return involution_hat(g, [piece])
     raise ArrowError("no separating cylinders of the required lag inside the given support")
 
@@ -542,10 +455,6 @@ def _arrow_piece(g, ar: Arrow, m: int, n: int, d: int):
     if point_edge(ar.target, len(chi.edges)) in F or point_edge(ar.source, len(ups.edges)) in F:
         return None
     return make_piece(g, chi, F, ups)
-
-
-def _atom_inside(g, a: CylinderAtom, x: CompactOpen) -> bool:
-    return co_subtract(g, CompactOpen((a,)), x).is_empty()
 
 
 # ---------------------------------------------------------------------------

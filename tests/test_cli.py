@@ -371,6 +371,12 @@ class TestErrorsAndRoundtrips:
         ("element", {"level": "1", "images": {}}),
         ("element", {"level": 1, "images": ["v0:e1_1"]}),
         ("graph", {"vertices": 5, "edges": []}),
+        *(("graph", {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "rng": "v",
+                                                   "mult": m}]}) for m in ("Omega", 2)),
+        *(("graph", {"kind": "leveled", "block_levels": [["w{}"]], "block_edges": [
+            {"id": "e{}", "src": "w{}", "rng": "w{}", k: x}]})
+          for k, x in (("where", "sideways"), ("where", 5), ("src_level", True),
+                       ("src_level", "1"))),
         ("table", {"pieces": 5}),
         ("table", {"pieces": [{"mu": 5, "F": [], "lambda": "v:a"}]}),
         ("bratteli", {"levels": 5, "edges": []}),
@@ -384,7 +390,9 @@ class TestErrorsAndRoundtrips:
         ("labeling", {"edges": {"zz": ["a", "b"]}}),
         ("labeling", {"vertices": []}),
     ], ids=["element-level", "element-float-level", "element-bool-level",
-            "element-string-level", "element-images", "graph-vertices", "table-pieces",
+            "element-string-level", "element-images", "graph-vertices", "graph-mult-case",
+            "graph-mult-int", "graph-where-word", "graph-where-int", "graph-bool-src-level",
+            "graph-string-src-level", "table-pieces",
             "piece-mu", "bratteli-levels", "bratteli-edge-pair", "bratteli-float-repeat",
             "bratteli-string-repeat", "labeling-vertices", "labeling-edges",
             "labeling-unknown-vertex", "labeling-empty-vertices"])

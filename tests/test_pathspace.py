@@ -140,7 +140,22 @@ _GRAPHS = algebra_graphs()
 @st.composite
 def _graph_and_atom_lists(draw):
     g = draw(st.sampled_from(_GRAPHS))
-    return g, draw(atom_lists(g)), draw(atom_lists(g))
+    return g, draw(atom_lists(g)), draw(atom_lists(g)), draw(_long_atom_lists(g))
+
+
+@st.composite
+def _long_atom_lists(draw, g):
+    """Longer and deeper atom lists, or lists of repeats only: copies of one
+    short list, or atoms drawn with replacement from a few."""
+    kind = draw(st.sampled_from(["long", "copies", "drawn"]))
+    if kind == "long":
+        return draw(atom_lists(g, max_atoms=20, max_depth=4))
+    few = draw(atom_lists(g, max_atoms=3))
+    if not few:
+        return []
+    if kind == "copies":
+        return few * draw(st.integers(2, 8))
+    return draw(st.lists(st.sampled_from(few), max_size=30))
 
 
 class TestStemIndex:
@@ -149,13 +164,18 @@ class TestStemIndex:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_graph_and_atom_lists())
     def test_matches_pairwise_reference(self, case):
-        g, xs, ys = case
+        g, xs, ys, zs = case
         x = fg.co_make(g, xs)
         assert x == old_co_make(g, xs)
         y = fg.co_make(g, ys)
         assert fg.co_make(g, xs + ys) == old_co_make(g, xs + ys)
         assert fg.co_subtract(g, x, y) == old_co_subtract(g, x, y)
         assert fg.co_intersect(g, x, y) == old_co_intersect(g, x, y)
+        z = fg.co_make(g, zs)
+        assert z == old_co_make(g, zs)
+        assert fg.co_subtract(g, z, x) == old_co_subtract(g, z, x)
+        assert fg.co_subtract(g, x, z) == old_co_subtract(g, x, z)
+        assert fg.co_intersect(g, z, x) == old_co_intersect(g, z, x)
 
     def test_same_atoms_under_any_hash_seed(self):
         script = (
@@ -193,9 +213,39 @@ class TestStemIndex:
             parts[i:i + 1] = fg.atom_split(e2, a, rng.choice(edges)).atoms
         rng.shuffle(parts)
         assert fg.co_make(e2, parts) == fg.full_space(e2)
+        assert fg.co_make(e2, parts + parts[:1]) == fg.full_space(e2)
         assert calls == []
-        fg.co_make(e2, parts + parts[:1])
-        assert calls
+
+    def test_cuts_stay_linear_in_the_trie(self, monkeypatch):
+        """The complement of many deep atoms, deep atoms followed by many
+        copies of ``Z(v)``, and many atoms at one stem take a number of cuts
+        and subtrahends read within twice their atoms and trie stems."""
+        work = []
+        cut = pathspace._cut
+        monkeypatch.setattr(pathspace, "_cut",
+                            lambda *args: work.append(1 + len(args[5])) or cut(*args))
+        rng = random.Random(0)
+
+        def deep(n):
+            return [fg.atom(fg.E2, fg.binary_path("".join(rng.choice("ab") for _ in range(12))))
+                    for _ in range(n)]
+
+        zv = fg.atom(fg.E2, fg.trivial_path(fg.E2, "v"))
+        x = fg.co_make(fg.E2, deep(960))
+        ys = deep(300) + [zv] * 300
+        g = make_two_vertex_omega()
+        v = next(v for v in g.vertices if g.omega_family(v))
+        fam = g.omega_family(v).id
+        zs = [fg.atom(g, fg.trivial_path(g, v), {(fam, k)}) for k in range(1, 501)]
+        cases = [(lambda: fg.co_subtract(fg.E2, fg.full_space(fg.E2), x), [zv, *x.atoms]),
+                 (lambda: fg.co_make(fg.E2, ys), ys),
+                 (lambda: fg.co_make(g, zs), zs)]
+        assert len(x.atoms) > 700
+        for run, atoms in cases:
+            stems = {(a.mu.start, a.mu.edges[:d]) for a in atoms for d in range(a.depth + 1)}
+            work.clear()
+            run()
+            assert sum(work) <= 2 * (len(stems) + len(atoms))
 
 
 def _random_atoms(g, rng, n=3, depth=2):

@@ -32,6 +32,9 @@ from conftest import (
 from pairwise_reference import (
     atom_sort_key,
     old_canonicalize,
+    old_co_intersect,
+    old_co_make,
+    old_co_subtract,
     old_compose,
     old_table_image,
     old_validate_table,
@@ -472,15 +475,17 @@ class TestComposeWalk:
         rnd = random.Random(5)
         g = make_two_vertex_omega()
         s, t = (fg.random_table(g, rnd, splits=300) for _ in "st")
-        expected = old_compose(s, t)
+        x, y = fg.support(s), fg.support(t)
+        atoms = list(x.atoms) + list(y.atoms)
+        expected = (old_compose(s, t), old_co_make(g, atoms), old_co_subtract(g, x, y),
+                    old_co_intersect(g, x, y), old_table_image(t, x))
         calls = []
         for mod in (pathspace, tables):
             for name in ("atom_subtract", "atom_intersect"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
-        monkeypatch.setattr(pathspace._StemIndex, "meeting",
-                            lambda *args: calls.append("meeting"))
-        assert fg.compose(s, t) == expected
+        assert (fg.compose(s, t), fg.co_make(g, atoms), fg.co_subtract(g, x, y),
+                fg.co_intersect(g, x, y), fg.table_image(t, x)) == expected
         assert calls == []
 
 
