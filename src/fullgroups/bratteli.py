@@ -105,28 +105,49 @@ class BratteliDiagram:
                        if v not in incoming)
         return out
 
-    # -- paths and the finitary groups ----------------------------------------
-
-    def fibers(self, N: int):
-        """Source-rooted paths reaching level N, grouped by their range vertex."""
+    def _sources_by_level(self, N: int):
+        """The names of the sources at each level up to N, a declared level."""
         self._check_level(N)
         by_level = {}
         for lev, name in self.sources():
             if lev <= N:
-                by_level.setdefault(lev, []).append(make_path(self._graph, name))
-        frontier = by_level.get(0, [])
+                by_level.setdefault(lev, []).append(name)
+        return by_level
+
+    # -- paths and the finitary groups ----------------------------------------
+
+    def fibers(self, N: int):
+        """Source-rooted paths reaching level N, grouped by their range vertex."""
+        by_level = self._sources_by_level(N)
+        frontier = [make_path(self._graph, name) for name in by_level.get(0, ())]
         for lev in range(1, N + 1):
             outs = _out_edges(self._graph, (p.rng for p in frontier))
             frontier = [FinitePath(p.start, p.edges + (ref,), r)
                         for p in frontier for ref, r in outs[p.rng]]
-            frontier.extend(by_level.get(lev, []))
+            frontier += [make_path(self._graph, name) for name in by_level.get(lev, ())]
         fibers = {}
         for p in frontier:
             fibers.setdefault(p.rng, []).append(p)
         return fibers
 
     def gamma_order(self, N: int) -> int:
-        return math.prod(math.factorial(len(f)) for f in self.fibers(N).values())
+        """The product of the factorials of the fiber sizes at level N.
+
+        The sizes are counted level by level, as ``fibers`` builds its paths,
+        but without building them: a vertex's count is the sum of the counts
+        of the sources of its in-edges, plus one at a source."""
+        by_level = self._sources_by_level(N)
+        counts = dict.fromkeys(by_level.get(0, ()), 1)
+        for lev in range(1, N + 1):
+            outs = _out_edges(self._graph, counts)
+            below = {}
+            for v, c in counts.items():
+                for _, r in outs[v]:
+                    below[r] = below.get(r, 0) + c
+            for name in by_level.get(lev, ()):
+                below[name] = below.get(name, 0) + 1
+            counts = below
+        return math.prod(map(math.factorial, counts.values()))
 
     def gamma_elements(self, N: int):
         """Enumerate the range-preserving permutations at level N, lazily.

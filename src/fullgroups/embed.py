@@ -11,11 +11,18 @@ The same code yields generator-level images for the associated algebras:
 vertex projections map to diagonal monomials and edge partial isometries to
 monomials ``s_alpha s_beta*``; ``ck_check`` verifies the defining relations
 symbolically.
+
+A labeling memoises each edge's and each vertex's code word twice: as a
+string, and as a tuple of the two letter refs ``A = ("a", 1)`` and
+``B = ("b", 1)``, the edges of the binary graph, shared by every path this
+module builds.  ``embed_table`` writes each stem's image as a concatenation
+of these tuples, with no string in between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import AdmissibilityError, GraphError, ParseError, PathError
 from .graph import OMEGA, EdgeFamily, Graph, _strings
@@ -28,6 +35,14 @@ E2 = Graph(
 )
 
 
+A, B = ("a", 1), ("b", 1)
+_LETTER = {"a": A, "b": B}.__getitem__
+
+
+def _letters(word: str) -> tuple:
+    return tuple(map(_LETTER, word))
+
+
 def binary_path(word: str) -> FinitePath:
     """A finite path over the binary graph from a string of a's and b's.
 
@@ -35,7 +50,7 @@ def binary_path(word: str) -> FinitePath:
     """
     if word.strip("ab"):
         raise PathError(f"not a binary word: {word!r}")
-    return FinitePath("v", tuple(zip(word, [1] * len(word))), "v")
+    return FinitePath("v", _letters(word), "v")
 
 
 def binary_point(prefix: str, cycle: str) -> BoundaryPoint:
@@ -102,7 +117,8 @@ class Labeling:
     not the declared one and ``edge_orders``.  Every other number comes from
     the graph: a vertex's index, and ``_edge_slot``, the position of an edge
     family among its source's out-families (singles first, the omega family
-    last) and the source's out-degree.  Code words are memoised per edge ref.
+    last) and the source's out-degree.  Code words are memoised per edge
+    ref, and as letters per edge ref and per vertex.
     """
 
     def __init__(self, graph, vertex_order=None, edge_orders=None):
@@ -128,6 +144,8 @@ class Labeling:
             self.edge_orders[v] = tuple(ids)
             self._reordered.update((fid, j) for j, fid in enumerate(ids, 1))
         self._words = {}        # edge ref -> code word
+        self._letters = {}      # edge ref -> code word as letters
+        self._vertex_letters = {}  # vertex -> its code word as letters
 
     def _key(self):
         return (self.graph, self.vertex_order,
@@ -236,11 +254,31 @@ def point_map(p: BoundaryPoint, lab: Labeling) -> BoundaryPoint:
     return binary_point(word_of_path(p.prefix, lab), cyc)
 
 
-def _prefix_f_level(piece_F, lab: Labeling):
-    """Largest labeled index in F, plus the indices below it that stay."""
-    numbers = {lab.edge_number(e) for e in piece_F}
+def _path_letters(mu: FinitePath, lab: Labeling) -> tuple:
+    """``word_of_path(mu, lab)`` as letters."""
+    try:
+        head = lab._vertex_letters[mu.start]
+        return head + tuple(chain.from_iterable(map(lab._letters.__getitem__, mu.edges)))
+    except KeyError:  # a vertex or an edge met for the first time
+        lab._vertex_letters[mu.start] = _letters(word_of_vertex(mu.start, lab))
+        for e in mu.edges:
+            if e not in lab._letters:
+                lab._letters[e] = _letters(edge_word(e, lab))
+        return _path_letters(mu, lab)
+
+
+def _tails(g, lab: Labeling, w: str, F) -> list:
+    """What a piece at range ``w`` with exclusion set F appends to both its
+    stems, as letters, one tail per binary piece: ``a^top`` for the largest
+    labeled index ``top`` in F, and the code word of each smaller index not
+    in F.  The ``a^top`` residual is empty exactly when F reaches a regular
+    vertex's last labeled edge, the only case where ``top`` is the degree."""
+    numbers = {lab.edge_number(e) for e in F}
     top = max(numbers, default=0)
-    return top, [j for j in range(1, top) if j not in numbers]
+    degree = g.out_degree(w)
+    tails = [] if top == degree else [(A,) * top]
+    tails += [_letters(code_word(j, degree)) for j in range(1, top) if j not in numbers]
+    return tails
 
 
 def embed_table(t: Table, lab: Labeling) -> Table:
@@ -248,27 +286,29 @@ def embed_table(t: Table, lab: Labeling) -> Table:
 
     A piece with exclusion set F splits into a prefix-exclusion piece
     (appending ``a^l`` for the top excluded index l) plus one piece per kept
-    smaller index; each stem then maps through the word map.
+    smaller index; each stem then maps through the word map.  A piece whose
+    stems have one word maps to the identity and is dropped.  ``lab`` must
+    label the table's graph.
     """
     g = t.graph
+    if lab.graph != g:
+        raise PathError("the labeling is of another graph than the table")
     require_admissible(g)
     out = []
+    tails = {}  # (range, F) -> _tails
+    empty = frozenset()
     for p in t.pieces:
-        w = p.mu.rng
-        mu_w = word_of_path(p.mu, lab)
-        lam_w = word_of_path(p.lam, lab)
-        top, kept = _prefix_f_level(p.F, lab)
-        # the a^top residual is empty exactly when F reaches a regular
-        # vertex's last labeled edge
-        if not (g.is_regular(w) and top == g.out_degree(w)):
-            out.append(Piece(binary_path(mu_w + "a" * top), frozenset(),
-                             binary_path(lam_w + "a" * top)))
-        for j in kept:
-            ej = lab.edge_by_number(w, j)
-            wj = edge_word(ej, lab)
-            out.append(Piece(binary_path(mu_w + wj), frozenset(),
-                             binary_path(lam_w + wj)))
-    out = [p for p in out if p.mu != p.lam]
+        mu_w = _path_letters(p.mu, lab)
+        lam_w = _path_letters(p.lam, lab)
+        if mu_w == lam_w:
+            continue
+        key = (p.mu.rng, p.F)
+        ends = tails.get(key)
+        if ends is None:
+            ends = tails[key] = _tails(g, lab, *key)
+        for tail in ends:
+            out.append(Piece(FinitePath("v", mu_w + tail, "v"), empty,
+                             FinitePath("v", lam_w + tail, "v")))
     return make_table(E2, out, validate=True)
 
 

@@ -140,6 +140,13 @@ def validate_table(t: Table) -> None:
     stack = [(node, None, None) for node in roots.values()]
     while stack:
         (dom, cod, kids), dc, cc = stack.pop()
+        if not dom and not cod:  # no atom here: both covers pass down as they are
+            for kid in kids.values():
+                stack.append((kid, dc, cc))
+            if (dc is None) != (cc is None) and not differ:
+                v = g.ref_source(next(iter(kids)))
+                differ = g.is_singular(v) or len(kids) < g.out_degree(v)
+            continue
         excluded = {e for i in dom + cod for e in pieces[i].F}
         for e in excluded:
             d = _cover(dc, [i for i in dom if e not in pieces[i].F], 0, overlaps)
@@ -155,7 +162,7 @@ def validate_table(t: Table) -> None:
         d, k = _cover(dc, dom, 0, overlaps), _cover(cc, cod, 1, overlaps)
         stack.extend((kid, d, k) for e, kid in kids.items() if e not in excluded)
         if (d is None) != (k is None) and not differ:
-            v = pieces[(dom or cod)[0]].mu.rng if dom or cod else g.ref_source(next(iter(kids)))
+            v = pieces[(dom or cod)[0]].mu.rng
             differ = g.is_singular(v) or len(excluded.union(kids)) < g.out_degree(v)
     if overlaps:
         raise TableError(f"overlapping {('domain', 'codomain')[min(overlaps)[2]]} atoms")

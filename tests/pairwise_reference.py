@@ -9,7 +9,8 @@ Bratteli fibers and extension that scanned the whole edge set of a level,
 named by the diagram, before it read names and out-edges from its
 underlying graph, and the checkers for (L), sinks and isolated points with
 one branch per graph class, before they read both classes through their
-template levels.
+template levels, and the table embedding into V that built each stem's
+image as a string and parsed it back, before the letter memo.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
@@ -31,7 +32,18 @@ scan of a formal sum's terms after every merge of two siblings.
 """
 import re
 
-from fullgroups.embed import ONE, FormalSum, Monomial, code_word, mono_mult
+from fullgroups.embed import (
+    E2,
+    ONE,
+    FormalSum,
+    Monomial,
+    binary_path,
+    code_word,
+    edge_word,
+    mono_mult,
+    require_admissible,
+    word_of_path,
+)
 from fullgroups.errors import GraphError, TableError
 from fullgroups.graph import OMEGA, EdgeFamily, Verdict, _functional_cycle, _semi_tail_witness
 from fullgroups.pathspace import (
@@ -710,3 +722,35 @@ def old_isolated_point_witnesses(g):
     if st is not None:
         out.append({"kind": "semi-tail", **st})
     return out
+
+
+# ---------------------------------------------------------------------------
+# The table embedding through code-word strings
+# ---------------------------------------------------------------------------
+
+
+def old_embed_table(t, lab):
+    """A piece with exclusion set F splits into a prefix-exclusion piece
+    (appending ``a^l`` for the top excluded index l) plus one piece per kept
+    smaller index; each stem's word is a string, parsed by ``binary_path``."""
+    g = t.graph
+    require_admissible(g)
+    out = []
+    for p in t.pieces:
+        w = p.mu.rng
+        mu_w = word_of_path(p.mu, lab)
+        lam_w = word_of_path(p.lam, lab)
+        numbers = {lab.edge_number(e) for e in p.F}
+        top = max(numbers, default=0)
+        # the a^top residual is empty exactly when F reaches a regular
+        # vertex's last labeled edge
+        if not (g.is_regular(w) and top == g.out_degree(w)):
+            out.append(Piece(binary_path(mu_w + "a" * top), frozenset(),
+                             binary_path(lam_w + "a" * top)))
+        for j in range(1, top):
+            if j not in numbers:
+                wj = edge_word(lab.edge_by_number(w, j), lab)
+                out.append(Piece(binary_path(mu_w + wj), frozenset(),
+                                 binary_path(lam_w + wj)))
+    out = [p for p in out if p.mu != p.lam]
+    return make_table(E2, out, validate=True)

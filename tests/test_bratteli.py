@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import fullgroups as fg
 from fullgroups.errors import AdmissibilityError, GraphError, ParseError
 
-from conftest import make_gamma2_diagram, make_gamma24_diagram
+from conftest import make_gamma2_diagram, make_gamma24_diagram, random_diagram
 
 
 def brute_force_order(b, N):
@@ -118,6 +119,24 @@ class TestGammaGroups:
         # six paths to level 2, three into each block vertex
         assert b.gamma_order(2) == math.factorial(3) * math.factorial(3)
         assert b.gamma_order(2) == brute_force_order(b, 2)
+
+    def test_order_counts_the_fiber_sizes(self, monkeypatch):
+        # c has no in-edge: its trivial path is a source path from level 1,
+        # and joins a -> b -> d in the fiber of d
+        late = fg.BratteliDiagram(levels=(("a",), ("b", "c"), ("d",)),
+                                  edges=((("a", "b"),), (("b", "d"), ("c", "d"))),
+                                  repeat=None)
+        assert late.sources() == [(0, "a"), (1, "c")]
+        diagrams = [late] + [random_diagram(random.Random(seed)) for seed in range(40)]
+        assert sum(any(lev for lev, _ in b.sources()) for b in diagrams) > 5
+        want = {}
+        for k, b in enumerate(diagrams):
+            for N in range(len(b.levels) if b.repeat is None else 7):
+                sizes = [len(paths) for paths in b.fibers(N).values()]
+                want[k, N] = math.prod(map(math.factorial, sizes))
+        assert want[0, 1] == 1 and want[0, 2] == 2
+        monkeypatch.setattr(fg.BratteliDiagram, "fibers", None)  # the paths are not built
+        assert {(k, N): diagrams[k].gamma_order(N) for k, N in want} == want
 
     def test_element_count_matches_order(self):
         b = make_gamma2_diagram()

@@ -20,6 +20,7 @@ from conftest import (
     make_e2,
     make_e_inf,
     make_e_nr,
+    make_gamma2_diagram,
     make_gamma24_diagram,
     make_leveled_chain_graph,
     make_leveled_mixed_graph,
@@ -178,6 +179,20 @@ class TestEmbedTable:
             (fg.binary_path("b"), frozenset(), fg.binary_path("a")),
         ])
         assert fg.germ_equal(img, hand)
+
+    def test_refuses_a_labeling_of_another_graph(self):
+        def loops(ids):
+            return fg.Graph(["v"], [fg.EdgeFamily(f, "v", "v") for f in ids])
+
+        g = loops("abc")
+        swap = fg.make_table(g, [(path(g, "v", "a"), frozenset(), path(g, "v", "c")),
+                                 (path(g, "v", "c"), frozenset(), path(g, "v", "a"))])
+        image = fg.embed_table(swap, fg.default_labeling(g))
+        assert fg.embed_table(swap, fg.default_labeling(loops("abc"))) == image
+        # the loops in reverse order, and a graph without c
+        for other in (loops("cba"), loops("ab")):
+            with pytest.raises(PathError, match="^the labeling is of another graph than the table$"):
+                fg.embed_table(swap, fg.default_labeling(other))
 
     def test_cover_table_arrow_transported(self, one_orbit):
         g = one_orbit
@@ -436,7 +451,7 @@ def test_embed_table_reads_the_labeling_tables_only(monkeypatch, table):
     g = t.graph
     fg.require_admissible(g)  # the one-time verdict reads the out-families
     lab = fg.default_labeling(g)
-    if g.is_finite:  # exclusion sets take embed_table through edge_by_number
+    if g.is_finite:  # exclusion sets take embed_table through its tails
         assert any(p.F for p in t.pieces)
     calls = _count_structure_calls(monkeypatch, g)
     image = fg.embed_table(t, lab)
@@ -514,6 +529,38 @@ def test_embedding_conjugates_the_action_on_random_graphs(g, rnd):
     vt = fg.embed_table(t, lab)
     for p in _points(g):
         assert fg.point_map(fg.apply(t, p), lab) == fg.apply(vt, fg.point_map(p, lab))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(custom_labelings(), _embeddable_graphs.map(fg.default_labeling)),
+       st.randoms(use_true_random=False))
+def test_embed_table_matches_the_string_reference(lab, rnd):
+    g = lab.graph
+    s, t = (fg.random_table(g, rnd, splits=rnd.randint(0, 8), omega_bound=3) for _ in "st")
+    for x in (s, fg.compose(s, t), fg.commutator(s, t)):
+        assert fg.embed_table(x, lab) == ref.old_embed_table(x, lab)
+
+
+def test_embed_gamma_tables_match_the_string_reference():
+    diagrams = [make_gamma2_diagram(), make_gamma24_diagram()]
+    diagrams += [random_diagram(random.Random(seed)) for seed in range(30)]
+    compared = 0
+    for k, b in enumerate(diagrams):
+        g = b.underlying_graph()
+        if not _admissible(g):
+            continue
+        lab = fg.default_labeling(g)
+        rnd = random.Random(k)
+        for N in range(1, 4 if b.repeat else len(b.levels)):
+            mapping = {}
+            for paths in b.fibers(N).values():
+                images = paths[:]
+                rnd.shuffle(images)
+                mapping.update(zip(paths, images))
+            t = fg.gamma_to_table(fg.GammaElement(b, N, mapping))
+            assert fg.embed_table(t, lab) == ref.old_embed_table(t, lab)
+            compared += bool(t.pieces)
+    assert compared > 20
 
 
 class TestMonomials:

@@ -290,6 +290,39 @@ class TestValidateWalk:
         assert {"overlapping domain atoms", "overlapping codomain atoms",
                 "domain union differs from codomain union"} <= _assert_mutations_agree(t)
 
+    @pytest.mark.parametrize("g", [make_e2(), make_one_orbit(), make_two_vertex_omega()],
+                             ids=["e2", "one_orbit", "two_vertex_omega"])
+    def test_binary_defects_below_stems_without_atoms(self, g):
+        # One piece (mu, lam) of a binary image is cut into the four pieces
+        # (mu u, lam v) for the words u, v of length 2, v a shuffle of u;
+        # then one is dropped, or one of its stems is moved two letters
+        # below another's.  The gap or the overlap lies below mu u[0] or
+        # lam v[0], which hold no atom.
+        def below(stem, word):
+            return fg.FinitePath("v", stem.edges + fg.binary_path(word).edges, "v")
+
+        words = ["aa", "ab", "ba", "bb"]
+        lab = fg.default_labeling(g)
+        outcomes = set()
+        for seed in range(3):
+            rnd = random.Random(seed)
+            t = fg.embed_table(fg.random_table(g, rnd, splits=8, omega_bound=2), lab)
+            for k in rnd.sample(range(len(t.pieces)), min(4, len(t.pieces))):
+                p, rest = t.pieces[k], list(t.pieces[:k] + t.pieces[k + 1:])
+                images = rnd.sample(words, 4)
+                split = [fg.Piece(below(p.mu, u), frozenset(), below(p.lam, v))
+                         for u, v in zip(words, images)]
+                moved_lam = fg.Piece(split[1].mu, frozenset(), below(p.lam, images[0] + "ab"))
+                moved_mu = fg.Piece(below(p.mu, words[0] + "ba"), frozenset(), split[1].lam)
+                for pieces in (split, split[1:], split[:1] + [moved_lam] + split[2:],
+                               split[:1] + [moved_mu] + split[2:]):
+                    m = fg.make_table(fg.E2, rest + pieces, validate=False)
+                    outcome = _verdict(fg.validate_table, m)
+                    assert outcome == _verdict(old_validate_table, m)
+                    outcomes.add(outcome and outcome[1])
+        assert outcomes == {None, "overlapping domain atoms", "overlapping codomain atoms",
+                            "domain union differs from codomain union"}
+
     def test_deep_stem(self):
         w = "a" * 2999
         swap = [(fg.binary_path(w + "a"), frozenset(), fg.binary_path(w + "b")),
