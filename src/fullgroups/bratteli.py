@@ -18,9 +18,13 @@ from dataclasses import dataclass
 
 from .errors import GraphError, ParseError
 from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily, _strings
-from .pathspace import FinitePath, format_path, make_path
+from .pathspace import FinitePath, make_path
 from .tables import Piece, Table, make_table
 from .embed import default_labeling, embed_table
+
+# CPython's default limit on int-to-str conversion; the CLI prints the order
+# as a JSON number, so a longer one could not be written.
+MAX_ORDER_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,9 @@ class BratteliDiagram:
 
         The sizes are counted level by level, as ``fibers`` builds its paths,
         but without building them: a vertex's count is the sum of the counts
-        of the sources of its in-edges, plus one at a source."""
+        of the sources of its in-edges, plus one at a source.  An answer of
+        more than ``MAX_ORDER_DIGITS`` decimal digits is refused; its length
+        is estimated from the sizes first, so a huge one is never formed."""
         by_level = self._sources_by_level(N)
         counts = dict.fromkeys(by_level.get(0, ()), 1)
         for lev in range(1, N + 1):
@@ -147,7 +153,14 @@ class BratteliDiagram:
             for name in by_level.get(lev, ()):
                 below[name] = below.get(name, 0) + 1
             counts = below
-        return math.prod(map(math.factorial, counts.values()))
+        # lgamma takes a float; a fiber of 10**9 paths alone passes the limit
+        digits = sum(math.lgamma(min(c, 10**9) + 1) for c in counts.values())
+        if digits / math.log(10) <= MAX_ORDER_DIGITS + 1:
+            order = math.prod(map(math.factorial, counts.values()))
+            if order < 10 ** MAX_ORDER_DIGITS:
+                return order
+        raise GraphError(f"the order at level {N} has more than "
+                         f"{MAX_ORDER_DIGITS} decimal digits")
 
     def gamma_elements(self, N: int):
         """Enumerate the range-preserving permutations at level N, lazily.
@@ -195,16 +208,21 @@ def _out_edges(g, vertices):
 
 @dataclass(frozen=True)
 class GammaElement:
-    """Range-preserving permutation of the depth-N source-rooted paths."""
+    """Range-preserving permutation of the depth-N source-rooted paths.
+
+    ``mapping`` holds exactly the paths it moves; every other path is fixed.
+    Pairs ``p -> p`` given to the constructor are dropped, so equal
+    permutations compare and hash equal however they were built."""
 
     diagram: BratteliDiagram
     level: int
     mapping: object  # dict path -> path; treated as immutable
 
     def __post_init__(self):
-        for p, q in self.mapping.items():
-            if p.rng != q.rng:
-                raise GraphError("permutation must preserve the range vertex")
+        moved = {p: q for p, q in self.mapping.items() if p != q}
+        if any(p.rng != q.rng for p, q in moved.items()):
+            raise GraphError("permutation must preserve the range vertex")
+        object.__setattr__(self, "mapping", moved)
 
     def __call__(self, path: FinitePath) -> FinitePath:
         return self.mapping.get(path, path)
@@ -212,25 +230,28 @@ class GammaElement:
     def compose(self, other: "GammaElement") -> "GammaElement":
         if self.level != other.level or self.diagram != other.diagram:
             raise GraphError("elements live at different levels")
-        mapping = {p: self(other(p)) for p in other.mapping}
-        for p in self.mapping:
-            mapping.setdefault(p, self(p))
-        return GammaElement(self.diagram, self.level, mapping)
+        return GammaElement(self.diagram, self.level, {
+            p: self(other(p)) for p in itertools.chain(other.mapping, self.mapping)})
 
     def inverse(self) -> "GammaElement":
         return GammaElement(self.diagram, self.level,
                             {q: p for p, q in self.mapping.items()})
 
     def is_identity(self) -> bool:
-        return all(p == q for p, q in self.mapping.items())
+        return not self.mapping
 
     def order(self) -> int:
-        n = 1
-        acc = self
-        while not acc.is_identity():
-            acc = acc.compose(self)
-            n += 1
-        return n
+        """The lcm of the cycle lengths, walking each moved path once."""
+        lengths, seen = [], set()
+        for p in self.mapping:
+            if p not in seen:
+                n, q = 0, p
+                while q not in seen:
+                    seen.add(q)
+                    q = self.mapping[q]
+                    n += 1
+                lengths.append(n)
+        return math.lcm(*lengths)
 
     def extend(self) -> "GammaElement":
         """The same element one level deeper (the direct-limit inclusion)."""
@@ -245,14 +266,13 @@ class GammaElement:
         return GammaElement(b, self.level + 1, mapping)
 
     def __hash__(self):
-        return hash((self.diagram, self.level,
-                     tuple(sorted(self.mapping.items(), key=lambda kv: str(kv)))))
+        return hash((self.diagram, self.level, frozenset(self.mapping.items())))
 
 
 def gamma_to_table(el: GammaElement) -> Table:
     """Prefix-exchange table of the permutation; identity elsewhere, lags 0."""
     g = el.diagram.underlying_graph()
-    pieces = [Piece(q, frozenset(), p) for p, q in el.mapping.items() if p != q]
+    pieces = [Piece(q, frozenset(), p) for p, q in el.mapping.items()]
     return make_table(g, pieces, validate=True)
 
 
@@ -311,18 +331,33 @@ def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
     images = data.get("images") or {}
     if not (isinstance(images, dict) and all(isinstance(t, str) for t in images.values())):
         raise ParseError("element 'images' must map path literals to path literals")
+    b._check_level(N)
     g = b.underlying_graph()
-    fibers = b.fibers(N)
-    all_paths = {format_path(g, p): p for paths in fibers.values() for p in paths}
-    mapping = {p: p for p in all_paths.values()}
-    for src_lit, tgt_lit in images.items():
-        try:
-            src, tgt = all_paths[src_lit.strip()], all_paths[tgt_lit.strip()]
-        except KeyError as exc:
-            raise ParseError(f"not a depth-{N} source path: {exc}") from exc
-        mapping[src] = tgt
-    values = list(mapping.values())
-    if len(set(values)) != len(values):
+    sources = set(b.sources())
+    steps = {}  # vertex -> {edge id: (ref, range)}, read once through _out_edges
+
+    def resolve(literal):
+        """The depth-N source path that ``format_path`` writes as ``literal``."""
+        lit = literal.strip()
+        start, colon, rest = lit.partition(":")
+        ids = rest.split(",") if rest else ()
+        refs, at = [], start
+        if colon and (N - len(ids), start) in sources:
+            for fid in ids:
+                if at not in steps:
+                    steps[at] = {ref[0]: (ref, r) for ref, r in _out_edges(g, (at,))[at]}
+                edge = steps[at].get(fid)
+                if edge is None:
+                    break
+                refs.append(edge[0])
+                at = edge[1]
+            else:
+                return FinitePath(start, tuple(refs), at)
+        raise ParseError(f"not a depth-{N} source path: {lit!r}")
+
+    # a key resolves before its value, so the first bad literal is the one named
+    mapping = {resolve(src): resolve(tgt) for src, tgt in images.items()}
+    if set(mapping.values()) != mapping.keys():
         raise ParseError("images do not form a permutation")
     try:
         return GammaElement(b, N, mapping)

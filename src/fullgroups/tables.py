@@ -283,7 +283,15 @@ def canonicalize(t: Table) -> Table:
 
 
 def is_identity(t: Table) -> bool:
-    return not canonicalize(t).pieces
+    """Whether the valid table ``t`` is the identity: no piece moves.
+
+    Under (L) a piece with ``mu != lam`` moves a point of its domain, which
+    is nonempty in a valid table.  If ``|mu| = |lam|``, the first edge where
+    the stems differ moves every point.  Otherwise ``mu z = lam z`` forces
+    ``lam = mu c`` (or the reverse) and ``z = c^inf``: a single point, which
+    is not open because the cycle ``c`` has an exit."""
+    _require_effective(t.graph)
+    return all(p.mu == p.lam for p in t.pieces)
 
 
 def germ_equal(s: Table, t: Table) -> bool:

@@ -145,6 +145,17 @@ def make_gamma24_diagram():
     )
 
 
+def make_doubling_diagram():
+    """Two fibers that double at each level: 2**(N-1) paths into u@N-1 and
+    into u2@N-1 at level N."""
+    return fg.BratteliDiagram(
+        levels=(("v0",), ("u", "u2"), ("u", "u2")),
+        edges=((("v0", "u"), ("v0", "u2")),
+               (("u", "u"), ("u", "u2"), ("u2", "u"), ("u2", "u2"))),
+        repeat=(1, 1),
+    )
+
+
 def path(g, start, *edges):
     """Path helper: single-family ids or (family, index) pairs."""
     refs = [e if isinstance(e, tuple) else (e, 1) for e in edges]
@@ -224,6 +235,14 @@ def random_diagram(rnd: random.Random):
         rnd.shuffle(eset)
         edges.append(eset)
     return fg.BratteliDiagram(levels, edges, repeat)
+
+
+def random_gamma_element(b, N, rnd: random.Random):
+    """A random permutation of each fiber at level N, given with its fixed paths."""
+    mapping = {}
+    for paths in b.fibers(N).values():
+        mapping.update(zip(paths, rnd.sample(paths, len(paths))))
+    return fg.GammaElement(b, N, mapping)
 
 
 def random_leveled_graph(rng: random.Random):

@@ -9,8 +9,11 @@ Bratteli fibers and extension that scanned the whole edge set of a level,
 named by the diagram, before it read names and out-edges from its
 underlying graph, and the checkers for (L), sinks and isolated points with
 one branch per graph class, before they read both classes through their
-template levels, and the table embedding into V that built each stem's
-image as a string and parsed it back, before the letter memo.
+template levels, the table embedding into V that built each stem's
+image as a string and parsed it back, before the letter memo, the Bratteli
+element reader that built every depth-N path and looked the file's literals
+up among their strings, the element order that composed until the identity,
+and the table identity test that built the whole canonical form.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
@@ -44,7 +47,8 @@ from fullgroups.embed import (
     require_admissible,
     word_of_path,
 )
-from fullgroups.errors import GraphError, TableError
+from fullgroups.bratteli import GammaElement
+from fullgroups.errors import GraphError, ParseError, TableError
 from fullgroups.graph import OMEGA, EdgeFamily, Verdict, _functional_cycle, _semi_tail_witness
 from fullgroups.pathspace import (
     CompactOpen,
@@ -54,10 +58,12 @@ from fullgroups.pathspace import (
     atom_intersect,
     atom_subtract,
     extend,
+    format_path,
 )
 from fullgroups.tables import (
     Piece,
     _require_effective,
+    canonicalize,
     codomain_atom,
     domain_atom,
     make_table,
@@ -650,6 +656,60 @@ def old_extend(el):
                 mapping[FinitePath(p.start, p.edges + (ref,), r)] = FinitePath(
                     q.start, q.edges + (ref,), r)
     return mapping
+
+
+# ---------------------------------------------------------------------------
+# Bratteli elements read and ordered through every depth-N path
+# ---------------------------------------------------------------------------
+
+
+def old_gamma_element_from_json(b, data):
+    """Builds every depth-N path and its literal, then looks the file's
+    literals up among them."""
+    if not isinstance(data, dict) or "level" not in data:
+        raise ParseError("element JSON needs 'level' and 'images'")
+    N = data["level"]
+    if type(N) is not int:
+        raise ParseError(f"bad level: {N!r} is not an integer")
+    images = data.get("images") or {}
+    if not (isinstance(images, dict) and all(isinstance(t, str) for t in images.values())):
+        raise ParseError("element 'images' must map path literals to path literals")
+    g = b.underlying_graph()
+    fibers = b.fibers(N)
+    all_paths = {format_path(g, p): p for paths in fibers.values() for p in paths}
+    mapping = {p: p for p in all_paths.values()}
+    for src_lit, tgt_lit in images.items():
+        try:
+            src, tgt = all_paths[src_lit.strip()], all_paths[tgt_lit.strip()]
+        except KeyError as exc:
+            raise ParseError(f"not a depth-{N} source path: {exc}") from exc
+        mapping[src] = tgt
+    values = list(mapping.values())
+    if len(set(values)) != len(values):
+        raise ParseError("images do not form a permutation")
+    try:
+        return GammaElement(b, N, mapping)
+    except GraphError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def old_order(el):
+    """Composes ``el`` with itself until the identity: order x moved paths."""
+    n = 1
+    acc = el
+    while not acc.is_identity():
+        acc = acc.compose(el)
+        n += 1
+    return n
+
+
+# ---------------------------------------------------------------------------
+# The identity test through the canonical form
+# ---------------------------------------------------------------------------
+
+
+def old_is_identity(t):
+    return not canonicalize(t).pieces
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -8,7 +9,14 @@ import pytest
 import fullgroups as fg
 from fullgroups.errors import AdmissibilityError, GraphError, ParseError
 
-from conftest import make_gamma2_diagram, make_gamma24_diagram, random_diagram
+from conftest import (
+    make_doubling_diagram,
+    make_gamma2_diagram,
+    make_gamma24_diagram,
+    random_diagram,
+    random_gamma_element,
+)
+from pairwise_reference import old_gamma_element_from_json, old_order
 
 
 def brute_force_order(b, N):
@@ -153,8 +161,9 @@ class TestGammaGroups:
         for b, N in ((make_gamma2_diagram(), 1), (make_gamma2_diagram(), 2),
                      (make_gamma24_diagram(), 2), (three_fibers, 1)):
             fibers = [paths for _, paths in sorted(b.fibers(N).items())]
-            want = [
-                {p: q for paths, perm in zip(fibers, combo) for p, q in zip(paths, perm)}
+            want = [  # the paths each permutation moves
+                {p: q for paths, perm in zip(fibers, combo) for p, q in zip(paths, perm)
+                 if p != q}
                 for combo in itertools.product(*(itertools.permutations(ps) for ps in fibers))
             ]
             got = [el.mapping for el in b.gamma_elements(N)]
@@ -172,6 +181,99 @@ class TestGammaGroups:
             tracemalloc.stop()
         assert el.is_identity()
         assert peak < 1_000_000
+
+
+def _levels(b):
+    return range(len(b.levels)) if b.repeat is None else range(7)
+
+
+class TestBoundedOrder:
+    def test_refuses_an_order_past_the_digit_limit(self):
+        b = make_doubling_diagram()
+        assert b.gamma_order(10) == math.factorial(512) ** 2
+        start = time.perf_counter()
+        for N in (11, 40):
+            with pytest.raises(GraphError, match=rf"^the order at level {N} has more "
+                                                 r"than 4300 decimal digits$"):
+                b.gamma_order(N)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("k, refused", [(2, False), (3, True), (4, True), (5, True)])
+    def test_the_limit_is_exact(self, k, refused):
+        # 1558! has 4300 digits; with k! beside it the estimate passes the
+        # limit by more than a digit only from k = 5, so k = 3 and 4 are
+        # refused by the product itself
+        b = fg.BratteliDiagram(levels=(("v0",), ("x", "y")),
+                               edges=((("v0", "x"),) * 1558 + (("v0", "y"),) * k,),
+                               repeat=None)
+        if refused:
+            with pytest.raises(GraphError, match="has more than 4300 decimal digits"):
+                b.gamma_order(1)
+        else:
+            assert b.gamma_order(1) == math.factorial(1558) * 2
+
+
+class TestNormalForm:
+    """An element holds exactly the paths it moves, however it was built."""
+
+    def test_identities_built_differently_are_equal(self):
+        b = make_gamma2_diagram()
+        empty = fg.GammaElement(b, 1, {})
+        first = next(b.gamma_elements(1))
+        t = next(e for e in b.gamma_elements(1) if not e.is_identity())
+        for ident in (first, t.compose(t), t.inverse().compose(t)):
+            assert ident == empty and hash(ident) == hash(empty)
+            assert ident.mapping == {} and ident.is_identity()
+        assert t.compose(t.compose(t)) == t and hash(t.compose(t.compose(t))) == hash(t)
+
+    def test_mapping_holds_moved_paths_only(self):
+        for seed in range(20):
+            rnd = random.Random(seed)
+            b = random_diagram(rnd)
+            g = b.underlying_graph()
+            for N in _levels(b):
+                s, t = random_gamma_element(b, N, rnd), random_gamma_element(b, N, rnd)
+                images = {fg.format_path(g, p): fg.format_path(g, p)
+                          for paths in b.fibers(N).values() for p in paths}
+                images.update({fg.format_path(g, p): fg.format_path(g, q)
+                               for p, q in s.mapping.items()})
+                read = fg.gamma_element_from_json(b, {"level": N, "images": images})
+                els = [s, t, s.compose(t), s.inverse(), read,
+                       *itertools.islice(b.gamma_elements(N), 40)]
+                if b.repeat is not None:
+                    els.append(s.extend())
+                for el in els:
+                    assert all(p != q for p, q in el.mapping.items())
+                assert read == s and hash(read) == hash(s)
+
+    def test_order_is_the_lcm_of_the_cycle_lengths(self):
+        checked = 0
+        for seed in range(60):
+            rnd = random.Random(seed)
+            b = random_diagram(rnd)
+            for N in _levels(b):
+                # the reference composes order x moved paths: keep both small
+                if sum(map(len, b.fibers(N).values())) <= 30:
+                    el = random_gamma_element(b, N, rnd)
+                    assert el.order() == old_order(el)
+                    checked += el.order() > 2
+        assert checked > 20
+
+    def test_order_does_not_compose(self, monkeypatch):
+        b = fg.BratteliDiagram(levels=(("v0",), ("z",)), edges=((("v0", "z"),) * 17,),
+                               repeat=None)
+        paths = b.fibers(1)["z"]
+        mapping = {}
+        for cycle in (paths[0:2], paths[2:5], paths[5:10], paths[10:17]):
+            mapping.update(zip(cycle, cycle[1:] + cycle[:1]))
+        el = fg.GammaElement(b, 1, mapping)
+
+        def refuse(*args):
+            raise AssertionError("order() composed")
+
+        monkeypatch.setattr(fg.GammaElement, "compose", refuse)
+        assert el.order() == 210
+        assert fg.GammaElement(b, 1, {}).order() == 1
 
 
 class TestGammaToTable:
@@ -266,3 +368,78 @@ class TestElementJson:
         with pytest.raises(ParseError):
             fg.gamma_element_from_json(
                 b, {"level": 1, "images": {paths[0]: paths[1]}})
+
+    def test_reads_no_fiber(self, monkeypatch):
+        b = make_gamma24_diagram()
+        g = b.underlying_graph()
+        want = {N: random_gamma_element(b, N, random.Random(N)) for N in range(5)}
+        images = {N: {fg.format_path(g, p): fg.format_path(g, q)
+                      for p, q in el.mapping.items()} for N, el in want.items()}
+        monkeypatch.setattr(fg.BratteliDiagram, "fibers", None)
+        for N, el in want.items():
+            assert fg.gamma_element_from_json(b, {"level": N, "images": images[N]}) == el
+        assert sum(map(len, images.values())) > 20
+
+    def test_matches_the_dense_reader(self):
+        def outcome(reader, b, data):
+            try:
+                return reader(b, data).mapping
+            except (GraphError, ParseError) as exc:
+                return type(exc), str(exc)
+
+        seen = set()
+        for seed in range(40):
+            rnd = random.Random(seed)
+            b = random_diagram(rnd)
+            g = b.underlying_graph()
+            non_sources = sorted(set(g.vertices) - {name for _, name in b.sources()}
+                                 if g.is_finite else ())
+            for N in range(len(b.levels) + 1 if b.repeat is None else 7):
+                if b.repeat is None and N == len(b.levels):  # not declared
+                    data = {"level": N, "images": {}}
+                    got = outcome(fg.gamma_element_from_json, b, data)
+                    assert got == outcome(old_gamma_element_from_json, b, data)
+                    assert got == (GraphError, f"level {N} is not declared")
+                    continue
+                paths = [p for ps in b.fibers(N).values() for p in ps]
+                others = [p for n in (N - 1, N + 1) if n >= 0 and (
+                    b.repeat is not None or n < len(b.levels))
+                          for ps in b.fibers(n).values() for p in ps]
+                for _ in range(5):
+                    el = random_gamma_element(b, N, rnd)
+                    images = {fg.format_path(g, p): fg.format_path(g, q)
+                              for p, q in el.mapping.items()}
+                    p, q = rnd.choice(paths), rnd.choice(paths)
+                    lit = fg.format_path(g, p)
+                    kind = rnd.choice(["whole", "fixed", "padded", "inner space", "depth",
+                                       "start", "colon", "comma", "id", "one-way",
+                                       "range"])
+                    seen.add(kind)
+                    if kind == "fixed":
+                        images[lit] = lit
+                    elif kind == "padded":
+                        images = {f" {k}\n": f"\t{v} " for k, v in images.items()}
+                    elif kind == "inner space":
+                        images[lit.replace(":", rnd.choice([" :", ": "]))
+                               .replace(",", rnd.choice([" ,", ", "]))] = lit
+                    elif kind == "depth" and others:
+                        images[fg.format_path(g, rnd.choice(others))] = lit
+                    elif kind == "start":
+                        other = rnd.choice(non_sources or [p.rng])
+                        images[lit] = other + lit[len(p.start):]
+                    elif kind == "colon":
+                        images[lit.replace(":", "", 1)] = lit
+                    elif kind == "comma":
+                        images[lit + ","] = lit
+                    elif kind == "id":
+                        images[lit] = lit + ("," if p.edges else "") + "zz"
+                    elif kind == "one-way" and p != q:
+                        images = {lit: fg.format_path(g, q)}
+                    elif kind == "range":
+                        images[lit], images[fg.format_path(g, q)] = (
+                            fg.format_path(g, q), lit)
+                    data = {"level": N, "images": images}
+                    got = outcome(fg.gamma_element_from_json, b, data)
+                    assert got == outcome(old_gamma_element_from_json, b, data)
+                    seen.add(got[1][:9] if isinstance(got, tuple) else "read")
+        assert {"read", "not a dep", "images do", "permutati"} <= seen

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 import fullgroups as fg
 from fullgroups.errors import GraphError, ParseError
 
-from conftest import make_gamma2_diagram, make_gamma24_diagram, random_diagram
+from conftest import (
+    make_gamma2_diagram, make_gamma24_diagram, random_diagram, random_gamma_element,
+)
 from pairwise_reference import old_extend, old_fibers
 
 MAX_LEVEL = 5
@@ -18,13 +20,6 @@ MAX_LEVEL = 5
 
 def _levels(b):
     return range(min(MAX_LEVEL, len(b.levels) - 1) + 1 if b.repeat is None else MAX_LEVEL + 1)
-
-
-def _random_element(b, N, rnd):
-    mapping = {}
-    for paths in b.fibers(N).values():
-        mapping.update(zip(paths, rnd.sample(paths, len(paths))))
-    return fg.GammaElement(b, N, mapping)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -35,7 +30,7 @@ def test_fibers_and_extend_match_the_edge_set_scan(seed):
     for N in _levels(b):
         got, want = b.fibers(N), old_fibers(b, N)
         assert list(got.items()) == list(want.items())
-        el = _random_element(b, N, rnd)
+        el = random_gamma_element(b, N, rnd)
         if b.repeat is None and N == len(b.levels) - 1:
             with pytest.raises(GraphError):
                 el.extend()
@@ -55,7 +50,9 @@ def test_one_out_families_call_per_range_vertex_and_level(b, monkeypatch):
     b.fibers(6)
     # vertex names differ from level to level, so a repeat is a second call
     assert calls and max(collections.Counter(calls).values()) == 1
-    el = next(b.gamma_elements(5))
+    # rotate every fiber, so each path in a fiber of two or more moves
+    el = fg.GammaElement(b, 5, {p: paths[i - 1] for paths in b.fibers(5).values()
+                                for i, p in enumerate(paths)})
     calls.clear()
     el.extend()
     assert sorted(calls) == sorted({p.rng for p in el.mapping})

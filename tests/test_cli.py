@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,6 +13,7 @@ import fullgroups as fg
 from fullgroups.cli import main
 
 from conftest import (
+    make_doubling_diagram,
     make_e2,
     make_e_inf,
     make_gamma2_diagram,
@@ -302,6 +305,39 @@ class TestBratteli:
         assert (code, err) == (0, "")
         vt = fg.table_from_json(fg.E2, json.loads(out))
         assert not fg.is_identity(vt) and fg.is_identity(fg.compose(vt, vt))
+
+
+class TestBratteliBounds:
+    def test_order_past_the_digit_limit_is_refused(self, tmp_path):
+        diagram = tmp_path / "doubling.bratteli"
+        diagram.write_text(json.dumps(fg.bratteli_to_json(make_doubling_diagram())))
+        code, out, err = _run_cli(["bratteli-order", str(diagram), "--level", "11"])
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == {
+            "code": "bad-graph",
+            "message": "the order at level 11 has more than 4300 decimal digits"}
+        code, out, err = _run_cli(["bratteli-order", str(diagram), "--level", "10"])
+        assert (code, err) == (0, "")
+        # two fibers of 2**9 paths each
+        assert out == '{\n  "order": ' + str(math.factorial(512) ** 2) + "\n}\n"
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["identity", "two-cycle"])
+    def test_embed_deep_element_without_building_the_fibers(self, tmp_path, moved):
+        diagram = tmp_path / "doubling.bratteli"
+        diagram.write_text(json.dumps(fg.bratteli_to_json(make_doubling_diagram())))
+        # two of the 2**39 level-40 paths into u@39
+        tail = ",".join(f"e2_1@{k}" for k in range(1, 39))
+        p, q = f"v0:e1_1,e2_1@0,{tail}", f"v0:e1_2,e2_3@0,{tail}"
+        element = tmp_path / "el.json"
+        element.write_text(json.dumps({"level": 40, "images": {p: q, q: p} if moved else {}}))
+        start = time.perf_counter()
+        code, out, err = _run_cli(["bratteli-embed", str(diagram), "--element", str(element)])
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        vt = fg.table_from_json(fg.E2, json.loads(out))
+        assert fg.is_identity(vt) != moved
+        assert fg.is_identity(fg.compose(vt, vt))
 
 
 class TestHashSeed:

@@ -36,6 +36,7 @@ from pairwise_reference import (
     old_co_make,
     old_co_subtract,
     old_compose,
+    old_is_identity,
     old_table_image,
     old_validate_table,
     path_sort_key,
@@ -687,6 +688,8 @@ class TestCanonicalize:
             fg.canonicalize(t)
         with pytest.raises(GermError):
             fg.support(t)
+        with pytest.raises(GermError):
+            fg.is_identity(t)
         # construction, application and composition still work without exits
         st = fg.compose(t, t)
         ainf = fg.periodic_point(g, fg.trivial_path(g, "v"), path(g, "v", "a"))
@@ -806,6 +809,50 @@ class TestGermEqual:
         ])
         assert fg.germ_equal(s, refined)
         assert not fg.germ_equal(s, baker_table(e2))
+
+
+_EFFECTIVE = [g for g in _GRAPHS + [random_graph(random.Random(k)) for k in range(100)]
+              if g._effective]
+
+
+@st.composite
+def _padded_tables(draw, g):
+    """The whole space covered by identity pieces and refined, then two of
+    its pieces of one range and one exclusion set exchanged, if any."""
+    whole = fg.make_table(g, [(fg.trivial_path(g, v), frozenset(), fg.trivial_path(g, v))
+                              for v in g.vertices])
+    pieces = list(draw(_refined_copy(whole)).pieces)
+    pairs = [(i, j) for i, p in enumerate(pieces) for j, q in enumerate(pieces[:i])
+             if p.lam.rng == q.lam.rng and p.F == q.F]
+    if pairs and draw(st.booleans()):
+        i, j = draw(st.sampled_from(pairs))
+        p, q = pieces[i], pieces[j]
+        pieces[i], pieces[j] = fg.Piece(q.mu, p.F, p.lam), fg.Piece(p.mu, q.F, q.lam)
+    return fg.make_table(g, pieces)
+
+
+class TestIsIdentity:
+    """A valid table is the identity exactly when no piece moves its stem."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(_EFFECTIVE).flatmap(
+        lambda g: st.tuples(_random_tables(g), _random_tables(g), _padded_tables(g)))
+           .flatmap(lambda case: st.tuples(st.just(case), _refined_copy(case[0]))))
+    def test_matches_the_canonical_form(self, case):
+        (s, t, padded), refined = case
+        for x in (s, refined, padded, fg.compose(s, t), fg.commutator(s, t),
+                  fg.compose(s, fg.inverse(s)), fg.compose(refined, fg.inverse(s))):
+            assert fg.is_identity(x) == old_is_identity(x)
+        assert fg.is_identity(fg.compose(s, fg.inverse(s)))
+
+    def test_builds_no_canonical_form(self, e2, monkeypatch):
+        swap, baker = swap_table(e2), baker_table(e2)
+        monkeypatch.setattr(tables, "canonicalize", None)
+        assert fg.is_identity(fg.identity(e2))
+        assert fg.is_identity(fg.make_table(e2, [(path(e2, "v", "a"), frozenset(),
+                                                  path(e2, "v", "a"))]))
+        assert not fg.is_identity(swap) and not fg.is_identity(baker)
+        assert fg.germ_equal(swap, swap) and not fg.germ_equal(swap, baker)
 
 
 class TestSupport:
