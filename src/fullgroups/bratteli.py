@@ -141,7 +141,10 @@ class BratteliDiagram:
         but without building them: a vertex's count is the sum of the counts
         of the sources of its in-edges, plus one at a source.  An answer of
         more than ``MAX_ORDER_DIGITS`` decimal digits is refused; its length
-        is estimated from the sizes first, so a huge one is never formed."""
+        is estimated from the sizes first, so a huge one is never formed.
+        A repeating diagram has no sink, so every path extends and the
+        product never shrinks from one level to the next: it is refused at
+        the first level whose estimate passes the limit."""
         by_level = self._sources_by_level(N)
         counts = dict.fromkeys(by_level.get(0, ()), 1)
         for lev in range(1, N + 1):
@@ -153,9 +156,9 @@ class BratteliDiagram:
             for name in by_level.get(lev, ()):
                 below[name] = below.get(name, 0) + 1
             counts = below
-        # lgamma takes a float; a fiber of 10**9 paths alone passes the limit
-        digits = sum(math.lgamma(min(c, 10**9) + 1) for c in counts.values())
-        if digits / math.log(10) <= MAX_ORDER_DIGITS + 1:
+            if (self.repeat is not None or lev == N) and _too_long(counts):
+                break
+        else:
             order = math.prod(map(math.factorial, counts.values()))
             if order < 10 ** MAX_ORDER_DIGITS:
                 return order
@@ -199,6 +202,20 @@ def _underlying(b: BratteliDiagram):
     return LeveledGraph(b.levels[:f], b.levels[f:f + p], base, block)
 
 
+# the largest total T whose T! the estimate below keeps within the limit
+_SMALL_TOTAL = 1558
+
+
+def _too_long(counts) -> bool:
+    """The product of the factorials of ``counts``, at most T! for their
+    total T, surely has more than ``MAX_ORDER_DIGITS`` decimal digits."""
+    if sum(counts.values()) <= _SMALL_TOTAL:
+        return False
+    # lgamma takes a float; a fiber of 10**9 paths alone passes the limit
+    digits = sum(math.lgamma(min(c, 10**9) + 1) for c in counts.values())
+    return digits / math.log(10) > MAX_ORDER_DIGITS + 1
+
+
 def _out_edges(g, vertices):
     """``(ref, range)`` of each out-edge of each of ``vertices``: one
     ``out_families`` call per distinct vertex, not one per path."""
@@ -220,6 +237,8 @@ class GammaElement:
 
     def __post_init__(self):
         moved = {p: q for p, q in self.mapping.items() if p != q}
+        if set(moved.values()) != moved.keys():
+            raise GraphError("images do not form a permutation")
         if any(p.rng != q.rng for p, q in moved.items()):
             raise GraphError("permutation must preserve the range vertex")
         object.__setattr__(self, "mapping", moved)
@@ -357,8 +376,6 @@ def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
 
     # a key resolves before its value, so the first bad literal is the one named
     mapping = {resolve(src): resolve(tgt) for src, tgt in images.items()}
-    if set(mapping.values()) != mapping.keys():
-        raise ParseError("images do not form a permutation")
     try:
         return GammaElement(b, N, mapping)
     except GraphError as exc:

@@ -115,23 +115,26 @@ class _GraphBase:
             raise GraphError(f"single family {fid!r} has no edge #{idx}")
         return fam
 
+    def _isolated(self):
+        """``(isolated_point_witnesses, (L) holds, why the embedding into V
+        does not apply or None)``, from one ``_isolated_points`` walk."""
+        found = self._verdicts.get("isolated")
+        if found is None:
+            wits = _isolated_points(self)
+            kinds = [w["kind"] for w in wits]
+            found = self._verdicts["isolated"] = (
+                wits, "exitless-cycle" not in kinds, _FAILURE[kinds[0]] if kinds else None)
+        return found
+
     @property
     def _effective(self) -> bool:
         """Condition (L): the germ calculus needs it."""
-        if "L" not in self._verdicts:
-            self._verdicts["L"] = check_condition_L(self).holds
-        return self._verdicts["L"]
+        return self._isolated()[1]
 
     @property
     def _admissibility_failure(self):
         """Why the embedding into V does not apply, or None."""
-        if "admissible" not in self._verdicts:
-            self._verdicts["admissible"] = (
-                "graph has a sink" if has_sinks(self)
-                else "graph has an exitless cycle" if not self._effective
-                else "graph has a semi-tail" if has_semi_tails(self)
-                else None)
-        return self._verdicts["admissible"]
+        return self._isolated()[2]
 
 
 class Graph(_GraphBase):
@@ -194,6 +197,12 @@ class Graph(_GraphBase):
 
     def _template_levels(self):
         return (self.vertices,)
+
+    def _template_of(self, name: str) -> str:
+        return name
+
+    def _block_templates(self):
+        return ()
 
     def __repr__(self):
         return f"Graph(vertices={list(self.vertices)}, families={len(self.families)})"
@@ -462,6 +471,14 @@ class LeveledGraph(_GraphBase):
     def _template_levels(self):
         return tuple(map(self.level_vertex_names, range(self._nbase + self._period)))
 
+    def _template_of(self, name: str) -> str:
+        """The vertex of ``_template_levels`` that ``name`` repeats."""
+        level, pos = self.resolve_vertex(name)
+        return self._instantiate(self._canon(level), self._level_vertices(level)[pos])
+
+    def _block_templates(self):
+        return tuple(itertools.chain.from_iterable(self._template_levels()[self._nbase:]))
+
     def _resolve(self, name: str, base: dict, block: dict, patterns):
         """Parse an instantiated name back to ``(level, payload)``: ``base``
         maps base names, ``block`` plain block stems (to their block level
@@ -602,19 +619,8 @@ def reaches(g, v: str, w: str) -> bool:
     for name in (v, w):
         if not g.has_vertex(name):
             raise _unknown_vertex(name)
-    if v == w:
-        return True
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for f in g.out_families(u):
-            if f.range == w:
-                return True
-            if f.range not in seen:
-                seen.add(f.range)
-                stack.append(f.range)
-    return False
+    c = g._condensation
+    return bool(c.reach_of(v) & c.bit(w))
 
 
 class _Condensation:
@@ -777,48 +783,10 @@ def count_paths_capped(g, v: str, w: str, cap: int):
 # ---------------------------------------------------------------------------
 
 
-def _functional_cycle(next_map: dict):
-    """Find a cycle in a partial functional graph; returns vertex list or None."""
-    color = {}
-    for start in next_map:
-        if start in color:
-            continue
-        path = []
-        u = start
-        while u in next_map and color.get(u) is None:
-            color[u] = "active"
-            path.append(u)
-            u = next_map[u]
-        if u in next_map and color.get(u) == "active":
-            return path[path.index(u):]
-        for x in path:
-            color[x] = "done"
-    return None
-
-
-def _exitless_cycle(g):
-    """An exitless cycle as ``{"start", "cycle"}`` (its family ids), or None.
-
-    Such a cycle runs through vertices with one single out-family.  On a
-    leveled graph it stays on one level, so a walk that leaves the level
-    ends there, and the template levels stand for all the others."""
-    for level in g._template_levels():
-        next_map, via = {}, {}
-        for v in level:
-            fams = g.out_families(v)
-            if len(fams) == 1 and not fams[0].is_omega:
-                next_map[v] = fams[0].range
-                via[v] = fams[0].id
-        cyc = _functional_cycle(next_map)
-        if cyc is not None:
-            return {"start": cyc[0], "cycle": [via[u] for u in cyc]}
-    return None
-
-
 def check_condition_L(g) -> Verdict:
     """Every cycle has an exit; witness is an exitless cycle."""
-    w = _exitless_cycle(g)
-    return Verdict(w is None, w)
+    w = next((w for w in g._isolated()[0] if w["kind"] == "exitless-cycle"), None)
+    return Verdict(w is None, w and {"start": w["start"], "cycle": list(w["cycle"])})
 
 
 def check_condition_K(g) -> Verdict:
@@ -970,57 +938,68 @@ def check_strongly_connected(g) -> Verdict:
     return Verdict(pair is None, pair)
 
 
-def _sinks(g):
-    return [v for level in g._template_levels() for v in level if g.is_sink(v)]
+def _cycles(step: dict):
+    """Every cycle of the partial function ``step``, as a vertex list from
+    the vertex where the walks from its keys, in order, first meet it."""
+    seen = set()
+    for u in step:
+        on = {}  # vertex -> position on this walk
+        while u in step and u not in seen:
+            seen.add(u)
+            on[u] = len(on)
+            u = step[u]
+        if u in on:
+            walk = list(on)
+            yield walk[on[u]:]
+
+
+def _isolated_points(g):
+    """Every sink, the first exitless cycle, then the first semi-tail, from
+    one walk of the template levels.
+
+    A template vertex with exactly one single out-family steps to the
+    template of its range; the step leaves when the range is off its level.
+    The exitless cycle is the first cycle of steps that stay, in
+    template-level order.  The semi-tail is the first cycle of the block's
+    steps that leaves a level, not necessarily the block's first cycle.  A
+    ``Graph`` is one level with no block, so it has no semi-tail."""
+    out, step, via, leaves = [], {}, {}, set()
+    for level in g._template_levels():
+        here = set(level)
+        for v in level:
+            fams = g.out_families(v)
+            if not fams:
+                out.append({"kind": "sink", "vertex": v})
+            elif len(fams) == 1 and not fams[0].is_omega:
+                step[v], via[v] = g._template_of(fams[0].range), fams[0].id
+                if fams[0].range not in here:
+                    leaves.add(v)
+    stay = {v: w for v, w in step.items() if v not in leaves}
+    block = {v: step[v] for v in g._block_templates() if v in step}
+    exitless = next(_cycles(stay), None)
+    semi_tail = next((c for c in _cycles(block) if leaves.intersection(c)), None)
+    for kind, cyc in (("exitless-cycle", exitless), ("semi-tail", semi_tail)):
+        if cyc is not None:
+            out.append({"kind": kind, "start": cyc[0], "cycle": [via[u] for u in cyc]})
+    return out
+
+
+_FAILURE = {"sink": "graph has a sink", "exitless-cycle": "graph has an exitless cycle",
+            "semi-tail": "graph has a semi-tail"}
 
 
 def has_sinks(g) -> bool:
-    return bool(_sinks(g))
-
-
-def _semi_tail_witness(g):
-    """Cycle in the out-degree-1 level-quotient of the repeating block; a
-    finite graph has none."""
-    if g.is_finite:
-        return None
-    p = g._period
-    next_map, via = {}, {}
-    for r in range(p):
-        level = g._nbase + r
-        for n in g.level_vertex_names(level):
-            fams = g.out_families(n)
-            if len(fams) != 1:
-                continue
-            tgt = fams[0].range
-            tgt_level, tgt_pos = g.resolve_vertex(tgt)
-            key = (r, g.resolve_vertex(n)[1])
-            tkey = ((tgt_level - g._nbase) % p, tgt_pos)
-            next_map[key] = (tkey, tgt_level - level)
-            via[key] = fams[0].id
-    flat = {k: v[0] for k, v in next_map.items()}
-    cyc = _functional_cycle(flat)
-    if cyc is None:
-        return None
-    if all(next_map[k][1] == 0 for k in cyc):
-        return None  # genuine cycle inside one level: exitless cycle, not a semi-tail
-    start = g.level_vertex_names(g._nbase + cyc[0][0])[cyc[0][1]]
-    return {"start": start, "cycle": [via[k] for k in cyc]}
+    return any(w["kind"] == "sink" for w in g._isolated()[0])
 
 
 def has_semi_tails(g) -> bool:
-    return _semi_tail_witness(g) is not None
+    return any(w["kind"] == "semi-tail" for w in g._isolated()[0])
 
 
 def isolated_point_witnesses(g):
-    """Sinks, exitless cycles and (leveled graphs) semi-tails."""
-    out = [{"kind": "sink", "vertex": v} for v in _sinks(g)]
-    w = _exitless_cycle(g)
-    if w is not None:
-        out.append({"kind": "exitless-cycle", **w})
-    w = _semi_tail_witness(g)
-    if w is not None:
-        out.append({"kind": "semi-tail", **w})
-    return out
+    """Fresh copies of the records ``_isolated_points`` found."""
+    return [{k: list(x) if k == "cycle" else x for k, x in w.items()}
+            for w in g._isolated()[0]]
 
 
 def condition_report(g) -> dict:

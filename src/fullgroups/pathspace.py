@@ -88,16 +88,17 @@ def _out_refs(g, vertex: str):
     return frozenset((f.id, 1) for f in g.out_singles(vertex))
 
 
-def _excludes_all(g, v: str, F) -> bool:
-    """``Z(mu \\ F)`` is empty for a stem ``mu`` ending at ``v``.  ``F`` holds
-    only edges out of ``v``: it excludes all of them when it has as many as
-    the out-degree, which is infinite at an omega vertex."""
-    return bool(F) and len(F) == g.out_degree(v)
+def _every_branch(g, v: str, edges) -> bool:
+    """The distinct ``edges`` out of ``v`` are every branch at ``v``, so
+    ``Z(mu \\ edges)`` is empty for a stem ``mu`` ending at ``v``: ``v`` is
+    regular (a singular vertex has the stem itself as one more branch) and
+    they number its out-degree."""
+    return bool(edges) and len(edges) == g.out_degree(v)
 
 
 def _atom_or_none(g, mu: FinitePath, F: frozenset) -> CylinderAtom | None:
     """Atom constructor that returns None instead of an empty atom."""
-    return None if _excludes_all(g, mu.rng, F) else CylinderAtom(mu, F)
+    return None if _every_branch(g, mu.rng, F) else CylinderAtom(mu, F)
 
 
 def atom(g, mu: FinitePath, F=frozenset()) -> CylinderAtom:
@@ -224,7 +225,7 @@ def _parts(g, report, stems, Fs):
             for i in h0:
                 for j in h1:
                     F = F0[i] | F1[j]
-                    if not _excludes_all(g, v, F):
+                    if not _every_branch(g, v, F):
                         report(i, j, start, w, v, F)
             left = [(0, i, F0[i]) for i in h0 if c1 is None]
             left += [(1, j, F1[j]) for j in h1 if c2 is None]
@@ -250,7 +251,7 @@ def _cut(g, w, v, F, Fs, subs, kids, k, opens, i, limit=_NO_ID):
     leave the plain children they all exclude; else it excludes the branches
     with subtrahends below.  Any order of subtraction gives these parts.
     """
-    meet = [Fs[j] for j in subs if not _excludes_all(g, v, F | Fs[j])]
+    meet = [Fs[j] for j in subs if not _every_branch(g, v, F | Fs[j])]
     least = 4 + k
     if meet:
         parts = []
@@ -264,7 +265,7 @@ def _cut(g, w, v, F, Fs, subs, kids, k, opens, i, limit=_NO_ID):
     below = [e for e, kid in kids.items() if kid[least] < limit and e not in F]
     opens.update(dict.fromkeys(below, i))
     F = F.union(below)
-    return [] if _excludes_all(g, v, F) else [(w, v, F)]
+    return [] if _every_branch(g, v, F) else [(w, v, F)]
 
 
 def _holder(c, held, Fs, e):
@@ -338,7 +339,7 @@ def _merge_atoms(g, atoms) -> CompactOpen:
             (merged if a.F else plain).append(a)
         for (start, edges), sibs in kids.items():
             w = g.ref_source(sibs[0].mu.edges[-1])
-            if g.is_regular(w) and len(sibs) == len(g.out_singles(w)):
+            if _every_branch(g, w, sibs):
                 plain.append(CylinderAtom(FinitePath(start, edges, w), frozenset()))
             else:
                 merged.extend(sibs)

@@ -23,6 +23,7 @@ from .pathspace import (
     CompactOpen,
     CylinderAtom,
     FinitePath,
+    _every_branch,
     _in_atom_order,
     _merge_atoms,
     _out_refs,
@@ -145,7 +146,7 @@ def validate_table(t: Table) -> None:
                 stack.append((kid, dc, cc))
             if (dc is None) != (cc is None) and not differ:
                 v = g.ref_source(next(iter(kids)))
-                differ = g.is_singular(v) or len(kids) < g.out_degree(v)
+                differ = not _every_branch(g, v, kids)
             continue
         excluded = {e for i in dom + cod for e in pieces[i].F}
         for e in excluded:
@@ -157,13 +158,13 @@ def validate_table(t: Table) -> None:
                 differ = True
         if excluded:
             v = pieces[(dom or cod)[0]].mu.rng
-            if not (g.is_singular(v) or len(excluded) < g.out_degree(v)):
+            if _every_branch(g, v, excluded):
                 continue  # no branch that every atom here holds
         d, k = _cover(dc, dom, 0, overlaps), _cover(cc, cod, 1, overlaps)
         stack.extend((kid, d, k) for e, kid in kids.items() if e not in excluded)
         if (d is None) != (k is None) and not differ:
             v = pieces[(dom or cod)[0]].mu.rng
-            differ = g.is_singular(v) or len(excluded.union(kids)) < g.out_degree(v)
+            differ = not _every_branch(g, v, excluded.union(kids))
     if overlaps:
         raise TableError(f"overlapping {('domain', 'codomain')[min(overlaps)[2]]} atoms")
     if differ:

@@ -9,7 +9,9 @@ Bratteli fibers and extension that scanned the whole edge set of a level,
 named by the diagram, before it read names and out-edges from its
 underlying graph, and the checkers for (L), sinks and isolated points with
 one branch per graph class, before they read both classes through their
-template levels, the table embedding into V that built each stem's
+template levels (the semi-tail search among them read only the first cycle
+of the block), the reachability search that the condensation replaced,
+the table embedding into V that built each stem's
 image as a string and parsed it back, before the letter memo, the Bratteli
 element reader that built every depth-N path and looked the file's literals
 up among their strings, the element order that composed until the identity,
@@ -49,7 +51,7 @@ from fullgroups.embed import (
 )
 from fullgroups.bratteli import GammaElement
 from fullgroups.errors import GraphError, ParseError, TableError
-from fullgroups.graph import OMEGA, EdgeFamily, Verdict, _functional_cycle, _semi_tail_witness
+from fullgroups.graph import OMEGA, EdgeFamily, Verdict
 from fullgroups.pathspace import (
     CompactOpen,
     CylinderAtom,
@@ -717,6 +719,56 @@ def old_is_identity(t):
 # ---------------------------------------------------------------------------
 
 
+def _functional_cycle(next_map: dict):
+    """Find a cycle in a partial functional graph; returns vertex list or None."""
+    color = {}
+    for start in next_map:
+        if start in color:
+            continue
+        path = []
+        u = start
+        while u in next_map and color.get(u) is None:
+            color[u] = "active"
+            path.append(u)
+            u = next_map[u]
+        if u in next_map and color.get(u) == "active":
+            return path[path.index(u):]
+        for x in path:
+            color[x] = "done"
+    return None
+
+
+# It reads only the first cycle found, so an exitless cycle found first
+# hides a semi-tail.
+def _semi_tail_witness(g):
+    """Cycle in the out-degree-1 level-quotient of the repeating block; a
+    finite graph has none."""
+    if g.is_finite:
+        return None
+    p = g._period
+    next_map, via = {}, {}
+    for r in range(p):
+        level = g._nbase + r
+        for n in g.level_vertex_names(level):
+            fams = g.out_families(n)
+            if len(fams) != 1:
+                continue
+            tgt = fams[0].range
+            tgt_level, tgt_pos = g.resolve_vertex(tgt)
+            key = (r, g.resolve_vertex(n)[1])
+            tkey = ((tgt_level - g._nbase) % p, tgt_pos)
+            next_map[key] = (tkey, tgt_level - level)
+            via[key] = fams[0].id
+    flat = {k: v[0] for k, v in next_map.items()}
+    cyc = _functional_cycle(flat)
+    if cyc is None:
+        return None
+    if all(next_map[k][1] == 0 for k in cyc):
+        return None  # genuine cycle inside one level: exitless cycle, not a semi-tail
+    start = g.level_vertex_names(g._nbase + cyc[0][0])[cyc[0][1]]
+    return {"start": start, "cycle": [via[k] for k in cyc]}
+
+
 def _old_exitless_cycle_finite(g):
     next_map = {}
     via = {}
@@ -749,6 +801,23 @@ def old_check_condition_L(g):
         if cyc is not None:
             return Verdict(False, {"start": cyc[0], "cycle": [via[u] for u in cyc]})
     return Verdict(True)
+
+
+def old_reaches(g, v, w):
+    """Reachability by its own depth-first search."""
+    if v == w:
+        return True
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for f in g.out_families(u):
+            if f.range == w:
+                return True
+            if f.range not in seen:
+                seen.add(f.range)
+                stack.append(f.range)
+    return False
 
 
 def old_has_sinks(g):

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import fullgroups as fg
+from fullgroups.bratteli import _SMALL_TOTAL, MAX_ORDER_DIGITS
 from fullgroups.errors import AdmissibilityError, GraphError, ParseError
 
 from conftest import (
@@ -198,6 +199,25 @@ class TestBoundedOrder:
                 b.gamma_order(N)
         assert time.perf_counter() - start < 1
 
+    def test_a_repeating_diagram_is_refused_at_the_first_long_level(self):
+        # no sink, so the product never shrinks: level 11 already passes
+        b = make_doubling_diagram()
+        start = time.perf_counter()
+        for N in (100_000, 10**20):
+            with pytest.raises(GraphError, match=rf"^the order at level {N} has more "):
+                b.gamma_order(N)
+        assert time.perf_counter() - start < 1
+
+    def test_small_totals_need_no_estimate(self, monkeypatch):
+        def digits(total):
+            return math.lgamma(total + 1) / math.log(10)
+
+        assert digits(_SMALL_TOTAL) <= MAX_ORDER_DIGITS + 1 < digits(_SMALL_TOTAL + 1)
+        diagrams = [make_gamma2_diagram(), make_gamma24_diagram(), make_doubling_diagram()]
+        want = {(k, N): b.gamma_order(N) for k, b in enumerate(diagrams) for N in range(3, 7)}
+        monkeypatch.setattr(math, "lgamma", None)
+        assert {(k, N): diagrams[k].gamma_order(N) for k, N in want} == want
+
     @pytest.mark.parametrize("k, refused", [(2, False), (3, True), (4, True), (5, True)])
     def test_the_limit_is_exact(self, k, refused):
         # 1558! has 4300 digits; with k! beside it the estimate passes the
@@ -245,6 +265,16 @@ class TestNormalForm:
                 for el in els:
                     assert all(p != q for p, q in el.mapping.items())
                 assert read == s and hash(read) == hash(s)
+
+    def test_refuses_a_mapping_that_is_not_a_permutation(self):
+        b = make_gamma24_diagram()
+        (paths,) = b.fibers(2).values()
+        p, q, r = paths[:3]
+        with pytest.raises(GraphError, match="^images do not form a permutation$"):
+            fg.GammaElement(b, 2, {p: q})
+        with pytest.raises(GraphError, match="^images do not form a permutation$"):
+            fg.GammaElement(b, 2, {p: q, r: r, q: r})
+        assert fg.GammaElement(b, 2, {p: q, q: p, r: r}).order() == 2
 
     def test_order_is_the_lcm_of_the_cycle_lengths(self):
         checked = 0

@@ -322,6 +322,18 @@ class TestBratteliBounds:
         # two fibers of 2**9 paths each
         assert out == '{\n  "order": ' + str(math.factorial(512) ** 2) + "\n}\n"
 
+    @pytest.mark.parametrize("level", ["100000", "100000000000000000000"])
+    def test_deep_order_is_refused_at_once(self, tmp_path, level):
+        diagram = tmp_path / "doubling.bratteli"
+        diagram.write_text(json.dumps(fg.bratteli_to_json(make_doubling_diagram())))
+        start = time.perf_counter()
+        code, out, err = _run_cli(["bratteli-order", str(diagram), "--level", level])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["message"] == (
+            f"the order at level {level} has more than 4300 decimal digits")
+
     @pytest.mark.parametrize("moved", [False, True], ids=["identity", "two-cycle"])
     def test_embed_deep_element_without_building_the_fibers(self, tmp_path, moved):
         diagram = tmp_path / "doubling.bratteli"

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fullgroups as fg
-from fullgroups.errors import GraphError, ParseError, PathError, UnsupportedConditionError
+from fullgroups.errors import (AdmissibilityError, GraphError, ParseError, PathError,
+                               UnsupportedConditionError)
 from fullgroups.graph import _cycle_vertices
 
 import pairwise_reference as ref
@@ -562,27 +563,111 @@ def test_leveled_numbers_have_one_spelling(name):
 # ---------------------------------------------------------------------------
 
 
-def test_checkers_match_the_per_class_reference():
-    """(L), sinks and isolated points over the template levels agree with
-    the reference that branches on the graph class: verdict, witness and
-    list order."""
+def _leaving_cycles(g):
+    """The oracle for semi-tails: every cycle of the block's out-degree-1
+    map that leaves a level, as a list of ``(block level, position)`` keys.
+    A key is on a cycle when a walk from it returns within as many steps
+    as the map has keys."""
+    if g.is_finite:
+        return []
+    step = {}
+    for r in range(g._period):
+        level = g._nbase + r
+        for n in g.level_vertex_names(level):
+            fams = g.out_families(n)
+            if len(fams) == 1:
+                tgt_level, tgt_pos = g.resolve_vertex(fams[0].range)
+                step[r, g.resolve_vertex(n)[1]] = (
+                    ((tgt_level - g._nbase) % g._period, tgt_pos), tgt_level != level)
+    cycles = []
+    for key in step:
+        walk, u = [], key
+        while u in step and len(walk) < len(step):
+            walk.append(u)
+            u = step[u][0]
+            if u == key:
+                if any(step[k][1] for k in walk) and set(walk) not in map(set, cycles):
+                    cycles.append(walk)
+                break
+    return cycles
+
+
+def _check_semi_tail_witness(g, w):
+    """Each family of the witness is the only one at its source, the walk
+    returns to the start's template and some step leaves its level."""
+    at, left = w["start"], False
+    for fid in w["cycle"]:
+        (fam,) = g.out_families(at)
+        assert fam.id == fid
+        left = left or g.resolve_vertex(fam.range)[0] != g.resolve_vertex(at)[0]
+        at = g._template_of(fam.range)
+    assert at == w["start"] and left
+
+
+def _per_class_graphs():
     rnd = random.Random(2024)
     graphs = [random_graph(rnd, max_vertices=6, max_edges=10, omega_chance=0.3)
               for _ in range(200)]
     graphs += [make_leveled_chain_graph(), make_leveled_mixed_graph()]
     graphs += [random_leveled_graph(rnd) for _ in range(200)]
     graphs += [random_diagram(rnd).underlying_graph() for _ in range(100)]
+    return graphs
+
+
+def test_checkers_match_the_per_class_reference():
+    """(L), sinks and isolated points over the template levels agree with
+    the reference that branches on the graph class: verdict, witness and
+    list order.  The reference reads only the first cycle of the block, so
+    it misses a semi-tail behind an exitless cycle; there the list may gain
+    a trailing semi-tail record, which the all-cycles oracle confirms."""
     seen = collections.Counter()
-    for g in graphs:
+    for g in _per_class_graphs():
         assert fg.check_condition_L(g) == ref.old_check_condition_L(g)
         assert fg.has_sinks(g) == ref.old_has_sinks(g)
-        iso = fg.isolated_point_witnesses(g)
-        assert iso == ref.old_isolated_point_witnesses(g)
+        iso, old = fg.isolated_point_witnesses(g), ref.old_isolated_point_witnesses(g)
+        if iso != old:
+            assert iso[:-1] == old and iso[-1]["kind"] == "semi-tail"
+            assert all(w["kind"] != "semi-tail" for w in old) and _leaving_cycles(g)
+            seen["mended"] += 1
+        assert fg.has_semi_tails(g) == bool(_leaving_cycles(g))
         seen.update((g.is_finite, w["kind"]) for w in iso)
         seen[g.is_finite, bool(iso)] += 1
     for key in [(True, "sink"), (True, "exitless-cycle"), (True, False), (False, "sink"),
-                (False, "exitless-cycle"), (False, "semi-tail"), (False, False)]:
+                (False, "exitless-cycle"), (False, "semi-tail"), (False, False), "mended"]:
         assert seen[key], key
+
+
+@pytest.mark.parametrize("level", [["x", "y"], ["y", "x"]])
+def test_exitless_cycle_does_not_hide_a_semi_tail(level):
+    """``x`` loops on its level, ``y`` steps to itself a level down: both
+    witnesses, whichever vertex the level declares first."""
+    g = fg.LeveledGraph([], [level], [], [_T("l", "x", "x", "same"), _T("m", "y", "y", "next")])
+    assert fg.has_semi_tails(g) and not fg.check_condition_L(g).holds
+    assert fg.isolated_point_witnesses(g) == [
+        {"kind": "exitless-cycle", "start": "x@0", "cycle": ["l@0"]},
+        {"kind": "semi-tail", "start": "y@0", "cycle": ["m@0"]}]
+    with pytest.raises(AdmissibilityError, match="exitless cycle"):
+        fg.require_admissible(g)
+
+
+def test_semi_tails_match_the_all_cycles_oracle():
+    rnd = random.Random(17)
+    found = 0
+    for _ in range(2000):
+        g = random_leveled_graph(rnd)
+        assert fg.has_semi_tails(g) == bool(_leaving_cycles(g))
+        for w in fg.isolated_point_witnesses(g):
+            if w["kind"] == "semi-tail":
+                _check_semi_tail_witness(g, w)
+                found += 1
+    assert found > 100
+
+
+def test_reaches_matches_the_depth_first_search():
+    for g in _per_class_graphs()[:200]:
+        for v in g.vertices:
+            for w in g.vertices:
+                assert fg.reaches(g, v, w) == ref.old_reaches(g, v, w)
 
 
 def test_equality_is_by_class_and_declaration():
