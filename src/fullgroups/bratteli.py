@@ -137,27 +137,42 @@ class BratteliDiagram:
     def gamma_order(self, N: int) -> int:
         """The product of the factorials of the fiber sizes at level N.
 
-        The sizes are counted level by level, as ``fibers`` builds its paths,
-        but without building them: a vertex's count is the sum of the counts
-        of the sources of its in-edges, plus one at a source.  An answer of
-        more than ``MAX_ORDER_DIGITS`` decimal digits is refused; its length
-        is estimated from the sizes first, so a huge one is never formed.
-        A repeating diagram has no sink, so every path extends and the
-        product never shrinks from one level to the next: it is refused at
-        the first level whose estimate passes the limit."""
+        The sizes are counted as ``fibers`` builds its paths, but without
+        building them: a vertex's count is the sum of the counts of the
+        sources of its in-edges, plus one at a source.  An answer of more
+        than ``MAX_ORDER_DIGITS`` decimal digits is refused on an estimate
+        from the sizes, before it is formed.  A repeating diagram has no
+        sink, so the product and the total size never shrink: the refusal
+        comes at the first level past the limit.  Past the last source level
+        the sizes at the block's first level can recur only while the total
+        stays flat; each recurrence is a cycle, jumped whole toward N."""
         by_level = self._sources_by_level(N)
         counts = dict.fromkeys(by_level.get(0, ()), 1)
-        for lev in range(1, N + 1):
+        lev, seen, total = 0, {}, 0
+        while lev < N:
             outs = _out_edges(self._graph, counts)
             below = {}
             for v, c in counts.items():
                 for _, r in outs[v]:
                     below[r] = below.get(r, 0) + c
+            lev += 1
             for name in by_level.get(lev, ()):
                 below[name] = below.get(name, 0) + 1
             counts = below
             if (self.repeat is not None or lev == N) and _too_long(counts):
                 break
+            if (self.repeat is None or lev <= self.repeat[0]
+                    or (lev - self.repeat[0]) % self.repeat[1]):
+                continue
+            if sum(counts.values()) > total:  # no state seen so far can recur
+                seen, total = {}, sum(counts.values())
+                continue
+            names = self._graph.level_vertex_names
+            state = tuple(counts.get(n, 0) for n in names(lev))
+            cycle = lev - seen.setdefault(state, lev)
+            if cycle:
+                lev += (N - lev) // cycle * cycle
+                counts = {n: c for n, c in zip(names(lev), state) if c}
         else:
             order = math.prod(map(math.factorial, counts.values()))
             if order < 10 ** MAX_ORDER_DIGITS:

@@ -76,8 +76,7 @@ def _cmd_validate(args):
     elif kind == "table":
         if not args.graph:
             raise ParseError("validating a table needs --graph")
-        g = _load_graph(args.graph)
-        tb.validate_table(_load_table(args.file, g))
+        _load_table(args.file, _load_graph(args.graph))  # table_from_json validates
     elif kind == "bratteli":
         br.bratteli_from_json(_load_json(args.file))
     _emit_json(args, {"ok": True})

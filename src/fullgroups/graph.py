@@ -378,11 +378,10 @@ class LeveledGraph(_GraphBase):
         names = [n for l in self.base_levels for n in l]
         if len(set(names)) != len(names):
             raise GraphError("duplicate base vertex names")
-        for l in self.base_levels:
-            for n in l:
-                if "{}" in n or "@" in n:
-                    raise GraphError(f"reserved characters in base vertex {n!r}")
-        for li, l in enumerate(self.block_levels):
+        for n in names:
+            if "{}" in n or "@" in n:
+                raise GraphError(f"reserved characters in base vertex {n!r}")
+        for l in self.block_levels:
             for n in l:
                 if "@" in n:
                     raise GraphError(f"reserved character in block vertex {n!r}")
@@ -403,38 +402,26 @@ class LeveledGraph(_GraphBase):
                                  for bl, l in enumerate(self.block_levels) if "{}" in l[0]]
         outs = [[[] for _ in l] for l in self._levels]
         self._base_fams, self._block_fams, self._family_patterns = {}, {}, []
-        for f in self.base_families:
-            levs = [i for i, l in enumerate(self.base_levels) if f.source in l]
-            if f.src_level is not None:
-                levs = [l for l in levs if l == f.src_level]
-            if len(levs) != 1:
-                raise GraphError(f"family {f.id!r}: cannot resolve its source level")
-            lev = levs[0]
-            if "{}" in f.id:
-                raise GraphError(f"base family id {f.id!r} may not contain '{{}}'")
-            tgt = lev if f.where == "same" else lev + 1
-            if f.range not in self._level_vertices(tgt):
-                raise GraphError(f"family {f.id!r} range not on level {tgt}")
-            self._base_fams.setdefault(f.id, (lev, f))
-            outs[lev][self.base_levels[lev].index(f.source)].append(f)
-        for f in self.block_families:
-            levs = [i for i, l in enumerate(self.block_levels) if f.source in l]
-            if f.src_level is not None:
-                levs = [l for l in levs if l == f.src_level]
-            if len(levs) != 1:
-                raise GraphError(f"family {f.id!r}: cannot resolve its source level")
-            lev = levs[0]
-            if f.where == "same":
-                ok = f.range in self.block_levels[lev]
-            else:
-                ok = f.range in self.block_levels[(lev + 1) % self._period]
-            if not ok:
-                raise GraphError(f"family {f.id!r} range not on the target level")
-            if "{}" in f.id:
-                self._family_patterns.append((_number_pattern(f.id), lev, f))
-            else:
-                self._block_fams.setdefault(f.id, (lev, f))
-            outs[nbase + lev][self.block_levels[lev].index(f.source)].append(f)
+        for off, levels, fams, by_id, patterns in (
+                (0, self.base_levels, self.base_families, self._base_fams, None),
+                (nbase, self.block_levels, self.block_families, self._block_fams,
+                 self._family_patterns)):
+            for f in fams:
+                levs = [i for i, l in enumerate(levels)
+                        if f.source in l and f.src_level in (None, i)]
+                if len(levs) != 1:
+                    raise GraphError(f"family {f.id!r}: cannot resolve its source level")
+                lev = levs[0]
+                if "{}" in f.id and patterns is None:
+                    raise GraphError(f"base family id {f.id!r} may not contain '{{}}'")
+                tgt = off + lev + (f.where != "same")
+                if f.range not in self._level_vertices(tgt):
+                    raise GraphError(f"family {f.id!r} range not on level {tgt}")
+                if "{}" in f.id:
+                    patterns.append((_number_pattern(f.id), lev, f))
+                else:
+                    by_id.setdefault(f.id, (lev, f))
+                outs[off + lev][levels[lev].index(f.source)].append(f)
         self._outs = [[tuple(fs) for fs in l] for l in outs]
         self._slots = {(lev, f.id): (i, len(fs)) for lev, l in enumerate(self._outs)
                        for fs in l for i, f in enumerate(fs)}

@@ -29,7 +29,6 @@ from .pathspace import (
     _out_refs,
     _parts,
     atom,
-    atom_intersect,
     atom_split,
     co_contains_point,
     co_subtract,
@@ -423,12 +422,8 @@ def transposition_for_arrow(ar: Arrow, within: CompactOpen, g) -> Table:
     m, n = mn
     for d in range(_last_depth(g, ar, m, n, within) + 1):
         piece = _arrow_piece(g, ar, m, n, d)
-        if piece is None:
-            continue
-        da, ca = domain_atom(piece), codomain_atom(piece)
-        if atom_intersect(g, da, ca) is not None:
-            continue
-        if co_subtract(g, CompactOpen((da, ca)), within).is_empty():
+        if piece is not None and co_subtract(
+                g, CompactOpen((domain_atom(piece), codomain_atom(piece))), within).is_empty():
             return involution_hat(g, [piece])
     raise ArrowError("no separating cylinders of the required lag inside the given support")
 
@@ -461,6 +456,9 @@ def _point_stem(g, p: BoundaryPoint, length: int) -> FinitePath:
 
 
 def _arrow_piece(g, ar: Arrow, m: int, n: int, d: int):
+    """The depth-``d`` piece for the arrow, or None.  Its two atoms are
+    disjoint: its stems differ, and are incomparable or the shorter one's
+    atom excludes the longer one's next edge through F."""
     chi = _point_stem(g, ar.target, m + d)
     ups = _point_stem(g, ar.source, n + d)
     if chi == ups:

@@ -15,6 +15,7 @@ the table embedding into V that built each stem's
 image as a string and parsed it back, before the letter memo, the Bratteli
 element reader that built every depth-N path and looked the file's literals
 up among their strings, the element order that composed until the identity,
+the order count that stepped every level even once the fibers cycle,
 and the table identity test that built the whole canonical form.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
@@ -35,6 +36,7 @@ pair of vertex images and every pair of edge images at one source, and
 builds its formal sums one term at a time.  ``old_reduced`` restarts its
 scan of a formal sum's terms after every merge of two siblings.
 """
+import math
 import re
 
 from fullgroups.embed import (
@@ -49,7 +51,7 @@ from fullgroups.embed import (
     require_admissible,
     word_of_path,
 )
-from fullgroups.bratteli import GammaElement
+from fullgroups.bratteli import MAX_ORDER_DIGITS, GammaElement, _out_edges, _too_long
 from fullgroups.errors import GraphError, ParseError, TableError
 from fullgroups.graph import OMEGA, EdgeFamily, Verdict
 from fullgroups.pathspace import (
@@ -693,6 +695,29 @@ def old_gamma_element_from_json(b, data):
         return GammaElement(b, N, mapping)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def old_gamma_order(b, N):
+    """Steps every level down to N, however long the fibers stay the same."""
+    by_level = b._sources_by_level(N)
+    counts = dict.fromkeys(by_level.get(0, ()), 1)
+    for lev in range(1, N + 1):
+        outs = _out_edges(b.underlying_graph(), counts)
+        below = {}
+        for v, c in counts.items():
+            for _, r in outs[v]:
+                below[r] = below.get(r, 0) + c
+        for name in by_level.get(lev, ()):
+            below[name] = below.get(name, 0) + 1
+        counts = below
+        if (b.repeat is not None or lev == N) and _too_long(counts):
+            break
+    else:
+        order = math.prod(map(math.factorial, counts.values()))
+        if order < 10 ** MAX_ORDER_DIGITS:
+            return order
+    raise GraphError(f"the order at level {N} has more than "
+                     f"{MAX_ORDER_DIGITS} decimal digits")
 
 
 def old_order(el):

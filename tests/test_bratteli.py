@@ -17,7 +17,7 @@ from conftest import (
     random_diagram,
     random_gamma_element,
 )
-from pairwise_reference import old_gamma_element_from_json, old_order
+from pairwise_reference import old_gamma_element_from_json, old_gamma_order, old_order
 
 
 def brute_force_order(b, N):
@@ -231,6 +231,63 @@ class TestBoundedOrder:
                 b.gamma_order(1)
         else:
             assert b.gamma_order(1) == math.factorial(1558) * 2
+
+
+def _order_or_error(order, b, N):
+    try:
+        return order(b, N)
+    except GraphError as exc:
+        return str(exc)
+
+
+def _flat_diagram(targets):
+    return fg.BratteliDiagram([["v0"], ["u", "w"], ["u", "w"]],
+                              [[("v0", t) for t in targets], [("u", "w"), ("w", "u")]],
+                              (1, 1))
+
+
+def _random_cycling_diagram(rnd):
+    """A repeating diagram whose block levels are joined by bijections, some
+    with an extra edge: where none has one, the fiber sizes stop growing and
+    cycle through the block."""
+    f, p, k = rnd.randint(0, 2), rnd.randint(1, 3), rnd.randint(1, 3)
+    levels = [[f"b{lev}_{i}" for i in range(rnd.randint(1, 3))] for lev in range(f)]
+    levels += [[f"v{lev}_{i}" for i in range(k)] for lev in range(f, f + p)]
+    levels.append(levels[f])
+    edges = []
+    for lev in range(1, f + p + 1):
+        srcs, rngs = levels[lev - 1], levels[lev]
+        if lev > f:
+            eset = list(zip(srcs, rnd.sample(rngs, k)))
+            if rnd.random() < 0.2:
+                eset.append((rnd.choice(srcs), rnd.choice(rngs)))
+            edges.append(eset)
+        else:
+            edges.append([(s, rnd.choice(rngs)) for s in srcs
+                          for _ in range(rnd.randint(1, 2))])
+    return fg.BratteliDiagram(levels, edges, (f, p))
+
+
+class TestCyclingFibers:
+    @pytest.mark.parametrize("targets, order", [(["u", "w"], 1), (["u", "u"], 2)])
+    def test_fibers_that_stop_growing_answer_any_level(self, targets, order):
+        b = _flat_diagram(targets)
+        start = time.perf_counter()
+        assert [b.gamma_order(N) for N in (1, 2, 3, 10**6, 10**20)] == [order] * 5
+        assert time.perf_counter() - start < 1
+
+    def test_matches_the_level_by_level_loop(self):
+        rnd = random.Random(11)
+        diagrams = [_flat_diagram(["u", "w"]), _flat_diagram(["u", "u"])]
+        while len(diagrams) < 40:
+            b = random_diagram(rnd)
+            if b.repeat is not None:
+                diagrams.append(b)
+        diagrams += [_random_cycling_diagram(rnd) for _ in range(60)]
+        for b in diagrams:
+            for N in [*range(40), 57, 99, 150]:
+                assert (_order_or_error(fg.BratteliDiagram.gamma_order, b, N)
+                        == _order_or_error(old_gamma_order, b, N)), (b, N)
 
 
 class TestNormalForm:

@@ -141,6 +141,16 @@ class TestValidate:
         assert json.loads(err)["error"] == {
             "code": "parse-error", "message": "reserved character in block vertex 'x@1'"}
 
+    def test_table_is_validated_once(self, files, capsys, monkeypatch):
+        calls = []
+        check = fg.tables.validate_table
+        monkeypatch.setattr(fg.tables, "validate_table",
+                            lambda t: calls.append(t) or check(t))
+        code, out, _ = run(capsys, "validate", files["swap"], "--kind", "table",
+                           "--graph", files["e2"])
+        assert (code, json.loads(out)) == (0, {"ok": True})
+        assert len(calls) == 1
+
     def test_bad_table_is_domain_error(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.table"
         bad.write_text(json.dumps({"pieces": [
@@ -333,6 +343,21 @@ class TestBratteliBounds:
         (line,) = err.splitlines()
         assert json.loads(line)["error"]["message"] == (
             f"the order at level {level} has more than 4300 decimal digits")
+
+    @pytest.mark.parametrize("targets, order", [(["u", "w"], 1), (["u", "u"], 2)])
+    def test_deep_order_of_fibers_that_stop_growing(self, tmp_path, targets, order):
+        """The fibers settle into a cycle of the block, which is skipped whole."""
+        diagram = tmp_path / "flat.bratteli"
+        diagram.write_text(json.dumps({
+            "levels": [["v0"], ["u", "w"], ["u", "w"]],
+            "edges": [[["v0", t] for t in targets], [["u", "w"], ["w", "u"]]],
+            "repeat": {"from": 1, "period": 1}}))
+        start = time.perf_counter()
+        code, out, err = _run_cli(["bratteli-order", str(diagram),
+                                   "--level", "100000000000000000000"])
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"order": order}
 
     @pytest.mark.parametrize("moved", [False, True], ids=["identity", "two-cycle"])
     def test_embed_deep_element_without_building_the_fibers(self, tmp_path, moved):

@@ -66,7 +66,6 @@ _COMMANDS = [
     (["emit", "{graph}", "--labeling", "{labeling}", "--bound", "{bound}"], "table"),
     (["ck-check", "{graph}", "--bound", "{bound}"], "graph"),
     (["validate", "{diagram}", "--kind", "bratteli"], "diagram"),
-    # the level loop is linear in --level, so it stays small here
     (["bratteli-order", "{diagram}", "--level", "{level}"], "diagram"),
     (["bratteli-embed", "{diagram}", "--element", "{element}"], "diagram"),
 ]
@@ -122,7 +121,7 @@ def _runs(draw):
         name = draw(st.sampled_from(used))
         files[name] = draw(_mutated(files[name]))
     files["bound"] = draw(st.integers(-1, 6))
-    files["level"] = draw(st.integers(-2, 64))
+    files["level"] = draw(st.integers(-2, 64) | st.sampled_from([10**6, 2**63, 10**30]))
     return template, files
 
 

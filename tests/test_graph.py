@@ -717,3 +717,35 @@ def test_names_a_path_literal_cannot_spell_are_refused(bad):
 def test_an_empty_family_id_is_refused():
     with pytest.raises(GraphError, match="path literal"):
         fg.Graph(["v"], [fg.EdgeFamily("", "v", "v")])
+
+
+_TWO_BLOCK = ([["a"], ["b"]], [["c"], ["d"]])
+
+
+@pytest.mark.parametrize("fam, base, level", [
+    (_T("g", "a", "b", "same"), True, 0),
+    (_T("g", "a", "a"), True, 1),
+    (_T("g", "b", "b"), True, 2),
+    (_T("g", "c", "d", "same"), False, 2),
+    (_T("g", "c", "c"), False, 3),
+    (_T("g", "d", "d"), False, 4),
+], ids=["base-same", "base-next", "base-into-block", "block-same", "block-next",
+        "block-wrap"])
+def test_a_range_off_its_level_is_refused_with_one_message(fam, base, level):
+    """Base and block families share one check and one message, naming the
+    target level counted from the block's first repetition."""
+    base_levels, block_levels = _TWO_BLOCK
+    fams = ([fam], []) if base else ([], [fam])
+    with pytest.raises(GraphError, match=rf"^family 'g' range not on level {level}$"):
+        fg.LeveledGraph(base_levels, block_levels, *fams)
+
+
+def test_the_block_wraps_from_its_last_level():
+    g = fg.LeveledGraph(*_TWO_BLOCK, [_T("e", "a", "b"), _T("f", "b", "c")],
+                        [_T("g", "c", "d"), _T("h", "d", "c")])
+    assert [f.range for f in g.out_families("d@0")] == ["c@1"]
+
+
+def test_a_braced_base_family_id_is_refused():
+    with pytest.raises(GraphError, match="may not contain"):
+        fg.LeveledGraph([["a"]], [["c"]], [_T("f{}", "a", "c")], [_T("g", "c", "c")])

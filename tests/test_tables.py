@@ -1168,6 +1168,50 @@ def test_arrow_calculus_matches_bounded_search(case):
         assert fg.transposition_for_arrow(ar, within, g) == want
 
 
+def _fixture_arrows():
+    e2, one_orbit, e_inf = make_e2(), make_one_orbit(), make_e_inf()
+    w = fg.trivial_path(e_inf, "w")
+    yield e2, fg.Arrow(fg.periodic_point(e2, path(e2, "v", "b"), path(e2, "v", "a")),
+                       0, ainf(e2))
+    yield e2, fg.Arrow(fg.periodic_point(e2, path(e2, "v", "a"), path(e2, "v", "b")),
+                       1, binf(e2))
+    yield one_orbit, fg.Arrow(
+        fg.periodic_point(one_orbit, path(one_orbit, "w", "g1"), path(one_orbit, "w", "g2")),
+        0, fg.periodic_point(one_orbit, fg.trivial_path(one_orbit, "w"),
+                             path(one_orbit, "w", "g2")))
+    yield e_inf, fg.Arrow(fg.finite_point(e_inf, w), -1,
+                          fg.finite_point(e_inf, path(e_inf, "w", ("e", 1))))
+    for lag in (-25, -40):
+        yield e2, _long_arrow(e2, lag)
+    yield e2, _shared_prefix_arrow(e2, 20)
+
+
+def _assert_arrow_atoms_disjoint(g, ar, within):
+    m, n = tables._shifts(ar)
+    for d in range(tables._last_depth(g, ar, m, n, within) + 1):
+        piece = tables._arrow_piece(g, ar, m, n, d)
+        if piece is not None:
+            assert fg.atom_intersect(g, tables.domain_atom(piece),
+                                     tables.codomain_atom(piece)) is None
+
+
+class TestArrowPieceAtoms:
+    """``transposition_for_arrow`` does not test its piece's atoms for a
+    meeting: ``_arrow_piece`` builds them disjoint at every depth."""
+
+    def test_fixture_arrows(self):
+        for g, ar in _fixture_arrows():
+            _assert_arrow_atoms_disjoint(g, ar, fg.full_space(g))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arrows_and_supports())
+    def test_random_arrows(self, case):
+        g, ar, within = case
+        if (ar.source != ar.target and tables._shifts(ar) is not None
+                and all(fg.co_contains_point(g, within, p) for p in (ar.source, ar.target))):
+            _assert_arrow_atoms_disjoint(g, ar, within)
+
+
 class TestNoCoverObstruction:
     def test_partial_lag_table_cannot_close_up(self):
         # over the three-vertex chain graph, a piece shifting e-powers forces
