@@ -19,7 +19,6 @@ import bisect
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import GraphError, ParseError, UnsupportedConditionError
 
@@ -207,9 +206,12 @@ class Graph(_GraphBase):
     def __repr__(self):
         return f"Graph(vertices={list(self.vertices)}, families={len(self.families)})"
 
-    @cached_property
+    @property
     def _condensation(self):
-        return _Condensation(self)
+        c = self._verdicts.get("condensation")
+        if c is None:
+            c = self._verdicts["condensation"] = _Condensation(self)
+        return c
 
     def has_vertex(self, name: str) -> bool:
         return name in self._pos

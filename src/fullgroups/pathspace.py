@@ -485,19 +485,12 @@ def co_contains_point(g, x: CompactOpen, p: BoundaryPoint) -> bool:
 
 
 def shift_point(g, p: BoundaryPoint) -> BoundaryPoint:
-    if p.cycle is None:
-        if not p.prefix.edges:
-            raise PathError("cannot shift a boundary path of length zero")
-        e = p.prefix.edges[0]
-        return BoundaryPoint(make_path(g, g.ref_range(e), p.prefix.edges[1:]), None)
-    if p.prefix.edges:
-        e = p.prefix.edges[0]
-        pre = make_path(g, g.ref_range(e), p.prefix.edges[1:])
-        return periodic_point(g, pre, p.cycle)
-    c = p.cycle.edges
-    rotated = c[1:] + c[:1]
-    start = g.ref_range(c[0])
-    return periodic_point(g, trivial_path(g, start), make_path(g, start, rotated))
+    """sigma: rewrite e.z into z."""
+    e = point_edge(p, 0)
+    if e is None:
+        raise PathError("cannot shift a boundary path of length zero")
+    return replace_point_prefix(g, p, make_path(g, p.prefix.start, (e,)),
+                                trivial_path(g, g.ref_range(e)))
 
 
 def replace_point_prefix(g, p: BoundaryPoint, old: FinitePath, new: FinitePath) -> BoundaryPoint:
@@ -507,17 +500,13 @@ def replace_point_prefix(g, p: BoundaryPoint, old: FinitePath, new: FinitePath) 
     if old.rng != new.rng:
         raise PathError("replacement prefix ends at a different vertex")
     k = len(old.edges)
+    head = concat(g, new, make_path(g, old.rng, p.prefix.edges[k:]))
     if p.cycle is None:
-        rest = make_path(g, old.rng, p.prefix.edges[k:])
-        return BoundaryPoint(concat(g, new, rest), None)
-    npre = len(p.prefix.edges)
-    if k <= npre:
-        rest = make_path(g, old.rng, p.prefix.edges[k:])
-        return periodic_point(g, concat(g, new, rest), p.cycle)
-    d = (k - npre) % len(p.cycle.edges)
+        return BoundaryPoint(head, None)
+    # past the prefix, old also eats the first k - |prefix| cycle edges
     c = p.cycle.edges
-    rotated = c[d:] + c[:d]
-    return periodic_point(g, new, make_path(g, new.rng, rotated))
+    d = max(0, k - len(p.prefix.edges)) % len(c)
+    return periodic_point(g, head, make_path(g, head.rng, c[d:] + c[:d]))
 
 
 def tail_equivalent(g, p: BoundaryPoint, q: BoundaryPoint) -> bool:
@@ -616,26 +605,21 @@ def format_point(g, p: BoundaryPoint) -> str:
 
 def parse_point(g, text: str) -> BoundaryPoint:
     text = text.strip()
-    if "/" in text:
-        head, _, tail = text.partition("/")
-        prefix = parse_path(g, head)
-        tail = tail.strip()
-        if not (tail.startswith("(") and tail.endswith(")")):
-            raise ParseError(f"bad cycle part in point literal {text!r}")
-        refs = [parse_ref(g, tok) for tok in tail[1:-1].split(",") if tok.strip()]
-        if not refs:
-            raise ParseError("empty cycle in point literal")
-        try:
-            cyc = make_path(g, prefix.rng, refs)
-            return periodic_point(g, prefix, cyc)
-        except PathError as exc:
-            raise ParseError(str(exc)) from exc
-    if text.endswith("!"):
-        mu = parse_path(g, text[:-1])
-        try:
-            return finite_point(g, mu)
-        except PathError as exc:
-            raise ParseError(str(exc)) from exc
+    try:
+        if "/" in text:
+            head, _, tail = text.partition("/")
+            prefix = parse_path(g, head)
+            tail = tail.strip()
+            if not (tail.startswith("(") and tail.endswith(")")):
+                raise ParseError(f"bad cycle part in point literal {text!r}")
+            refs = [parse_ref(g, tok) for tok in tail[1:-1].split(",") if tok.strip()]
+            if not refs:
+                raise ParseError("empty cycle in point literal")
+            return periodic_point(g, prefix, make_path(g, prefix.rng, refs))
+        if text.endswith("!"):
+            return finite_point(g, parse_path(g, text[:-1]))
+    except PathError as exc:
+        raise ParseError(str(exc)) from exc
     raise ParseError(f"bad point literal {text!r} (expected '... !' or '... / (...)')")
 
 

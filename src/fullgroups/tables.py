@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import ArrowError, GermError, ParseError, TableError
+from .graph import _strings
 from .pathspace import (
     BoundaryPoint,
     CompactOpen,
@@ -533,8 +534,7 @@ def table_from_json(g, data) -> Table:
     pieces = []
     for rec in data["pieces"]:
         if not (isinstance(rec, dict) and isinstance(rec.get("mu"), str)
-                and isinstance(rec.get("lambda"), str) and isinstance(rec.get("F", []), list)
-                and all(isinstance(x, str) for x in rec.get("F", []))):
+                and isinstance(rec.get("lambda"), str) and _strings(rec.get("F", []))):
             raise ParseError("a piece record needs path literals 'mu' and 'lambda' "
                              "and a list of edge references 'F'")
         mu = parse_path(g, rec["mu"])

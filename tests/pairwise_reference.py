@@ -16,7 +16,9 @@ image as a string and parsed it back, before the letter memo, the Bratteli
 element reader that built every depth-N path and looked the file's literals
 up among their strings, the element order that composed until the identity,
 the order count that stepped every level even once the fibers cycle,
-and the table identity test that built the whole canonical form.
+the table identity test that built the whole canonical form, and the
+shift, prefix replacement and point parser with their own case analysis,
+before the shift became a prefix replacement.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
@@ -52,17 +54,26 @@ from fullgroups.embed import (
     word_of_path,
 )
 from fullgroups.bratteli import MAX_ORDER_DIGITS, GammaElement, _out_edges, _too_long
-from fullgroups.errors import GraphError, ParseError, TableError
+from fullgroups.errors import GraphError, ParseError, PathError, TableError
 from fullgroups.graph import OMEGA, EdgeFamily, Verdict
 from fullgroups.pathspace import (
+    BoundaryPoint,
     CompactOpen,
     CylinderAtom,
     FinitePath,
     atom,
     atom_intersect,
     atom_subtract,
+    concat,
     extend,
+    finite_point,
     format_path,
+    make_path,
+    parse_path,
+    parse_ref,
+    periodic_point,
+    point_starts_with,
+    trivial_path,
 )
 from fullgroups.tables import (
     Piece,
@@ -908,3 +919,68 @@ def old_embed_table(t, lab):
                                  binary_path(lam_w + wj)))
     out = [p for p in out if p.mu != p.lam]
     return make_table(E2, out, validate=True)
+
+
+# ---------------------------------------------------------------------------
+# Moving boundary points, one case at a time
+# ---------------------------------------------------------------------------
+
+
+def old_shift_point(g, p):
+    if p.cycle is None:
+        if not p.prefix.edges:
+            raise PathError("cannot shift a boundary path of length zero")
+        e = p.prefix.edges[0]
+        return BoundaryPoint(make_path(g, g.ref_range(e), p.prefix.edges[1:]), None)
+    if p.prefix.edges:
+        e = p.prefix.edges[0]
+        pre = make_path(g, g.ref_range(e), p.prefix.edges[1:])
+        return periodic_point(g, pre, p.cycle)
+    c = p.cycle.edges
+    rotated = c[1:] + c[:1]
+    start = g.ref_range(c[0])
+    return periodic_point(g, trivial_path(g, start), make_path(g, start, rotated))
+
+
+def old_replace_point_prefix(g, p, old, new):
+    if not point_starts_with(g, p, old):
+        raise PathError("point does not extend the prefix being replaced")
+    if old.rng != new.rng:
+        raise PathError("replacement prefix ends at a different vertex")
+    k = len(old.edges)
+    if p.cycle is None:
+        rest = make_path(g, old.rng, p.prefix.edges[k:])
+        return BoundaryPoint(concat(g, new, rest), None)
+    npre = len(p.prefix.edges)
+    if k <= npre:
+        rest = make_path(g, old.rng, p.prefix.edges[k:])
+        return periodic_point(g, concat(g, new, rest), p.cycle)
+    d = (k - npre) % len(p.cycle.edges)
+    c = p.cycle.edges
+    rotated = c[d:] + c[:d]
+    return periodic_point(g, new, make_path(g, new.rng, rotated))
+
+
+def old_parse_point(g, text):
+    text = text.strip()
+    if "/" in text:
+        head, _, tail = text.partition("/")
+        prefix = parse_path(g, head)
+        tail = tail.strip()
+        if not (tail.startswith("(") and tail.endswith(")")):
+            raise ParseError(f"bad cycle part in point literal {text!r}")
+        refs = [parse_ref(g, tok) for tok in tail[1:-1].split(",") if tok.strip()]
+        if not refs:
+            raise ParseError("empty cycle in point literal")
+        try:
+            cyc = make_path(g, prefix.rng, refs)
+            return periodic_point(g, prefix, cyc)
+        except PathError as exc:
+            raise ParseError(str(exc)) from exc
+    if text.endswith("!"):
+        mu = parse_path(g, text[:-1])
+        try:
+            return finite_point(g, mu)
+        except PathError as exc:
+            raise ParseError(str(exc)) from exc
+    raise ParseError(f"bad point literal {text!r} (expected '... !' or '... / (...)')")

@@ -243,6 +243,17 @@ class TestEmit:
         assert code == 0
         assert set(json.loads(out)) == {"vertices", "edges"}
 
+    def test_vertex_labeling(self, files, capsys, tmp_path):
+        labfile = tmp_path / "lab.json"
+        labfile.write_text(json.dumps({"vertices": ["w2", "w1"]}))
+        argv = [files["two_vertex"], "--bound", "3", "--labeling", str(labfile)]
+        code, out, _ = run(capsys, "emit", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["vertices"] == {"w2": ["b", "b"], "w1": ["a", "a"]}
+        code, out, _ = run(capsys, "ck-check", *argv)
+        assert code == 0
+        assert json.loads(out) == {"ok": True, "failures": []}
+
     def test_emit_to_file_deterministic(self, files, capsys, tmp_path):
         out1 = tmp_path / "a.txt"
         out2 = tmp_path / "b.txt"

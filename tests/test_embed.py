@@ -321,6 +321,17 @@ class TestCustomLabeling:
             with pytest.raises(PathError, match="level-by-level"):
                 fg.Labeling(g, vertex_order=order)
 
+    def test_emitted_images_follow_the_vertex_order(self):
+        g = make_two_vertex_omega()
+        lab = fg.Labeling(g, ["w2", "w1"])
+        img = fg.emit_generators(g, lab, 4)
+        assert fg.ck_check(g, img) == (True, [])
+        assert img.vertices[0] == embed.VertexImage("w2", Monomial(fg.code_word(1, 2),
+                                                                   fg.code_word(1, 2)))
+        for i in (0, 3):
+            with pytest.raises(GraphError, match=f"vertex index {i} not in 1..2"):
+                lab.vertex_by_number(i)
+
     def test_conjugation_still_holds(self, rng):
         g = make_two_vertex_omega()
         lab = fg.Labeling(g, vertex_order=["w2", "w1"])
@@ -582,6 +593,20 @@ class TestMonomials:
         assert two.equals(FormalSum.of(ONE))
         assert not FormalSum.of(Monomial("a", "a")).equals(FormalSum.of(ONE))
         assert (two - two).is_zero()
+
+    def test_formal_sum_product(self):
+        x = FormalSum({Monomial("a", "b"): 2, Monomial("ab", ""): -1, Monomial("", "ba"): 3})
+        y = FormalSum({Monomial("b", "a"): 1, Monomial("a", "ab"): 4, Monomial("bb", "b"): -2})
+        total = FormalSum()
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                m = fg.mono_mult(m1, m2)
+                term = FormalSum({m1: c1}) * FormalSum({m2: c2})
+                assert term.terms == ({} if m is None else {m: c1 * c2})
+                total = total + term
+        assert (x * y).terms == total.terms and total.terms
+        ranges = FormalSum.of(Monomial("a", "a"), Monomial("b", "b"))
+        assert (ranges * x).equals(x) and (ranges * x).terms != x.terms
 
     def test_two_vertex_image_relations(self):
         # the bridge image is a partial isometry from the w2 projection

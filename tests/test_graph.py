@@ -124,6 +124,7 @@ def test_condition_K():
     single_loop = fg.Graph(["v"], [fg.EdgeFamily("a", "v", "v")])
     verdict = fg.check_condition_K(single_loop)
     assert not verdict.holds and verdict.witness == "v"
+    assert bool(verdict) is False and bool(fg.check_condition_K(make_e2())) is True
     assert fg.check_condition_K(make_e_nr(2, 2)).holds
     # one-orbit graph: v has a unique return path (the loop)
     assert not fg.check_condition_K(make_one_orbit()).holds
@@ -424,6 +425,7 @@ def test_cached_verdicts_do_not_pin_graphs():
     b = fg.BratteliDiagram(levels=((v,), ("u",)), edges=(((v, "u"),),), repeat=None)
     fg.canonicalize(fg.identity(g))
     fg.require_admissible(g)
+    fg.check_condition_K(g)
     b.underlying_graph()
     refs = [weakref.ref(g), weakref.ref(b)]
     del g, b

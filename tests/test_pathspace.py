@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import fullgroups as fg
 from fullgroups import pathspace
-from fullgroups.errors import AtomError, ParseError, PathError
+from fullgroups.errors import AtomError, ParseError, PathError, ToolkitError
 
 from conftest import (
     algebra_graphs,
     atom_lists,
+    enumerate_paths_upto,
     enumerate_points,
     make_e2,
     make_e_inf,
@@ -23,7 +24,14 @@ from conftest import (
     path,
     random_graph,
 )
-from pairwise_reference import old_co_intersect, old_co_make, old_co_subtract
+from pairwise_reference import (
+    old_co_intersect,
+    old_co_make,
+    old_co_subtract,
+    old_parse_point,
+    old_replace_point_prefix,
+    old_shift_point,
+)
 
 
 def A(g, p, *F):
@@ -395,6 +403,85 @@ class TestPoints:
                 q = fg.shift_point(g, q)
             for i in range(4):
                 assert point_edge(q, i) == point_edge(p, i + 6)
+
+
+def _outcome(f, *args):
+    """The result of ``f(*args)``, or the type and message of its refusal."""
+    try:
+        return f(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def _rewrite_graphs():
+    """The conftest graphs with their small points, and random graphs with
+    up to 30 of theirs."""
+    rnd = random.Random(7)
+    out = [(g, enumerate_points(g, 3, 2)) for g in algebra_graphs()]
+    for g in (random_graph(rnd) for _ in range(40)):
+        pts = enumerate_points(g, 2, 2)
+        out.append((g, rnd.sample(pts, min(len(pts), 30))))
+    return out
+
+
+class TestPointRewrite:
+    """Shift, prefix replacement and point parsing against the versions
+    that did their own case analysis."""
+
+    def test_shift_matches_reference(self):
+        shifted = 0
+        for g, pts in _rewrite_graphs():
+            for p in pts:
+                q = p
+                for _ in range(len(p.prefix) + 2 * len(p.cycle or ()) + 1):
+                    got = _outcome(fg.shift_point, g, q)
+                    assert got == _outcome(old_shift_point, g, q)
+                    if not isinstance(got, fg.BoundaryPoint):
+                        break
+                    q = got
+                    shifted += 1
+        assert shifted > 1000
+
+    def test_replace_matches_reference(self):
+        past_prefix = 0
+        for g, pts in _rewrite_graphs():
+            news = {}
+            for v in g.vertices:
+                for q in enumerate_paths_upto(g, v, 2):
+                    news.setdefault(q.rng, []).append(q)
+            for p in pts:
+                for k in range(len(p.prefix) + 2 * len(p.cycle or ()) + 1):
+                    edges = [pathspace.point_edge(p, i) for i in range(k)]
+                    if None in edges:
+                        break
+                    old = fg.make_path(g, p.prefix.start, edges)
+                    for new in news[old.rng]:
+                        got = _outcome(pathspace.replace_point_prefix, g, p, old, new)
+                        assert got == _outcome(old_replace_point_prefix, g, p, old, new)
+                        past_prefix += k > len(p.prefix) and isinstance(got, fg.BoundaryPoint)
+        assert past_prefix > 1000
+
+    def test_parse_matches_reference(self):
+        refusals = {"does not continue the path": 0,
+                    "cycle must be based at the end of the prefix": 0,
+                    "finite boundary paths must end at a singular vertex": 0}
+        for g, pts in _rewrite_graphs():
+            refs = [pathspace.format_ref(g, (f.id, 1)) for f in g.families]
+            for p in pts:
+                assert fg.parse_point(g, fg.format_point(g, p)) == p
+                lits = [fg.format_point(g, p), fg.format_path(g, p.prefix) + " !"]
+                lits += [f"{fg.format_path(g, p.prefix)} / ({r})" for r in refs]
+                if p.cycle is not None:
+                    cyc = ",".join(pathspace.format_ref(g, e) for e in p.cycle.edges)
+                    lits += [f"{fg.format_path(g, p.prefix)} / ({cyc},{r})" for r in refs]
+                for lit in lits:
+                    got = _outcome(fg.parse_point, g, lit)
+                    assert got == _outcome(old_parse_point, g, lit)
+                    if not isinstance(got, fg.BoundaryPoint):
+                        assert got[0] is ParseError
+                        for why in refusals:
+                            refusals[why] += why in got[1]
+        assert min(refusals.values()) > 10, refusals
 
 
 class TestLiterals:
