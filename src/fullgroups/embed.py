@@ -77,28 +77,27 @@ def code_word(j: int, i) -> str:
     return "a" * (j - 1) + "b"
 
 
+def _tiles(words, w: str) -> bool:
+    """The cylinders of the binary ``words`` partition ``Z(w)``: in sorted
+    order the first and the last word extend ``w`` (so every word between
+    does), none is a prefix of the next (so of no other, nor a repeat), and
+    their Kraft sum is that of ``w``."""
+    words = sorted(words)
+    if not words or not (words[0].startswith(w) and words[-1].startswith(w)):
+        return False
+    whole = 1 << max(map(len, words))  # 2**-len(x) in units of 2**-top
+    return (not any(map(str.startswith, words[1:], words))
+            and sum(map(whole.__rshift__, map(len, words))) == whole >> len(w))
+
+
 def code_partition_check(i, depth: int) -> bool:
-    """The code words are prefix-incomparable and tile all binary words of
-    the given depth (all but ``a^depth`` when i is OMEGA)."""
+    """The code words have length at most ``depth`` and tile all binary
+    words (with ``a^depth`` added when i is OMEGA)."""
     if i == OMEGA:
-        words = [code_word(j, i) for j in range(1, depth + 1)]
+        words = [code_word(j, i) for j in range(1, depth + 1)] + ["a" * depth]
     else:
         words = [code_word(j, i) for j in range(1, i + 1)]
-    if any(len(w) > depth for w in words):
-        return False
-    for xi, x in enumerate(words):
-        for yi, y in enumerate(words):
-            if xi != yi and y.startswith(x):
-                return False
-    uncovered = []
-    for k in range(2 ** depth):
-        w = format(k, f"0{depth}b").replace("0", "a").replace("1", "b") if depth else ""
-        hits = sum(1 for c in words if w.startswith(c))
-        if hits != 1:
-            uncovered.append(w)
-    if i == OMEGA:
-        return uncovered == ["a" * depth]
-    return not uncovered
+    return all(len(w) <= depth for w in words) and _tiles(words, "")
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +461,10 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
 
     Omega families are truncated at ``edge_bound`` edges; for leveled graphs
     the same bound truncates the vertex enumeration.  A bound below 1 is
-    refused.
+    refused, and so is a labeling of another graph than ``g``.
     """
+    if lab.graph != g:
+        raise PathError("the labeling is of another graph")
     require_admissible(g)
     if edge_bound < 1:
         raise GraphError("edge bound must be at least 1")
@@ -536,13 +537,13 @@ def ck_check(g, img: GeneratorImage):
     """Verify the graph-algebra relations on the emitted images.
 
     Checks: vertex images are projections, mutually orthogonal, and (finite
-    vertex set) sum to the identity; edges satisfy s_e* s_e = p_r(e),
-    p_s(e) s_e = s_e, and same-vertex orthogonality; on a finite graph,
-    regular vertices satisfy the reconstruction identity sum_e s_e s_e* = p_v.
-    The emitted regular vertices of a leveled graph satisfy it too, but its
-    range sums are skipped there for their cost: on a leveled chain they
-    would more than double the time of this check.  Omega families are only
-    sampled up to the emitted bound.
+    vertex set) sum to the identity; edges ``s_e = s_alpha s_beta*`` satisfy
+    s_e* s_e = s_beta s_beta* = p_r(e), p_s(e) s_e = s_e, and same-vertex
+    orthogonality; on every graph, each emitted regular vertex satisfies
+    sum_e s_e s_e* = sum_e s_alpha s_alpha* = p_v.  Omega families are only
+    sampled up to the emitted bound.  As ``s_x s_x*`` is the indicator of
+    ``Z(x)``, both sums are tilings (``_tiles``), with every term and p_v a
+    projection: of ``Z("")`` by the vertex words, of ``p_v`` by the alphas.
 
     A product ``p_i p_j`` (``s_i* s_j``) is nonzero exactly when ``beta_i``
     and ``alpha_j`` (the two alphas) are prefix-comparable.  The
@@ -550,27 +551,23 @@ def ck_check(g, img: GeneratorImage):
     the extensions of a word are contiguous.
     """
     failures = []
+    fail = failures.append
     vmap = {v.vertex: v.mono for v in img.vertices}
-
-    def fail(msg):
-        failures.append(msg)
-
     for v in img.vertices:
         if not v.mono.is_projection():
             fail(f"p[{v.vertex}] is not a projection")
     vs = img.vertices
     for i, j in _comparable_pairs([v.mono.beta for v in vs], [v.mono.alpha for v in vs]):
         fail(f"p[{vs[i].vertex}] p[{vs[j].vertex}] != 0")
-    if g.is_finite and not FormalSum.of(*(v.mono for v in vs)).equals(FormalSum.of(ONE)):
+    if g.is_finite and not (all(v.mono.is_projection() for v in vs)
+                            and _tiles([v.mono.alpha for v in vs], "")):
         fail("vertex projections do not sum to 1")
     for e in img.edges:
-        if e.range in vmap:
-            left = mono_mult(e.mono.star(), e.mono)
-            if left != vmap[e.range]:
-                fail(f"s[{e.name}]* s[{e.name}] != p[{e.range}]")
-        if e.source in vmap:
-            if mono_mult(vmap[e.source], e.mono) != e.mono:
-                fail(f"p[{e.source}] s[{e.name}] != s[{e.name}]")
+        r = vmap.get(e.range)  # s_e* s_e = s_beta s_beta*
+        if r is not None and not r.alpha == r.beta == e.mono.beta:
+            fail(f"s[{e.name}]* s[{e.name}] != p[{e.range}]")
+        if e.source in vmap and mono_mult(vmap[e.source], e.mono) != e.mono:
+            fail(f"p[{e.source}] s[{e.name}] != s[{e.name}]")
     by_source = {}
     for e in img.edges:
         by_source.setdefault(e.source, []).append(e)
@@ -578,10 +575,10 @@ def ck_check(g, img: GeneratorImage):
         alphas = [e.mono.alpha for e in edges]
         for i, j in _comparable_pairs(alphas, alphas):
             fail(f"s[{edges[i].name}]* s[{edges[j].name}] != 0")
-        if g.is_finite and g.is_regular(v) and v in vmap:
-            ranges = FormalSum.of(*(mono_mult(e.mono, e.mono.star()) for e in edges))
-            if not ranges.equals(FormalSum.of(vmap[v])):
-                fail(f"sum of ranges at {v} != p[{v}]")
+        p = vmap.get(v)
+        tiled = p is None or p.is_projection() and _tiles(alphas, p.alpha)
+        if not tiled and g.is_regular(v):
+            fail(f"sum of ranges at {v} != p[{v}]")
     return (not failures), failures
 
 

@@ -16,9 +16,11 @@ image as a string and parsed it back, before the letter memo, the Bratteli
 element reader that built every depth-N path and looked the file's literals
 up among their strings, the element order that composed until the identity,
 the order count that stepped every level even once the fibers cycle,
-the table identity test that built the whole canonical form, and the
+the table identity test that built the whole canonical form, the
 shift, prefix replacement and point parser with their own case analysis,
-before the shift became a prefix replacement.
+before the shift became a prefix replacement, and the code partition
+check that compared every pair of code words and counted the code words
+over every binary word of its depth.
 
 Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
@@ -529,6 +531,30 @@ def old_edge_word(lab, ref):
     return code_word(old_edge_number(lab, ref), k)
 
 
+def old_code_partition_check(i, depth: int) -> bool:
+    """The code words are prefix-incomparable and tile all binary words of
+    the given depth (all but ``a^depth`` when i is OMEGA)."""
+    if i == OMEGA:
+        words = [code_word(j, i) for j in range(1, depth + 1)]
+    else:
+        words = [code_word(j, i) for j in range(1, i + 1)]
+    if any(len(w) > depth for w in words):
+        return False
+    for xi, x in enumerate(words):
+        for yi, y in enumerate(words):
+            if xi != yi and y.startswith(x):
+                return False
+    uncovered = []
+    for k in range(2 ** depth):
+        w = format(k, f"0{depth}b").replace("0", "a").replace("1", "b") if depth else ""
+        hits = sum(1 for c in words if w.startswith(c))
+        if hits != 1:
+            uncovered.append(w)
+    if i == OMEGA:
+        return uncovered == ["a" * depth]
+    return not uncovered
+
+
 def old_ck_check(g, img):
     """Verify the graph-algebra relations on the emitted images.
 
@@ -573,7 +599,7 @@ def old_ck_check(g, img):
             for e2 in edges[i + 1:]:
                 if mono_mult(e1.mono.star(), e2.mono) is not None:
                     fail(f"s[{e1.name}]* s[{e2.name}] != 0")
-        if g.is_finite and g.is_regular(v) and v in vmap:
+        if g.is_regular(v) and v in vmap:
             total = FormalSum()
             for e in edges:
                 total = total + FormalSum.of(mono_mult(e.mono, e.mono.star()))

@@ -29,6 +29,7 @@ from conftest import (
     path,
     random_diagram,
     random_graph,
+    random_leveled_graph,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -61,6 +62,19 @@ class TestAlpha:
         assert fg.code_partition_check(3, 2)
         assert fg.code_partition_check(3, 5)
         assert fg.code_partition_check(OM, 5)
+
+    def test_partitions_match_the_brute_force_reference(self):
+        answers = set()
+        for i in [*range(15), OM]:
+            for depth in range(15):
+                answer = fg.code_partition_check(i, depth)
+                assert answer == ref.old_code_partition_check(i, depth), (i, depth)
+                answers.add(answer)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("i", [0, 1, 2, OM])
+    def test_a_negative_depth_is_no_partition(self, i):
+        assert fg.code_partition_check(i, -1) is False
 
 
 class TestAdmissibility:
@@ -719,6 +733,19 @@ class TestEmit:
             fg.emit_generators(g, fg.default_labeling(g), 6))
         assert txt == (GOLDEN / "emit_leveled_f.txt").read_text()
 
+    def test_refuses_a_labeling_of_another_graph(self):
+        # g2 is g1 without k: its labeling would give h the code word of a
+        # two-way choice at w and leave s[k] out
+        fams = [("e", "v", "w"), ("f", "w", "v"), ("g", "v", "v"), ("h", "w", "w"),
+                ("k", "w", "v")]
+        g1, g2 = (fg.Graph(["v", "w"], [fg.EdgeFamily(*f) for f in fs])
+                  for fs in (fams, fams[:-1]))
+        by_name = {e.name: e.mono for e in
+                   fg.emit_generators(g1, fg.default_labeling(g1), 5).edges}
+        assert by_name["h"] == Monomial("aab", "a") and "k" in by_name
+        with pytest.raises(PathError, match="^the labeling is of another graph$"):
+            fg.emit_generators(g1, fg.default_labeling(g2), 5)
+
     def test_spot_values(self):
         g = make_two_vertex_omega()
         img = fg.emit_generators(g, fg.default_labeling(g), 2)
@@ -840,6 +867,103 @@ class TestCkCheck:
         assert fg.ck_check(g, img) == (True, [])
         assert len(scans) <= 8 * (len(img.vertices) + len(img.edges))
 
+    def test_leveled_images_pass(self):
+        # the range sums run on leveled graphs too; count the emitted regular
+        # vertices whose sum was checked
+        rnd = random.Random(0)
+        graphs = [random_leveled_graph(rnd) for _ in range(3000)]
+        diagrams = [random_diagram(random.Random(seed)) for seed in range(200)]
+        graphs += [b.underlying_graph() for b in diagrams if b.repeat is not None]
+        graphs = [g for g in graphs if g._admissibility_failure is None]
+        assert len(graphs) == 390 + 111
+        summed = 0
+        for g in graphs:
+            for bound in (1, 3, 8):
+                img = fg.emit_generators(g, fg.default_labeling(g), bound)
+                assert fg.ck_check(g, img) == (True, [])
+                summed += sum(map(g.is_regular, {e.source for e in img.edges}))
+        assert summed > 1000
+        g = make_leveled_chain_graph()
+        lab = fg.default_labeling(g)
+        for bound in range(1, 201):
+            assert fg.ck_check(g, fg.emit_generators(g, lab, bound)) == (True, [])
+
+    def test_leveled_range_sums_are_checked(self):
+        g = make_leveled_chain_graph()
+        img = fg.emit_generators(g, fg.default_labeling(g), 6)
+        k, e = next((k, e) for k, e in enumerate(img.edges) if g.is_regular(e.source))
+        words = _words(img)
+        at = 2 * (len(img.vertices) + k)
+        words[at] = words[at][:-1]
+        ok, failures = fg.ck_check(g, _with_words(img, words))
+        assert not ok
+        assert f"sum of ranges at {e.source} != p[{e.source}]" in failures
+
+
+def _tiling_case(rnd):
+    """A list of binary words and a word ``w``: a complete prefix code below
+    ``w`` with one word dropped, repeated, truncated or flipped, or kept
+    whole, or random words."""
+    def word(n):
+        return "".join(rnd.choice("ab") for _ in range(rnd.randint(0, n)))
+
+    w = word(3)
+    if rnd.random() < 0.2:
+        return [word(5) for _ in range(rnd.randint(0, 6))], w
+    words = [w]
+    for _ in range(rnd.randint(0, 6)):
+        x = words.pop(rnd.randrange(len(words)))
+        words += [x + "a", x + "b"]
+    rnd.shuffle(words)
+    k = rnd.randrange(len(words))
+    x = words[k]
+    kind = rnd.choice(["drop", "repeat", "truncate", "flip", "whole"])
+    if kind == "drop":
+        del words[k]
+    elif kind == "repeat":
+        words.insert(rnd.randint(0, len(words)), x)
+    elif kind == "truncate":
+        words[k] = x[:rnd.randint(0, len(x))]
+    elif kind == "flip" and x:
+        j = rnd.randrange(len(x))
+        words[k] = x[:j] + "ba"["ab".index(x[j])] + x[j + 1:]
+    return words, w
+
+
+class TestTilingSums:
+    """Both sums ``ck_check`` decides as tilings, against ``FormalSum.equals``."""
+
+    def test_range_sums(self):
+        g, rnd, answers = make_e2(), random.Random(5), []
+        for _ in range(3000):
+            words, w = _tiling_case(rnd)
+            if not words:  # no edges: no sum at v
+                continue
+            # a target that is not a projection one time in five
+            target = Monomial(w, w if rnd.random() < 0.8 else w + rnd.choice(["a", "b"]))
+            edges = tuple(embed.EdgeImage(f"e{k}", ("a", 1), "v", "-", Monomial(x, ""))
+                          for k, x in enumerate(words))
+            img = fg.GeneratorImage((embed.VertexImage("v", target),), edges)
+            ranges = FormalSum.of(*(Monomial(x, x) for x in words))
+            answer = ranges.equals(FormalSum.of(target))
+            assert ("sum of ranges at v != p[v]" not in fg.ck_check(g, img)[1]) == answer
+            answers.append(answer)
+        assert 300 < answers.count(True) < 2500
+
+    def test_vertex_sums(self):
+        g, rnd, answers = make_e2(), random.Random(6), []
+        for _ in range(3000):
+            monos = [Monomial(x, x) for x in _tiling_case(rnd)[0]]
+            if monos and rnd.random() < 0.2:
+                x = monos.pop(rnd.randrange(len(monos))).alpha
+                monos.append(Monomial(x, x[:-1] + "ba"[x.endswith("b")]))
+            img = fg.GeneratorImage(tuple(embed.VertexImage(f"u{k}", m)
+                                          for k, m in enumerate(monos)), ())
+            answer = FormalSum.of(*monos).equals(FormalSum.of(ONE))
+            failures = fg.ck_check(g, img)[1]
+            assert ("vertex projections do not sum to 1" not in failures) == answer
+            answers.append(answer)
+        assert 100 < answers.count(True) < 2500
 
 
 def mutations(img):
