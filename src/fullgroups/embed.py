@@ -27,7 +27,7 @@ from itertools import chain
 from .errors import AdmissibilityError, GraphError, ParseError, PathError
 from .graph import OMEGA, EdgeFamily, Graph, _strings
 from .pathspace import BoundaryPoint, FinitePath, periodic_point
-from .tables import Piece, Table, make_table
+from .tables import Piece, Table, _marked, make_table, validate_table
 
 E2 = Graph(
     ["v"],
@@ -288,11 +288,18 @@ def embed_table(t: Table, lab: Labeling) -> Table:
     smaller index; each stem then maps through the word map.  A piece whose
     stems have one word maps to the identity and is dropped.  ``lab`` must
     label the table's graph.
+
+    ``t`` is validated unless it is known valid (``make_table`` with
+    ``validate``, and what the table operations build from valid tables).
+    The image is never checked: the word map is an injective prefix code,
+    so the image of a valid table is valid, and it is known valid.
     """
     g = t.graph
     if lab.graph != g:
         raise PathError("the labeling is of another graph than the table")
     require_admissible(g)
+    if not t._valid:
+        validate_table(t)
     out = []
     tails = {}  # (range, F) -> _tails
     empty = frozenset()
@@ -308,7 +315,7 @@ def embed_table(t: Table, lab: Labeling) -> Table:
         for tail in ends:
             out.append(Piece(FinitePath("v", mu_w + tail, "v"), empty,
                              FinitePath("v", lam_w + tail, "v")))
-    return make_table(E2, out, validate=True)
+    return _marked(make_table(E2, out, validate=False))
 
 
 # ---------------------------------------------------------------------------

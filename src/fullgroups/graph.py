@@ -40,6 +40,11 @@ class EdgeFamily:
     range: str
     multiplicity: str = SINGLE
 
+    def __post_init__(self):
+        if self.multiplicity not in (SINGLE, OMEGA_MULT):
+            raise GraphError(f"family {self.id!r} has multiplicity {self.multiplicity!r}, "
+                             f"not {SINGLE!r} or {OMEGA_MULT!r}")
+
     @property
     def is_omega(self) -> bool:
         return self.multiplicity == OMEGA_MULT
@@ -106,7 +111,10 @@ class _GraphBase:
         return (where, pos, ref[1])
 
     def check_ref(self, ref: EdgeRef) -> EdgeFamily:
-        fid, idx = ref
+        try:
+            fid, idx = ref
+        except (TypeError, ValueError):
+            raise GraphError(f"bad edge reference {ref!r}: not an (id, index) pair") from None
         fam = self.family(fid)
         if not isinstance(idx, int) or idx < 1:
             raise GraphError(f"bad edge index in {ref!r}")

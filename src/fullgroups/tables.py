@@ -14,7 +14,7 @@ correspondence breaks down and those operations refuse to answer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import ArrowError, GermError, ParseError, TableError
@@ -83,23 +83,38 @@ def codomain_atom(p: Piece) -> CylinderAtom:
 class Table:
     graph: object
     pieces: tuple
+    # True only on a table the library validated or built from valid tables
+    # (``_marked``); equality, hashing and repr ignore it, and a table built
+    # by ``Table(...)`` or ``dataclasses.replace`` starts as unknown.
+    _valid: bool = field(init=False, default=False, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.pieces)
 
 
+def _marked(t: Table, valid: bool = True) -> Table:
+    """``t``, recorded as a valid table when ``valid``."""
+    if valid:
+        object.__setattr__(t, "_valid", True)
+    return t
+
+
 def identity(g) -> Table:
-    return Table(g, ())
+    return _marked(Table(g, ()))
 
 
 def make_table(g, pieces, validate: bool = True) -> Table:
     """The pieces in the order of their domain atoms ``Z(lam \\ F)``: by the
-    start of ``lam``, its edges, then F (``pathspace._in_atom_order``)."""
+    start of ``lam``, its edges, then F (``pathspace._in_atom_order``).
+
+    With ``validate`` the table must pass ``validate_table`` and is then
+    known valid, so ``embed_table`` does not check it again; without it, its
+    validity is unknown."""
     norm = [p if isinstance(p, Piece) else make_piece(g, *p) for p in pieces]
     t = Table(g, _in_atom_order(g, norm, attrgetter("lam", "F")))
     if validate:
         validate_table(t)
-    return t
+    return _marked(t, validate)
 
 
 def validate_table(t: Table) -> None:
@@ -194,15 +209,17 @@ def apply(t: Table, p: BoundaryPoint) -> BoundaryPoint:
 
 
 def inverse(t: Table) -> Table:
+    """The inverse table; known valid when ``t`` is."""
     pieces = _in_atom_order(t.graph, t.pieces, attrgetter("mu", "F"))  # the inverses' domains
-    return Table(t.graph, tuple(p.inverse() for p in pieces))
+    return _marked(Table(t.graph, tuple(p.inverse() for p in pieces)), t._valid)
 
 
 def compose(s: Table, t: Table) -> Table:
     """Table of ``s after t``; both must be valid tables, as ``validate_table``
     checks.  ``pathspace._parts`` cuts t's codomains (kind 0), s's domains
     (kind 1) and t's domains (kind 2) into their meets and the leftovers
-    where s or t is the identity; identity pieces are not built."""
+    where s or t is the identity; identity pieces are not built.  The result
+    is known valid when both inputs are."""
     if s.graph != t.graph:
         raise TableError("tables live over different graphs")
     g = s.graph
@@ -220,7 +237,7 @@ def compose(s: Table, t: Table) -> Table:
 
     _parts(g, emit, ([p.mu for p in tp], [q.lam for q in sp], [p.lam for p in tp]),
            ([p.F for p in tp], [q.F for q in sp], [p.F for p in tp]))
-    return make_table(g, out, validate=False)
+    return _marked(make_table(g, out, validate=False), s._valid and t._valid)
 
 
 def commutator(s: Table, t: Table) -> Table:
@@ -242,7 +259,8 @@ def canonicalize(t: Table) -> Table:
     minimal form: the plain pair if it is every out-edge, the plain child if
     it is one edge, else the pair that excludes the rest.  At an omega vertex
     the piece there absorbs the children it excludes.  A plain result whose
-    two stems end in the same edge is carried up one level.
+    two stems end in the same edge is carried up one level.  The result is
+    known valid when ``t`` is.
     """
     g = t.graph
     _require_effective(g)
@@ -280,7 +298,7 @@ def canonicalize(t: Table) -> Table:
                       FinitePath(lam.start, lam.edges[:-1], w))
             carried.setdefault(parent, {})[last[0]] = Piece(mu, F, lam)
             levels.setdefault(d - 1, {}).setdefault(parent, [])
-    return make_table(g, out, validate=False)
+    return _marked(make_table(g, out, validate=False), t._valid)
 
 
 def is_identity(t: Table) -> bool:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fullgroups as fg
 from fullgroups import embed
 from fullgroups.embed import ONE, FormalSum, Monomial, edge_word
-from fullgroups.errors import AdmissibilityError, GraphError, PathError
+from fullgroups.errors import AdmissibilityError, GraphError, PathError, TableError
 
 import pairwise_reference as ref
 from conftest import (
@@ -207,6 +207,22 @@ class TestEmbedTable:
         for other in (loops("cba"), loops("ab")):
             with pytest.raises(PathError, match="^the labeling is of another graph than the table$"):
                 fg.embed_table(swap, fg.default_labeling(other))
+
+    def test_refuses_a_table_of_unknown_validity_that_is_invalid(self):
+        g = fg.Graph(["v"], [fg.EdgeFamily("e", "v", "v"), fg.EdgeFamily("f", "v", "v")])
+        lab = fg.default_labeling(g)
+        # the identity piece overlaps the exchange; the image would drop it
+        overlapping = fg.Table(g, (
+            fg.Piece(path(g, "v", "e", "e"), frozenset(), path(g, "v", "e", "f")),
+            fg.Piece(path(g, "v", "e", "f"), frozenset(), path(g, "v", "e", "e")),
+            fg.Piece(path(g, "v"), frozenset(), path(g, "v"))))
+        unbalanced = fg.Table(g, (fg.Piece(path(g, "v", "e"), frozenset(), path(g, "v", "f")),))
+        for t, why in ((overlapping, "overlapping domain atoms"),
+                       (unbalanced, "domain union differs from codomain union")):
+            with pytest.raises(TableError, match=why):
+                fg.validate_table(t)
+            with pytest.raises(TableError, match=why):
+                fg.embed_table(t, lab)
 
     def test_cover_table_arrow_transported(self, one_orbit):
         g = one_orbit

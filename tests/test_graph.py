@@ -58,6 +58,22 @@ def test_dangling_vertex_rejected():
         fg.Graph(["v"], [fg.EdgeFamily("a", "v", "w")])
 
 
+def test_an_unknown_multiplicity_is_refused():
+    # every multiplicity but "omega" would act as single yet compare unequal
+    with pytest.raises(GraphError, match="multiplicity 'x'"):
+        fg.Graph(["v"], [fg.EdgeFamily("e", "v", "v", "x")])
+
+
+def test_a_ref_that_is_not_a_pair_is_refused():
+    g = fg.Graph(["v"], [fg.EdgeFamily("e", "v", "v"), fg.EdgeFamily("f", "v", "v")])
+    with pytest.raises(GraphError, match=r"not an \(id, index\) pair"):
+        fg.make_path(g, "v", ["f"])
+    for bad in (None, 5, ("f",), ("f", 1, 1)):
+        with pytest.raises(GraphError, match=r"not an \(id, index\) pair"):
+            g.check_ref(bad)
+    assert g.check_ref(["f", 1]).id == "f"
+
+
 def test_omega_normalized_last():
     g = fg.Graph(["v"], [fg.EdgeFamily("o", "v", "v", "omega"), fg.EdgeFamily("a", "v", "v")])
     assert [f.id for f in g.out_families("v")] == ["a", "o"]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import random
@@ -194,6 +195,44 @@ class TestStemIndexTables:
         assert len(t.pieces) >= 200
         fg.validate_table(t)
         assert calls == []
+
+
+class TestKnownValid:
+    """Every table the library records as valid passes ``validate_table``; a
+    table built by hand, without validation or from a table of unknown
+    validity is not recorded, and the record changes no comparison."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(_GRAPHS).flatmap(
+        lambda g: st.tuples(_random_tables(g), _random_tables(g))))
+    def test_operations_keep_validity(self, case):
+        raw = case[0]
+        g = raw.graph
+        s, t = (fg.make_table(g, x.pieces, validate=True) for x in case)
+        known = [s, t, fg.identity(g), fg.compose(s, t), fg.inverse(s),
+                 fg.canonicalize(s), fg.commutator(s, t)]
+        if g._admissibility_failure is None:
+            known.append(fg.embed_table(fg.commutator(s, t), fg.default_labeling(g)))
+        for k in known:
+            assert k._valid
+            fg.validate_table(k)
+        unknown = [raw, fg.Table(g, s.pieces), fg.make_table(g, s.pieces, validate=False),
+                   dataclasses.replace(s, pieces=s.pieces[::-1]), fg.compose(s, raw),
+                   fg.compose(raw, s), fg.inverse(raw), fg.canonicalize(raw),
+                   fg.commutator(s, raw)]
+        assert not any(u._valid for u in unknown)
+        same = fg.Table(g, s.pieces)
+        assert (same, hash(same), repr(same)) == (s, hash(s), repr(s))
+
+    def test_constructors_record_validity(self, e2):
+        hat = fg.involution_hat(e2, [(path(e2, "v", "a"), frozenset(), path(e2, "v", "b"))])
+        x = fg.periodic_point(e2, path(e2, "v", "b"), path(e2, "v", "a"))
+        arrow = fg.transposition_for_arrow(fg.Arrow(x, 0, ainf(e2)), fg.full_space(e2), e2)
+        el = _random_gamma_element(make_gamma24_diagram(), 3, random.Random(7))
+        for t in (hat, arrow, fg.table_from_json(e2, fg.table_to_json(hat)),
+                  fg.gamma_to_table(el), fg.af_to_v(el)):
+            assert t._valid
+            fg.validate_table(t)
 
 
 def _verdict(check, t):
