@@ -9,8 +9,10 @@ and edge choices gives a word map ``word_of_path`` and a point map
 
 The same code yields generator-level images for the associated algebras:
 vertex projections map to diagonal monomials and edge partial isometries to
-monomials ``s_alpha s_beta*``; ``ck_check`` verifies the defining relations
-symbolically.
+monomials ``s_alpha s_beta*``.  ``ck_check`` verifies the defining relations
+on the words alone: over a prefix code each relation holds exactly when
+some words are equal, are not prefix-comparable or tile a cylinder, so it
+compares and sorts words and forms no product.
 
 A labeling memoises each edge's and each vertex's code word twice: as a
 string, and as a tuple of the two letter refs ``A = ("a", 1)`` and
@@ -77,16 +79,20 @@ def code_word(j: int, i) -> str:
     return "a" * (j - 1) + "b"
 
 
+def _nested(words) -> bool:
+    """Two of the sorted ``words`` are prefix-comparable (or equal): in
+    sorted order a word that is a prefix of a later one is one of the next."""
+    return any(map(str.startswith, words[1:], words))
+
+
 def _tiles(words, w: str) -> bool:
-    """The cylinders of the binary ``words`` partition ``Z(w)``: in sorted
-    order the first and the last word extend ``w`` (so every word between
-    does), none is a prefix of the next (so of no other, nor a repeat), and
-    their Kraft sum is that of ``w``."""
-    words = sorted(words)
+    """The cylinders of the sorted binary ``words`` partition ``Z(w)``: the
+    first and the last word extend ``w`` (so every word between does), they
+    are not ``_nested``, and their Kraft sum is that of ``w``."""
     if not words or not (words[0].startswith(w) and words[-1].startswith(w)):
         return False
     whole = 1 << max(map(len, words))  # 2**-len(x) in units of 2**-top
-    return (not any(map(str.startswith, words[1:], words))
+    return (not _nested(words)
             and sum(map(whole.__rshift__, map(len, words))) == whole >> len(w))
 
 
@@ -97,7 +103,7 @@ def code_partition_check(i, depth: int) -> bool:
         words = [code_word(j, i) for j in range(1, depth + 1)] + ["a" * depth]
     else:
         words = [code_word(j, i) for j in range(1, i + 1)]
-    return all(len(w) <= depth for w in words) and _tiles(words, "")
+    return all(len(w) <= depth for w in words) and _tiles(sorted(words), "")
 
 
 # ---------------------------------------------------------------------------
@@ -319,127 +325,19 @@ def embed_table(t: Table, lab: Labeling) -> Table:
 
 
 # ---------------------------------------------------------------------------
-# Monomials and formal sums
+# Generator emission
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Monomial:
-    """s_alpha s_beta* over the binary alphabet; None stands for zero."""
+    """s_alpha s_beta* over the binary alphabet."""
 
     alpha: str
     beta: str
 
-    def star(self) -> "Monomial":
-        return Monomial(self.beta, self.alpha)
-
     def is_projection(self) -> bool:
         return self.alpha == self.beta
-
-
-ONE = Monomial("", "")
-
-
-def mono_mult(x, y):
-    """Product of monomials with the usual contraction; None is absorbing."""
-    if x is None or y is None:
-        return None
-    if y.alpha.startswith(x.beta):
-        return Monomial(x.alpha + y.alpha[len(x.beta):], y.beta)
-    if x.beta.startswith(y.alpha):
-        return Monomial(x.alpha, y.beta + x.beta[len(y.alpha):])
-    return None
-
-
-class FormalSum:
-    """Integer combination of monomials kept in collected form."""
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for mono, c in (terms or {}).items():
-            if c:
-                self.terms[mono] = self.terms.get(mono, 0) + c
-
-    @classmethod
-    def of(cls, *monos):
-        s = cls()
-        for m in monos:
-            if m is not None:
-                s.terms[m] = s.terms.get(m, 0) + 1
-        return s
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return FormalSum({m: c for m, c in out.items() if c})
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return FormalSum({m: c for m, c in out.items() if c})
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mult(m1, m2)
-                if m is not None:
-                    out[m] = out.get(m, 0) + c1 * c2
-        return FormalSum({m: c for m, c in out.items() if c})
-
-    def reduced(self) -> "FormalSum":
-        """Collect sibling pairs: c(s_xa s_ya*) + c(s_xb s_yb*) -> c(s_x s_y*).
-
-        One pass over the alpha lengths present, longest first: siblings of
-        one sign move their smaller coefficient to the parent, one letter
-        shorter, whose length comes later; so each term is looked at once.
-        The moves keep the value, and in a zero sum the deepest siblings
-        carry equal coefficients, so the sum is zero exactly when nothing is
-        left.
-        """
-        levels = {}
-        for m, c in self.terms.items():
-            levels.setdefault(len(m.alpha), {})[m] = c
-        out = {}
-        depths = sorted(levels)
-        while depths:
-            d = depths.pop()
-            level = levels.pop(d)
-            for m in [m for m in level if m.alpha.endswith("a") and m.beta.endswith("a")]:
-                c = level[m]
-                sib = Monomial(m.alpha[:-1] + "b", m.beta[:-1] + "b")
-                c2 = level.get(sib, 0)
-                if not c2 or (c > 0) != (c2 > 0):
-                    continue
-                step = min(c, c2) if c > 0 else max(c, c2)
-                level[m] -= step
-                level[sib] -= step
-                if d - 1 not in levels:  # below every depth left
-                    levels[d - 1] = {}
-                    depths.append(d - 1)
-                parent = Monomial(m.alpha[:-1], m.beta[:-1])
-                levels[d - 1][parent] = levels[d - 1].get(parent, 0) + step
-            out.update(level)
-        return FormalSum(out)
-
-    def is_zero(self) -> bool:
-        return not self.reduced().terms
-
-    def equals(self, other) -> bool:
-        return (self - other).is_zero()
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*({m.alpha}|{m.beta})" for m, c in sorted(
-            self.terms.items(), key=lambda kv: (kv[0].alpha, kv[0].beta)))
-
-
-# ---------------------------------------------------------------------------
-# Generator emission
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -469,6 +367,10 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
     Omega families are truncated at ``edge_bound`` edges; for leveled graphs
     the same bound truncates the vertex enumeration.  A bound below 1 is
     refused, and so is a labeling of another graph than ``g``.
+
+    Vertex ``i`` of the labeling maps to ``code_word(i, n)``, with no name
+    read back to its number.  Each vertex's out-families are read once, so
+    an omega family is looked up once for all its emitted edges.
     """
     if lab.graph != g:
         raise PathError("the labeling is of another graph")
@@ -476,23 +378,22 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
     if edge_bound < 1:
         raise GraphError("edge bound must be at least 1")
     count = g.vertex_count() if g.is_finite else edge_bound
-    vertex_names = [lab.vertex_by_number(i) for i in range(1, count + 1)]
-    words = {v: word_of_vertex(v, lab) for v in vertex_names}
+    words = {lab.vertex_by_number(i): code_word(i, lab.n) for i in range(1, count + 1)}
     vimages = [VertexImage(v, Monomial(w, w)) for v, w in words.items()]
     eimages = []
     for v, vword in words.items():
-        refs = [(fid, 1) for fid in lab.singles_at(v)]
-        fam = g.omega_family(v)
-        if fam is not None:
-            refs += [(fam.id, j) for j in range(1, edge_bound + 1)]
-        for ref in refs:
-            fam_obj = g.family(ref[0])
-            word = vword + edge_word(ref, lab)
-            rword = words.get(fam_obj.range)
+        fams = g.out_families(v)  # singles, then the omega family
+        if v in lab.edge_orders:
+            fams = sorted(fams, key=lambda f: lab._reordered.get(f.id, len(fams)))
+        for f in fams:
+            rword = words.get(f.range)
             if rword is None:  # a leveled vertex past the bound
-                rword = word_of_vertex(fam_obj.range, lab)
-            name = f"{ref[0]}[{ref[1]}]" if fam_obj.is_omega else ref[0]
-            eimages.append(EdgeImage(name, ref, v, fam_obj.range, Monomial(word, rword)))
+                rword = code_word(lab.vertex_number(f.range), lab.n)
+            omega = f.is_omega
+            for j in range(1, edge_bound + 1 if omega else 2):
+                ref = (f.id, j)
+                eimages.append(EdgeImage(f"{f.id}[{j}]" if omega else f.id, ref, v, f.range,
+                                         Monomial(vword + edge_word(ref, lab), rword)))
     return GeneratorImage(tuple(vimages), tuple(eimages))
 
 
@@ -517,23 +418,27 @@ def format_generator_image(img: GeneratorImage) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _comparable_pairs(left, right):
+def _comparable_pairs(left, right=None):
     """Sorted index pairs ``(i, j)``, ``i < j``, with ``left[i]`` and
-    ``right[j]`` prefix-comparable.
+    ``right[j]`` prefix-comparable; ``right`` defaults to ``left``.
 
-    Both word lists go into one list tagged by side and index, and it is
-    sorted.  The words extending ``w`` then follow ``w`` in one contiguous
-    block, so each entry scans forward only while its extensions last.
+    The words, tagged by side and index (each once if there is one list),
+    are sorted.  The words extending ``w`` then follow ``w`` in one
+    contiguous block, so each entry scans forward only while they last.
     """
-    tagged = sorted([(w, 0, i) for i, w in enumerate(left)]
-                    + [(w, 1, j) for j, w in enumerate(right)])
+    tagged = [(w, 0, i) for i, w in enumerate(left)]
+    if right is not None:
+        tagged += [(w, 1, j) for j, w in enumerate(right)]
+    tagged.sort()
     pairs = []
     for k, (w, side, i) in enumerate(tagged):
         for m in range(k + 1, len(tagged)):
             x, other, j = tagged[m]
             if not x.startswith(w):
                 break
-            if side != other:
+            if right is None:
+                pairs.append((i, j) if i < j else (j, i))
+            elif side != other:
                 pair = (i, j) if side == 0 else (j, i)
                 if pair[0] < pair[1]:
                     pairs.append(pair)
@@ -548,42 +453,53 @@ def ck_check(g, img: GeneratorImage):
     s_e* s_e = s_beta s_beta* = p_r(e), p_s(e) s_e = s_e, and same-vertex
     orthogonality; on every graph, each emitted regular vertex satisfies
     sum_e s_e s_e* = sum_e s_alpha s_alpha* = p_v.  Omega families are only
-    sampled up to the emitted bound.  As ``s_x s_x*`` is the indicator of
-    ``Z(x)``, both sums are tilings (``_tiles``), with every term and p_v a
-    projection: of ``Z("")`` by the vertex words, of ``p_v`` by the alphas.
+    sampled up to the emitted bound.
 
-    A product ``p_i p_j`` (``s_i* s_j``) is nonzero exactly when ``beta_i``
-    and ``alpha_j`` (the two alphas) are prefix-comparable.  The
-    orthogonality checks find those pairs by sorting the words, among which
-    the extensions of a word are contiguous.
+    No product is formed.  p_s(e) s_e = s_e exactly when p_s(e) is a
+    projection s_w s_w* with ``w`` a prefix of alpha.  A product p_i p_j
+    (s_i* s_j) is nonzero exactly when beta_i and alpha_j (the two alphas)
+    are prefix-comparable, which one pass over the sorted words decides
+    (``_nested``); ``_comparable_pairs`` runs only to name the failing pairs,
+    and for vertex images that are not all projections.  As s_x s_x* is the
+    indicator of Z(x), both sums are tilings (``_tiles``), with every term
+    and p_v a projection: of Z("") by the vertex words, of p_v by the alphas.
     """
     failures = []
     fail = failures.append
-    vmap = {v.vertex: v.mono for v in img.vertices}
-    for v in img.vertices:
+    vs = img.vertices
+    vmap = {v.vertex: v.mono for v in vs}
+    for v in vs:
         if not v.mono.is_projection():
             fail(f"p[{v.vertex}] is not a projection")
-    vs = img.vertices
-    for i, j in _comparable_pairs([v.mono.beta for v in vs], [v.mono.alpha for v in vs]):
+    projections = not failures  # the only failures yet
+    alphas = [v.mono.alpha for v in vs]
+    if projections:  # the betas are the alphas
+        words = sorted(alphas)
+        pairs = _comparable_pairs(alphas) if _nested(words) else ()
+    else:
+        pairs = _comparable_pairs([v.mono.beta for v in vs], alphas)
+    for i, j in pairs:
         fail(f"p[{vs[i].vertex}] p[{vs[j].vertex}] != 0")
-    if g.is_finite and not (all(v.mono.is_projection() for v in vs)
-                            and _tiles([v.mono.alpha for v in vs], "")):
+    if g.is_finite and not (projections and _tiles(words, "")):
         fail("vertex projections do not sum to 1")
     for e in img.edges:
         r = vmap.get(e.range)  # s_e* s_e = s_beta s_beta*
         if r is not None and not r.alpha == r.beta == e.mono.beta:
             fail(f"s[{e.name}]* s[{e.name}] != p[{e.range}]")
-        if e.source in vmap and mono_mult(vmap[e.source], e.mono) != e.mono:
+        p = vmap.get(e.source)
+        if p is not None and not (p.alpha == p.beta and e.mono.alpha.startswith(p.alpha)):
             fail(f"p[{e.source}] s[{e.name}] != s[{e.name}]")
     by_source = {}
     for e in img.edges:
         by_source.setdefault(e.source, []).append(e)
     for v, edges in by_source.items():
         alphas = [e.mono.alpha for e in edges]
-        for i, j in _comparable_pairs(alphas, alphas):
-            fail(f"s[{edges[i].name}]* s[{edges[j].name}] != 0")
+        words = sorted(alphas)
+        if _nested(words):
+            for i, j in _comparable_pairs(alphas):
+                fail(f"s[{edges[i].name}]* s[{edges[j].name}] != 0")
         p = vmap.get(v)
-        tiled = p is None or p.is_projection() and _tiles(alphas, p.alpha)
+        tiled = p is None or p.is_projection() and _tiles(words, p.alpha)
         if not tiled and g.is_regular(v):
             fail(f"sum of ranges at {v} != p[{v}]")
     return (not failures), failures

@@ -36,14 +36,14 @@ def make_path(g, start: str, edges=()) -> FinitePath:
     """Build a validated finite path; ``edges`` is a sequence of EdgeRefs."""
     if not g.has_vertex(start):
         raise PathError(f"unknown start vertex {start!r}")
-    at = start
-    edges = tuple(tuple(e) for e in edges)
+    at, refs = start, []
     for ref in edges:
-        fam = g.check_ref(ref)
+        fam = g.check_ref(ref)  # before ``tuple``, which a non-pair may break
         if fam.source != at:
-            raise PathError(f"edge {ref!r} does not continue the path at {at!r}")
+            raise PathError(f"edge {tuple(ref)!r} does not continue the path at {at!r}")
+        refs.append(tuple(ref))
         at = fam.range
-    return FinitePath(start, edges, at)
+    return FinitePath(start, tuple(refs), at)
 
 
 def trivial_path(g, vertex: str) -> FinitePath:

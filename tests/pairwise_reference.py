@@ -35,25 +35,32 @@ below the vertex.  The ``old_`` labeling queries read the labeling's
 ``vertex_order`` and ``edge_orders``, the graph through these, and the
 package's ``code_word``.
 
+``old_emit_generators`` reads each emitted vertex's word back from its
+name and looks up the family of every emitted edge, once per omega edge.
 ``old_ck_check`` tests the orthogonality relations by multiplying every
 pair of vertex images and every pair of edge images at one source, and
-builds its formal sums one term at a time.  ``old_reduced`` restarts its
-scan of a formal sum's terms after every merge of two siblings.
+builds its formal sums one term at a time.  Those products and sums are
+the Leavitt path algebra arithmetic the library no longer has:
+``mono_mult`` (monomial products, ``None`` for zero), ``star``, ``ONE`` and
+``FormalSum``, whose one-pass ``reduced`` is the oracle for the tiling sums
+of ``ck_check``.  ``old_reduced`` restarts its scan of a formal sum's terms
+after every merge of two siblings.
 """
 import math
 import re
 
 from fullgroups.embed import (
     E2,
-    ONE,
-    FormalSum,
+    EdgeImage,
+    GeneratorImage,
     Monomial,
+    VertexImage,
     binary_path,
     code_word,
     edge_word,
-    mono_mult,
     require_admissible,
     word_of_path,
+    word_of_vertex,
 )
 from fullgroups.bratteli import MAX_ORDER_DIGITS, GammaElement, _out_edges, _too_long
 from fullgroups.errors import GraphError, ParseError, PathError, TableError
@@ -555,6 +562,116 @@ def old_code_partition_check(i, depth: int) -> bool:
     return not uncovered
 
 
+# ---------------------------------------------------------------------------
+# The Leavitt path algebra arithmetic the word tests replaced
+# ---------------------------------------------------------------------------
+
+
+ONE = Monomial("", "")
+
+
+def star(m):
+    """The adjoint ``s_beta s_alpha*`` of ``s_alpha s_beta*``."""
+    return Monomial(m.beta, m.alpha)
+
+
+def mono_mult(x, y):
+    """Product of monomials with the usual contraction; None is absorbing."""
+    if x is None or y is None:
+        return None
+    if y.alpha.startswith(x.beta):
+        return Monomial(x.alpha + y.alpha[len(x.beta):], y.beta)
+    if x.beta.startswith(y.alpha):
+        return Monomial(x.alpha, y.beta + x.beta[len(y.alpha):])
+    return None
+
+
+class FormalSum:
+    """Integer combination of monomials kept in collected form."""
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        for mono, c in (terms or {}).items():
+            if c:
+                self.terms[mono] = self.terms.get(mono, 0) + c
+
+    @classmethod
+    def of(cls, *monos):
+        s = cls()
+        for m in monos:
+            if m is not None:
+                s.terms[m] = s.terms.get(m, 0) + 1
+        return s
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return FormalSum({m: c for m, c in out.items() if c})
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) - c
+        return FormalSum({m: c for m, c in out.items() if c})
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = mono_mult(m1, m2)
+                if m is not None:
+                    out[m] = out.get(m, 0) + c1 * c2
+        return FormalSum({m: c for m, c in out.items() if c})
+
+    def reduced(self) -> "FormalSum":
+        """Collect sibling pairs: c(s_xa s_ya*) + c(s_xb s_yb*) -> c(s_x s_y*).
+
+        One pass over the alpha lengths present, longest first: siblings of
+        one sign move their smaller coefficient to the parent, one letter
+        shorter, whose length comes later; so each term is looked at once.
+        The moves keep the value, and in a zero sum the deepest siblings
+        carry equal coefficients, so the sum is zero exactly when nothing is
+        left.
+        """
+        levels = {}
+        for m, c in self.terms.items():
+            levels.setdefault(len(m.alpha), {})[m] = c
+        out = {}
+        depths = sorted(levels)
+        while depths:
+            d = depths.pop()
+            level = levels.pop(d)
+            for m in [m for m in level if m.alpha.endswith("a") and m.beta.endswith("a")]:
+                c = level[m]
+                sib = Monomial(m.alpha[:-1] + "b", m.beta[:-1] + "b")
+                c2 = level.get(sib, 0)
+                if not c2 or (c > 0) != (c2 > 0):
+                    continue
+                step = min(c, c2) if c > 0 else max(c, c2)
+                level[m] -= step
+                level[sib] -= step
+                if d - 1 not in levels:  # below every depth left
+                    levels[d - 1] = {}
+                    depths.append(d - 1)
+                parent = Monomial(m.alpha[:-1], m.beta[:-1])
+                levels[d - 1][parent] = levels[d - 1].get(parent, 0) + step
+            out.update(level)
+        return FormalSum(out)
+
+    def is_zero(self) -> bool:
+        return not self.reduced().terms
+
+    def equals(self, other) -> bool:
+        return (self - other).is_zero()
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{c}*({m.alpha}|{m.beta})" for m, c in sorted(
+            self.terms.items(), key=lambda kv: (kv[0].alpha, kv[0].beta)))
+
+
 def old_ck_check(g, img):
     """Verify the graph-algebra relations on the emitted images.
 
@@ -585,7 +702,7 @@ def old_ck_check(g, img):
             fail("vertex projections do not sum to 1")
     for e in img.edges:
         if e.range in vmap:
-            left = mono_mult(e.mono.star(), e.mono)
+            left = mono_mult(star(e.mono), e.mono)
             if left != vmap[e.range]:
                 fail(f"s[{e.name}]* s[{e.name}] != p[{e.range}]")
         if e.source in vmap:
@@ -597,15 +714,40 @@ def old_ck_check(g, img):
     for v, edges in by_source.items():
         for i, e1 in enumerate(edges):
             for e2 in edges[i + 1:]:
-                if mono_mult(e1.mono.star(), e2.mono) is not None:
+                if mono_mult(star(e1.mono), e2.mono) is not None:
                     fail(f"s[{e1.name}]* s[{e2.name}] != 0")
         if g.is_regular(v) and v in vmap:
             total = FormalSum()
             for e in edges:
-                total = total + FormalSum.of(mono_mult(e.mono, e.mono.star()))
+                total = total + FormalSum.of(mono_mult(e.mono, star(e.mono)))
             if not total.equals(FormalSum.of(vmap[v])):
                 fail(f"sum of ranges at {v} != p[{v}]")
     return (not failures), failures
+
+
+def old_emit_generators(g, lab, edge_bound=10):
+    """The generator images with each vertex's word read back from its name
+    and the family of every emitted edge looked up by id."""
+    require_admissible(g)
+    count = g.vertex_count() if g.is_finite else edge_bound
+    vertex_names = [lab.vertex_by_number(i) for i in range(1, count + 1)]
+    words = {v: word_of_vertex(v, lab) for v in vertex_names}
+    vimages = [VertexImage(v, Monomial(w, w)) for v, w in words.items()]
+    eimages = []
+    for v, vword in words.items():
+        refs = [(fid, 1) for fid in lab.singles_at(v)]
+        fam = g.omega_family(v)
+        if fam is not None:
+            refs += [(fam.id, j) for j in range(1, edge_bound + 1)]
+        for ref in refs:
+            fam_obj = g.family(ref[0])
+            word = vword + edge_word(ref, lab)
+            rword = words.get(fam_obj.range)
+            if rword is None:
+                rword = word_of_vertex(fam_obj.range, lab)
+            name = f"{ref[0]}[{ref[1]}]" if fam_obj.is_omega else ref[0]
+            eimages.append(EdgeImage(name, ref, v, fam_obj.range, Monomial(word, rword)))
+    return GeneratorImage(tuple(vimages), tuple(eimages))
 
 
 def old_reduced(s):

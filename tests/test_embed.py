@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import pathlib
 import random
 import sys
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 import fullgroups as fg
 from fullgroups import embed
-from fullgroups.embed import ONE, FormalSum, Monomial, edge_word
+from fullgroups.embed import Monomial, edge_word
 from fullgroups.errors import AdmissibilityError, GraphError, PathError, TableError
 
 import pairwise_reference as ref
+from pairwise_reference import ONE, FormalSum
 from conftest import (
     algebra_graphs,
     enumerate_points,
@@ -417,6 +419,28 @@ class TestLabelingTables:
             for lab in (fg.default_labeling(g), fg.Labeling(g, order, edges)):
                 _check_labeling_against_reference(lab, g.vertices)
 
+    def test_emitted_images_match_the_reference(self, rng):
+        emitted = 0
+        for _ in range(300):
+            g = random_graph(rng, max_vertices=6, max_edges=10, omega_chance=0.3)
+            if not _admissible(g):
+                continue
+            order = rng.sample(g.vertices, len(g.vertices))
+            edges = {v: rng.sample(ids, len(ids)) for v in g.vertices
+                     if (ids := [f.id for f in g.out_singles(v)]) and rng.random() < 0.5}
+            for lab in (fg.default_labeling(g), fg.Labeling(g, order, edges)):
+                for bound in (1, 3):
+                    assert fg.emit_generators(g, lab, bound) == ref.old_emit_generators(g, lab, bound)
+            emitted += 1
+        for g in (make_leveled_chain_graph(), make_leveled_mixed_graph()):
+            names = [g.vertex_by_index(i) for i in range(1, 12)]
+            edges = {v: list(reversed(ids)) for v in names
+                     if len(ids := [f.id for f in g.out_singles(v)]) > 1}
+            for lab in (fg.default_labeling(g), fg.Labeling(g, edge_orders=edges)):
+                for bound in (1, 4, 11):
+                    assert fg.emit_generators(g, lab, bound) == ref.old_emit_generators(g, lab, bound)
+        assert emitted > 30
+
     @pytest.mark.parametrize("g", [make_leveled_chain_graph(), make_leveled_mixed_graph()],
                              ids=["chain", "mixed"])
     def test_leveled_labelings_match_the_reference(self, g):
@@ -606,17 +630,17 @@ def test_embed_gamma_tables_match_the_string_reference():
 
 class TestMonomials:
     def test_mult_examples(self):
-        assert fg.mono_mult(Monomial("a", "ab"), Monomial("abb", "b")) == Monomial("ab", "b")
-        assert fg.mono_mult(Monomial("a", "b"), Monomial("a", "b")) is None
+        assert ref.mono_mult(Monomial("a", "ab"), Monomial("abb", "b")) == Monomial("ab", "b")
+        assert ref.mono_mult(Monomial("a", "b"), Monomial("a", "b")) is None
         m = Monomial("ab", "ba")
-        assert fg.mono_mult(ONE, m) == m
-        assert fg.mono_mult(m, ONE) == m
+        assert ref.mono_mult(ONE, m) == m
+        assert ref.mono_mult(m, ONE) == m
 
     def test_contraction_right(self):
         # (s_a s_b*)(s_bc s_d*) = s_ac s_d*
-        assert fg.mono_mult(Monomial("a", "b"), Monomial("bb", "a")) == Monomial("ab", "a")
+        assert ref.mono_mult(Monomial("a", "b"), Monomial("bb", "a")) == Monomial("ab", "a")
         # (s_a s_bc*)(s_b s_d*) = s_a (s_d s_c)* = s_a s_dc*
-        assert fg.mono_mult(Monomial("a", "ba"), Monomial("b", "")) == Monomial("a", "a")
+        assert ref.mono_mult(Monomial("a", "ba"), Monomial("b", "")) == Monomial("a", "a")
 
     def test_formal_sum_reduction(self):
         two = FormalSum.of(Monomial("a", "a")) + FormalSum.of(Monomial("b", "b"))
@@ -630,7 +654,7 @@ class TestMonomials:
         total = FormalSum()
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
-                m = fg.mono_mult(m1, m2)
+                m = ref.mono_mult(m1, m2)
                 term = FormalSum({m1: c1}) * FormalSum({m2: c2})
                 assert term.terms == ({} if m is None else {m: c1 * c2})
                 total = total + term
@@ -641,7 +665,7 @@ class TestMonomials:
     def test_two_vertex_image_relations(self):
         # the bridge image is a partial isometry from the w2 projection
         bridge = Monomial("bb", "a")
-        assert fg.mono_mult(bridge.star(), bridge) == Monomial("a", "a")
+        assert ref.mono_mult(ref.star(bridge), bridge) == Monomial("a", "a")
         # vertex projections sum to the identity
         total = FormalSum.of(Monomial("b", "b")) + FormalSum.of(Monomial("a", "a"))
         assert total.equals(FormalSum.of(ONE))
@@ -762,6 +786,20 @@ class TestEmit:
         with pytest.raises(PathError, match="^the labeling is of another graph$"):
             fg.emit_generators(g1, fg.default_labeling(g2), 5)
 
+    def test_lists_edges_in_label_order(self):
+        # vertex i of a custom order maps to the i-th code word, and each
+        # vertex lists its singles in the caller's order, the omega edges last
+        g = fg.Graph(["u", "w"], [fg.EdgeFamily("uw", "u", "w"), fg.EdgeFamily("h", "u", "u"),
+                                  fg.EdgeFamily("x", "u", "u", "omega"),
+                                  fg.EdgeFamily("wu", "w", "u"), fg.EdgeFamily("k", "w", "w")])
+        lab = fg.Labeling(g, ["w", "u"], {"u": ["h", "uw"], "w": ["k", "wu"]})
+        img = fg.emit_generators(g, lab, 2)
+        assert [(v.vertex, v.mono.alpha) for v in img.vertices] == [("w", "b"), ("u", "a")]
+        assert [(e.name, e.mono.alpha) for e in img.edges] == [
+            ("k", "bb"), ("wu", "ba"), ("h", "ab"), ("uw", "aab"), ("x[1]", "aaab"),
+            ("x[2]", "aaaab")]
+        assert fg.ck_check(g, img) == (True, [])
+
     def test_spot_values(self):
         g = make_two_vertex_omega()
         img = fg.emit_generators(g, fg.default_labeling(g), 2)
@@ -807,6 +845,32 @@ def _scrambled_images(draw):
         else:
             words[i] = words[i][:draw(st.integers(0, len(words[i])))]
     return g, _with_words(img, words)
+
+
+def _spy_pair_search(monkeypatch):
+    """The argument tuples of every ``_comparable_pairs`` call from here on."""
+    calls = []
+    search = embed._comparable_pairs
+    monkeypatch.setattr(embed, "_comparable_pairs",
+                        lambda *words: calls.append(words) or search(*words))
+    return calls
+
+
+def _binary_words(n):
+    return ["".join(w) for k in range(n + 1) for w in itertools.product("ab", repeat=k)]
+
+
+def test_source_relation_in_closed_form():
+    # p s = s exactly when p is a projection s_w s_w* and w is a prefix of
+    # the alpha of s, over every pair of monomials of words up to length 3
+    monos = [Monomial(x, y) for x in _binary_words(3) for y in _binary_words(3)]
+    held = 0
+    for p in monos:
+        for s in monos:
+            closed = p.alpha == p.beta and s.alpha.startswith(p.alpha)
+            assert closed == (ref.mono_mult(p, s) == s)
+            held += closed
+    assert len(monos) == 225 and 0 < held < 225 * 225
 
 
 class TestCkCheck:
@@ -857,15 +921,63 @@ class TestCkCheck:
         g, img = case
         assert fg.ck_check(g, img) == ref.old_ck_check(g, img)
 
-    def test_orthogonality_forms_no_pairwise_products(self, monkeypatch):
-        g = make_two_vertex_omega()
-        img = fg.emit_generators(g, fg.default_labeling(g), 400)
-        calls = []
-        mult = embed.mono_mult
-        monkeypatch.setattr(embed, "mono_mult", lambda x, y: calls.append(1) or mult(x, y))
-        ok, failures = fg.ck_check(g, img)
-        assert ok, failures
-        assert len(calls) <= len(img.vertices) + 3 * len(img.edges)
+    @pytest.mark.parametrize("factory, bound", [(make_two_vertex_omega, 400),
+                                                (make_leveled_chain_graph, 200)])
+    def test_valid_images_search_no_pairs(self, factory, bound, monkeypatch):
+        # a valid image has no two comparable words to name, and the
+        # adjacent-word test says so without the pair search
+        g = factory()
+        img = fg.emit_generators(g, fg.default_labeling(g), bound)
+        calls = _spy_pair_search(monkeypatch)
+        assert fg.ck_check(g, img) == (True, [])
+        assert calls == []
+
+    @pytest.mark.parametrize("factory", _CK_FACTORIES)
+    def test_pair_search_runs_only_on_prefix_pairs(self, factory, monkeypatch):
+        # on a mutation, a list of same-source alphas (or of vertex words,
+        # all projections) is searched for pairs only when two of its words
+        # are comparable, and the orthogonality failures are the reference's
+        g = factory()
+        img = fg.emit_generators(g, fg.default_labeling(g), 5)
+        search = embed._comparable_pairs
+        calls = _spy_pair_search(monkeypatch)
+        named = 0
+        for case, _ in mutations(img):
+            calls.clear()
+            failures = fg.ck_check(g, case)[1]
+            orthogonality = [f for f in failures if f.endswith(" != 0")]
+            assert orthogonality == [f for f in ref.old_ck_check(g, case)[1]
+                                     if f.endswith(" != 0")]
+            assert all(search(*words) for words in calls if len(words) == 1)
+            if all(v.mono.is_projection() for v in case.vertices):
+                assert all(len(words) == 1 for words in calls)
+            assert bool(calls) >= bool(orthogonality)
+            named += bool(orthogonality)
+        assert named
+
+    @pytest.mark.parametrize("factory", _CK_FACTORIES)
+    def test_fallbacks_match_pairwise_reference(self, factory, monkeypatch):
+        # vertex images that are not projections are paired beta against
+        # alpha; a repeated word sends its list to the pair search
+        g = factory()
+        img = fg.emit_generators(g, fg.default_labeling(g), 4)
+        words, nv = _words(img), len(img.vertices)
+        cases = []
+        for k in range(nv):
+            alpha = words[2 * k]
+            for beta in (alpha + "a", alpha[:-1], words[(2 * k + 2) % (2 * nv)]):
+                cases.append({2 * k + 1: beta})
+            for m in range(len(words)):
+                cases.append({2 * k: words[m], 2 * k + 1: words[m]})
+        for k, e in enumerate(img.edges):
+            for m, other in enumerate(img.edges):
+                if m != k and other.source == e.source:
+                    cases.append({2 * (nv + k): words[2 * (nv + m)]})
+        calls = _spy_pair_search(monkeypatch)
+        for change in cases:
+            case = _with_words(img, [change.get(i, w) for i, w in enumerate(words)])
+            assert fg.ck_check(g, case) == ref.old_ck_check(g, case)
+        assert {len(words) for words in calls} == {1, 2}
 
     def test_pair_search_scans_only_extensions(self):
         # a word compares only with the words that extend it and the one

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fullgroups as fg
 from fullgroups import pathspace
-from fullgroups.errors import AtomError, ParseError, PathError, ToolkitError
+from fullgroups.errors import AtomError, GraphError, ParseError, PathError, ToolkitError
 
 from conftest import (
     algebra_graphs,
@@ -341,6 +341,17 @@ class TestWitness:
         w = fg.witness_point(g, a)
         assert fg.point_in_atom(g, w, a)
         assert fg.format_point(g, w) == "c@0:cn@0 / (de@1,ec@1,cd@1)"
+
+
+def test_make_path_refuses_a_ref_that_is_not_a_pair():
+    # each ref is checked before it is made a tuple, which a number breaks
+    g = make_e2()
+    for bad in (5, None):
+        with pytest.raises(GraphError, match=rf"^bad edge reference {bad}: not an \(id, index\) pair$"):
+            fg.make_path(g, "v", [bad])
+    with pytest.raises(GraphError, match="not an"):
+        fg.make_path(g, "v", [("a", 1), 5])
+    assert fg.make_path(g, "v", [["a", 1]]).edges == (("a", 1),)
 
 
 class TestPoints:
