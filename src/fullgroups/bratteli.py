@@ -35,9 +35,7 @@ class BratteliDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(tuple(l) for l in self.levels))
-        object.__setattr__(
-            self, "edges", tuple(tuple((s, r) for s, r in e) for e in self.edges)
-        )
+        object.__setattr__(self, "edges", tuple(tuple(map(tuple, e)) for e in self.edges))
         self._validate()
         # not a field, so equality and hashing see only the declaration
         object.__setattr__(self, "_graph", _underlying(self))
@@ -47,7 +45,13 @@ class BratteliDiagram:
             raise GraphError("every level must be nonempty")
         if len(self.edges) != len(self.levels) - 1:
             raise GraphError("need exactly one edge set between consecutive levels")
+        if any(len(e) != 2 for eset in self.edges for e in eset):
+            raise GraphError("every edge must be a (source, range) pair")
         if self.repeat is not None:
+            # type() is int refuses bools and floats, as the JSON reader does
+            if not (isinstance(self.repeat, tuple) and len(self.repeat) == 2
+                    and all(type(x) is int for x in self.repeat)):
+                raise GraphError("a repeat rule must be a (from, period) pair of integers")
             f, p = self.repeat
             if p < 1 or f < 0 or f + p != len(self.levels) - 1:
                 raise GraphError(
@@ -94,7 +98,8 @@ class BratteliDiagram:
         return self._graph
 
     def _check_level(self, N: int) -> None:
-        if N < 0 or self.repeat is None and N >= len(self.levels):
+        # type() is int refuses bools, floats and strings, as the JSON readers do
+        if type(N) is not int or N < 0 or self.repeat is None and N >= len(self.levels):
             raise GraphError(f"level {N} is not declared")
 
     def sources(self):
@@ -137,43 +142,25 @@ class BratteliDiagram:
     def gamma_order(self, N: int) -> int:
         """The product of the factorials of the fiber sizes at level N.
 
-        The sizes are counted as ``fibers`` builds its paths, but without
-        building them: a vertex's count is the sum of the counts of the
-        sources of its in-edges, plus one at a source.  An answer of more
-        than ``MAX_ORDER_DIGITS`` decimal digits is refused on an estimate
-        from the sizes, before it is formed.  A repeating diagram has no
-        sink, so the product and the total size never shrink: the refusal
-        comes at the first level past the limit.  Past the last source level
-        the sizes at the block's first level can recur only while the total
-        stays flat; each recurrence is a cycle, jumped whole toward N."""
-        by_level = self._sources_by_level(N)
-        counts = dict.fromkeys(by_level.get(0, ()), 1)
-        lev, seen, total = 0, {}, 0
-        while lev < N:
-            outs = _out_edges(self._graph, counts)
-            below = {}
-            for v, c in counts.items():
-                for _, r in outs[v]:
-                    below[r] = below.get(r, 0) + c
-            lev += 1
-            for name in by_level.get(lev, ()):
-                below[name] = below.get(name, 0) + 1
-            counts = below
-            if (self.repeat is not None or lev == N) and _too_long(counts):
-                break
-            if (self.repeat is None or lev <= self.repeat[0]
-                    or (lev - self.repeat[0]) % self.repeat[1]):
-                continue
-            if sum(counts.values()) > total:  # no state seen so far can recur
-                seen, total = {}, sum(counts.values())
-                continue
-            names = self._graph.level_vertex_names
-            state = tuple(counts.get(n, 0) for n in names(lev))
-            cycle = lev - seen.setdefault(state, lev)
-            if cycle:
-                lev += (N - lev) // cycle * cycle
-                counts = {n: c for n, c in zip(names(lev), state) if c}
-        else:
+        The sizes are counted on the declared levels, as in ``_below``.  Past
+        the block's first level f, with N = f + q * period + r, the counts at
+        f go through the q-th power of the block's transfer matrix, taken by
+        squaring, and then r more levels.  An answer of more than
+        ``MAX_ORDER_DIGITS`` decimal digits is refused on an estimate from
+        the sizes at level N, before it is formed."""
+        self._check_level(N)
+        f, p = self.repeat or (N, 1)
+        counts = _below(self, dict.fromkeys(self.levels[0], 1), 0, min(N, f))
+        if N > f:
+            q, r = divmod(N - f, p)
+            block = {v: _below(self, {v: 1}, f, f + p) for v in self.levels[f]}
+            while q:
+                if q % 2:
+                    counts = _through(counts, block)
+                q //= 2
+                block = {v: _through(row, block) for v, row in block.items()}
+            counts = _below(self, counts, f, f + r)
+        if not _too_long(counts):
             order = math.prod(map(math.factorial, counts.values()))
             if order < 10 ** MAX_ORDER_DIGITS:
                 return order
@@ -219,6 +206,26 @@ def _underlying(b: BratteliDiagram):
 
 # the largest total T whose T! the estimate below keeps within the limit
 _SMALL_TOTAL = 1558
+# min(_CAP, .) commutes with + and * on counts; a fiber of _CAP paths alone
+# passes the limit, so a capped count is refused and the others are exact
+_CAP = _SMALL_TOTAL + 1
+
+
+def _below(d: BratteliDiagram, counts, k: int, n: int):
+    """The capped counts at level n of the paths ``counts`` counts at level
+    k: a vertex counts the sum over its in-edges, and a source counts 1."""
+    for lev in range(k, n):
+        below = {}
+        for s, r in d.edges[lev]:
+            below[r] = min(_CAP, below.get(r, 0) + counts.get(s, 0))
+        counts = {v: below.get(v, 1) for v in d.levels[lev + 1]}
+    return counts
+
+
+def _through(counts, block):
+    """The capped counts one block further down: ``counts`` times ``block``."""
+    return {w: min(_CAP, sum(c * block[v][w] for v, c in counts.items()))
+            for w in counts}
 
 
 def _too_long(counts) -> bool:
@@ -363,7 +370,8 @@ def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
     if type(N) is not int:
         raise ParseError(f"bad level: {N!r} is not an integer")
     images = data.get("images") or {}
-    if not (isinstance(images, dict) and all(isinstance(t, str) for t in images.values())):
+    if not (isinstance(images, dict) and all(
+            isinstance(s, str) and isinstance(t, str) for s, t in images.items())):
         raise ParseError("element 'images' must map path literals to path literals")
     b._check_level(N)
     g = b.underlying_graph()

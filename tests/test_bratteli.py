@@ -89,6 +89,17 @@ class TestDiagram:
         with pytest.raises(ParseError):
             fg.bratteli_from_json(data)
 
+    @pytest.mark.parametrize("edges, repeat, message", [
+        ([[("r", "x")], [("x", "x")]], (1,), "a repeat rule must be"),
+        ([[("r", "x")], [("x", "x")]], (1.0, 1), "a repeat rule must be"),
+        ([[("r", "x")], [("x", "x")]], (True, 1), "a repeat rule must be"),
+        ([[("r", "x", "z")], [("x", "x")]], None, "every edge must be"),
+        ([[("r", "x")], [("x",)]], (1, 1), "every edge must be"),
+    ])
+    def test_malformed_arguments_are_graph_errors(self, edges, repeat, message):
+        with pytest.raises(GraphError, match=f"^{message}"):
+            fg.BratteliDiagram([["r"], ["x"], ["x"]], edges, repeat)
+
 
 class TestGammaGroups:
     def test_small_orders(self):
@@ -122,6 +133,17 @@ class TestGammaGroups:
                 call(-1)
         with pytest.raises(GraphError, match=r"^level -1 is not declared$"):
             fg.gamma_element_from_json(b, {"level": -1, "images": {}})
+
+    @pytest.mark.parametrize("factory", [make_gamma2_diagram, make_gamma24_diagram,
+                                         lambda: random_diagram(random.Random(0))])
+    @pytest.mark.parametrize("N", [1.5, 2.0, "2", None, True])
+    def test_a_level_that_is_not_an_int_is_not_declared(self, factory, N):
+        # gamma_order(1.5) used to answer for level 2 on a repeating diagram
+        # and for level 1 on a finite one, and gamma_order(True) for level 1
+        b = factory()
+        for call in (b.fibers, b.gamma_order, lambda N: next(b.gamma_elements(N))):
+            with pytest.raises(GraphError, match=rf"^level {N} is not declared$"):
+                call(N)
 
     def test_deeper_level_order(self):
         b = make_gamma2_diagram()
@@ -290,6 +312,77 @@ class TestCyclingFibers:
                         == _order_or_error(old_gamma_order, b, N)), (b, N)
 
 
+def _found_diagram(period=100):
+    """Two chains of bijections through a block of ``period`` levels, with
+    one extra edge x0 -> y1 per repetition: the y fiber grows linearly."""
+    levels = [["r"]] + [[f"x{k}", f"y{k}"] for k in range(period)] + [["x0", "y0"]]
+    edges = [[("r", "x0"), ("r", "y0")]]
+    for k in range(period):
+        nxt = (k + 1) % period
+        edges.append([(f"x{k}", f"x{nxt}"), (f"y{k}", f"y{nxt}")]
+                     + [("x0", "y1")] * (k == 0))
+    return fg.BratteliDiagram(levels, edges, (1, period))
+
+
+class TestBlockPowers:
+    def test_polynomial_growth_is_refused_at_once(self):
+        b = _found_diagram()
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match=r"^the order at level 10{20} has more "):
+            b.gamma_order(10**20)
+        assert time.perf_counter() - start < 0.1
+        assert b.gamma_order(5000) == old_gamma_order(b, 5000) == math.factorial(51)
+        assert b.gamma_order(150_001) == math.factorial(1501)
+
+    def test_the_cap_flips_at_its_value(self):
+        # the y fiber holds N paths at level N, and x one
+        b = fg.BratteliDiagram([["r"], ["x", "y"], ["x", "y"]],
+                               [[("r", "x"), ("r", "y")],
+                                [("x", "x"), ("y", "y"), ("x", "y")]], (1, 1))
+        assert b.gamma_order(1558) == old_gamma_order(b, 1558) == math.factorial(1558)
+        for N in (1559, 10**20):
+            assert (_order_or_error(fg.BratteliDiagram.gamma_order, b, N)
+                    == f"the order at level {N} has more than 4300 decimal digits")
+        assert _order_or_error(old_gamma_order, b, 1559) == _order_or_error(
+            fg.BratteliDiagram.gamma_order, b, 1559)
+        # uncapped, the counts of a doubling fiber would have millions of digits
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match="has more than 4300 decimal digits"):
+            make_doubling_diagram().gamma_order(10**7)
+        assert time.perf_counter() - start < 0.1
+
+    def test_sources_on_a_base_level_and_on_the_block_start(self):
+        # c is a source on base level 1, z one on level f = 2
+        b = fg.BratteliDiagram(
+            [["a"], ["b", "c"], ["x", "y", "z"], ["u", "w"], ["x", "y", "z"]],
+            [[("a", "b"), ("a", "b")], [("b", "x"), ("c", "x"), ("c", "y")],
+             [("x", "u"), ("y", "u"), ("z", "w"), ("z", "u")],
+             [("u", "x"), ("w", "y"), ("w", "z")]],
+            (2, 2))
+        assert b.sources() == [(0, "a"), (1, "c"), (2, "z@0")]
+        for N in (0, 1, 2, 3, 4, 10, 100, 1000):
+            assert (_order_or_error(fg.BratteliDiagram.gamma_order, b, N)
+                    == _order_or_error(old_gamma_order, b, N)), N
+
+    def test_counts_only_the_declared_levels(self, monkeypatch):
+        rnd = random.Random(5)
+        diagrams = [_found_diagram(7), make_doubling_diagram()]
+        diagrams += [random_diagram(rnd) for _ in range(20)]
+        want = {(k, N): _order_or_error(old_gamma_order, b, N)
+                for k, b in enumerate(diagrams)
+                for N in (_levels(b) if b.repeat is None else [*range(7), 20, 100])}
+
+        def fail(*args):
+            raise AssertionError("gamma_order read the underlying graph")
+
+        monkeypatch.setattr(fg.bratteli, "_out_edges", fail)
+        monkeypatch.setattr(fg.BratteliDiagram, "sources", fail)
+        for b in diagrams:
+            object.__setattr__(b, "_graph", None)
+        assert {(k, N): _order_or_error(fg.BratteliDiagram.gamma_order, diagrams[k], N)
+                for k, N in want} == want
+
+
 class TestNormalForm:
     """An element holds exactly the paths it moves, however it was built."""
 
@@ -447,6 +540,12 @@ class TestElementJson:
     def test_rejects_non_integer_level(self, level):
         with pytest.raises(ParseError, match="^bad level"):
             fg.gamma_element_from_json(make_gamma2_diagram(), {"level": level, "images": {}})
+
+    def test_rejects_literals_that_are_not_strings(self):
+        b = make_gamma2_diagram()
+        for images in ({1: "v0:e1_1"}, {"v0:e1_1": 1}):
+            with pytest.raises(ParseError, match="^element 'images' must map"):
+                fg.gamma_element_from_json(b, {"level": 1, "images": images})
 
     def test_rejects_non_permutation(self):
         b = make_gamma2_diagram()
