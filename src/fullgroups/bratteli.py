@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GraphError, ParseError
-from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily, _strings
+from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily, _as_tuple, _strings
 from .pathspace import FinitePath, make_path
 from .tables import Piece, Table, make_table
 from .embed import default_labeling, embed_table
@@ -34,8 +34,11 @@ class BratteliDiagram:
     repeat: tuple | None   # (from_level, period) or None
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(tuple(l) for l in self.levels))
-        object.__setattr__(self, "edges", tuple(tuple(map(tuple, e)) for e in self.edges))
+        object.__setattr__(self, "levels", tuple(
+            _as_tuple(l, "a level") for l in _as_tuple(self.levels, "levels")))
+        object.__setattr__(self, "edges", tuple(
+            tuple(_as_tuple(e, "an edge") for e in _as_tuple(eset, "an edge set"))
+            for eset in _as_tuple(self.edges, "edges")))
         self._validate()
         # not a field, so equality and hashing see only the declaration
         object.__setattr__(self, "_graph", _underlying(self))
@@ -43,6 +46,8 @@ class BratteliDiagram:
     def _validate(self) -> None:
         if not self.levels or any(not l for l in self.levels):
             raise GraphError("every level must be nonempty")
+        if not all(isinstance(n, str) for l in self.levels for n in l):
+            raise GraphError("vertex names must be strings")
         if len(self.edges) != len(self.levels) - 1:
             raise GraphError("need exactly one edge set between consecutive levels")
         if any(len(e) != 2 for eset in self.edges for e in eset):
@@ -103,37 +108,34 @@ class BratteliDiagram:
             raise GraphError(f"level {N} is not declared")
 
     def sources(self):
-        """(level, instantiated name) of every source vertex."""
-        g = self._graph
+        """(level, instantiated name) of every source vertex.  Both graph
+        classes number their vertices level by level in declaration order
+        (a repeating diagram's block from repetition 0), so the k-th declared
+        vertex is the graph's k-th."""
         top = len(self.levels) if self.repeat is None else self.repeat[0] + 1
-        out = []
+        out, k = [], 0
         for lev in range(top):
             incoming = {r for _, r in self.edges[lev - 1]} if lev else ()
-            names = self.levels[lev] if g.is_finite else g.level_vertex_names(lev)
-            out.extend((lev, name) for v, name in zip(self.levels[lev], names)
-                       if v not in incoming)
+            for v in self.levels[lev]:
+                k += 1
+                if v not in incoming:
+                    out.append((lev, self._graph.vertex_by_index(k)))
         return out
-
-    def _sources_by_level(self, N: int):
-        """The names of the sources at each level up to N, a declared level."""
-        self._check_level(N)
-        by_level = {}
-        for lev, name in self.sources():
-            if lev <= N:
-                by_level.setdefault(lev, []).append(name)
-        return by_level
 
     # -- paths and the finitary groups ----------------------------------------
 
     def fibers(self, N: int):
         """Source-rooted paths reaching level N, grouped by their range vertex."""
-        by_level = self._sources_by_level(N)
-        frontier = [make_path(self._graph, name) for name in by_level.get(0, ())]
+        self._check_level(N)
+        starts = {}
+        for lev, name in self.sources():
+            starts.setdefault(lev, []).append(make_path(self._graph, name))
+        frontier = starts.get(0, [])
         for lev in range(1, N + 1):
             outs = _out_edges(self._graph, (p.rng for p in frontier))
             frontier = [FinitePath(p.start, p.edges + (ref,), r)
                         for p in frontier for ref, r in outs[p.rng]]
-            frontier += [make_path(self._graph, name) for name in by_level.get(lev, ())]
+            frontier += starts.get(lev, ())
         fibers = {}
         for p in frontier:
             fibers.setdefault(p.rng, []).append(p)
@@ -258,6 +260,7 @@ class GammaElement:
     mapping: object  # dict path -> path; treated as immutable
 
     def __post_init__(self):
+        self.diagram._check_level(self.level)
         moved = {p: q for p, q in self.mapping.items() if p != q}
         if set(moved.values()) != moved.keys():
             raise GraphError("images do not form a permutation")
@@ -297,7 +300,6 @@ class GammaElement:
     def extend(self) -> "GammaElement":
         """The same element one level deeper (the direct-limit inclusion)."""
         b = self.diagram
-        b._check_level(self.level + 1)
         outs = _out_edges(b.underlying_graph(), (p.rng for p in self.mapping))
         mapping = {}
         for p, q in self.mapping.items():

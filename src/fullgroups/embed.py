@@ -144,7 +144,7 @@ class Labeling:
         for v, ids in (edge_orders or {}).items():
             if not graph.has_vertex(v):
                 raise _no_such_vertex(v)
-            if sorted(ids) != sorted(graph._out_ids(v)):
+            if sorted(ids) != sorted(f.id for f in graph.out_singles(v)):
                 raise PathError(f"edge order at {v!r} must permute its single edges")
             self.edge_orders[v] = tuple(ids)
             self._reordered.update((fid, j) for j, fid in enumerate(ids, 1))
@@ -182,7 +182,7 @@ class Labeling:
         if singles is not None:
             return singles
         try:
-            return self.graph._out_ids(vertex)
+            return tuple(f.id for f in self.graph.out_singles(vertex))
         except GraphError:
             raise _no_such_vertex(vertex) from None
 

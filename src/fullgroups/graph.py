@@ -91,6 +91,19 @@ class _GraphBase:
                 if _UNSPELLABLE.search(n) or not n and what == "family id":
                     raise GraphError(f"{what} {n!r} cannot be written in a path literal")
 
+    @staticmethod
+    def _check_types(vertices, families, kind) -> None:
+        """Refuse a name or id that is not a string and a family that is not
+        a ``kind``, before anything reads them."""
+        for n in vertices:
+            if not isinstance(n, str):
+                raise GraphError(f"vertex name {n!r} is not a string")
+        for f in families:
+            if not isinstance(f, kind):
+                raise GraphError(f"family {f!r} is not of type {kind.__name__}")
+            if not all(isinstance(x, str) for x in (f.id, f.source, f.range)):
+                raise GraphError(f"family {f!r}: its id and ends must be strings")
+
     def is_sink(self, name: str) -> bool:
         return not self.out_degree(name)
 
@@ -155,7 +168,9 @@ class Graph(_GraphBase):
     is_finite = True
 
     def __init__(self, vertices, families):
-        self.vertices = tuple(vertices)
+        self.vertices = _as_tuple(vertices, "vertices")
+        families = _as_tuple(families, "families")
+        self._check_types(self.vertices, families, EdgeFamily)
         singles = [f for f in families if not f.is_omega]
         omegas = [f for f in families if f.is_omega]
         self.families = tuple(singles + omegas)
@@ -256,13 +271,6 @@ class Graph(_GraphBase):
         except KeyError:
             raise _unknown_vertex(name) from None
 
-    def _out_ids(self, name: str):
-        """The ids of ``out_singles(name)``."""
-        try:
-            return tuple(f.id for f in self._singles[name])
-        except KeyError:
-            raise _unknown_vertex(name) from None
-
     def omega_family(self, name: str):
         try:
             return self._omega[name]
@@ -296,6 +304,17 @@ def _unknown_vertex(name) -> GraphError:
 
 def _unknown_family(fid) -> GraphError:
     return GraphError(f"unknown family id {fid!r}")
+
+
+def _as_tuple(x, what: str) -> tuple:
+    """``x`` as a tuple; a string is refused, not read as its letters, and so
+    is a value that is not iterable."""
+    if isinstance(x, str):
+        raise GraphError(f"{what} must be a list, not the string {x!r}")
+    try:
+        return tuple(x)
+    except TypeError:
+        raise GraphError(f"{what} must be a list, not {x!r}") from None
 
 
 # a number as instantiation writes it, so that each vertex and family has one
@@ -332,6 +351,15 @@ class TemplateFamily:
     where: str = "next"
     src_level: int | None = None
 
+    def __post_init__(self):
+        if self.where not in ("same", "next"):
+            raise GraphError(f"family {self.id!r} has where {self.where!r}, "
+                             "not 'same' or 'next'")
+        # type() is int refuses bools and floats, as the JSON reader does
+        if not (self.src_level is None or type(self.src_level) is int):
+            raise GraphError(f"family {self.id!r} has src_level {self.src_level!r}, "
+                             "not an integer")
+
 
 class LeveledGraph(_GraphBase):
     """Infinite graph given by base levels plus a forever-repeating block.
@@ -345,10 +373,11 @@ class LeveledGraph(_GraphBase):
     is_finite = False
 
     def __init__(self, base_levels, block_levels, base_families, block_families):
-        self.base_levels = tuple(tuple(l) for l in base_levels)
-        self.block_levels = tuple(tuple(l) for l in block_levels)
-        self.base_families = tuple(base_families)
-        self.block_families = tuple(block_families)
+        self.base_levels, self.block_levels = (
+            tuple(_as_tuple(l, "a level") for l in _as_tuple(ls, "levels"))
+            for ls in (base_levels, block_levels))
+        self.base_families = _as_tuple(base_families, "families")
+        self.block_families = _as_tuple(block_families, "families")
         self._verdicts = {}
         self._validate()
 
@@ -381,6 +410,8 @@ class LeveledGraph(_GraphBase):
         return self._levels[self._canon(level)]
 
     def _validate(self) -> None:
+        self._check_types(itertools.chain(*self.base_levels, *self.block_levels),
+                          self.base_families + self.block_families, TemplateFamily)
         if not self.block_levels or any(not l for l in self.block_levels):
             raise GraphError("leveled graph needs a nonempty repeating block")
         if any(not l for l in self.base_levels):
@@ -435,6 +466,14 @@ class LeveledGraph(_GraphBase):
         self._outs = [[tuple(fs) for fs in l] for l in outs]
         self._slots = {(lev, f.id): (i, len(fs)) for lev, l in enumerate(self._outs)
                        for fs in l for i, f in enumerate(fs)}
+        # a base name or id that the block side also reads, at any repetition,
+        # would have two meanings
+        for n in names:
+            if self._resolve(n, {}, self._block_loc, self._vertex_patterns) is not None:
+                raise GraphError(f"vertex name collision at {n!r}")
+        for f in self.base_families:
+            if self._resolve(f.id, {}, self._block_fams, self._family_patterns) is not None:
+                raise GraphError(f"family id collision at {f.id!r}")
         # over a few repetitions each instantiated name and id must read back
         # as itself: its level and position, or its level, template and slot
         for lev in range(nbase + 3 * self._period):
@@ -545,13 +584,7 @@ class LeveledGraph(_GraphBase):
                        self._instantiate(level if t.where == "same" else level + 1, t.range))
             for t in templates)
 
-    def out_singles(self, name: str):
-        return self.out_families(name)
-
-    def _out_ids(self, name: str):
-        """The ids of ``out_singles(name)``, without building the families."""
-        level, templates = self._out_templates(name)
-        return tuple(self._instantiate(level, t.id) for t in templates)
+    out_singles = out_families
 
     def omega_family(self, name: str):
         return None
@@ -641,7 +674,7 @@ class _Condensation:
 
     def __init__(self, g):
         out = g._out
-        self.pos = {v: i for i, v in enumerate(g.vertices)}
+        self.pos = g._pos
         self.comp = {}
         self.members, self.reach, self.cyclic, self.simple = [], [], [], []
         self.cycle_order = []

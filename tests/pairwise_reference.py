@@ -878,7 +878,11 @@ def old_gamma_element_from_json(b, data):
 
 def old_gamma_order(b, N):
     """Steps every level down to N, however long the fibers stay the same."""
-    by_level = b._sources_by_level(N)
+    if N < 0 or b.repeat is None and N >= len(b.levels):
+        raise GraphError(f"level {N} is not declared")
+    by_level = {}
+    for lev, name in _old_sources(b):
+        by_level.setdefault(lev, []).append(name)
     counts = dict.fromkeys(by_level.get(0, ()), 1)
     for lev in range(1, N + 1):
         outs = _out_edges(b.underlying_graph(), counts)

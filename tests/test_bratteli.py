@@ -629,3 +629,24 @@ class TestElementJson:
                     assert got == outcome(old_gamma_element_from_json, b, data)
                     seen.add(got[1][:9] if isinstance(got, tuple) else "read")
         assert {"read", "not a dep", "images do", "permutati"} <= seen
+
+
+class TestBoundary:
+    """Wrong-typed declarations and undeclared levels are ``GraphError``s."""
+
+    @pytest.mark.parametrize("level", [7, 1.5])
+    def test_an_element_at_an_undeclared_level_is_refused(self, level):
+        b = fg.BratteliDiagram([["r"], ["x", "y"]], [[("r", "x"), ("r", "y")]], None)
+        with pytest.raises(GraphError, match=f"^level {level} is not declared$"):
+            fg.GammaElement(b, level, {})
+
+    @pytest.mark.parametrize("levels, edges", [
+        ([["r"], 5], [[("r", "r")]]),
+        ([["r"], ["x"]], [5]),
+        ([["r"], ["x"]], [[5]]),
+        ([["r"], [["x"]]], [[]]),
+        (["r", "xy"], [[("r", "x")]]),
+    ], ids=["number-level", "number-edge-set", "number-edge", "list-name", "string-level"])
+    def test_wrong_types_are_refused(self, levels, edges):
+        with pytest.raises(GraphError):
+            fg.BratteliDiagram(levels, edges, None)

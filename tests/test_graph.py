@@ -767,3 +767,61 @@ def test_the_block_wraps_from_its_last_level():
 def test_a_braced_base_family_id_is_refused():
     with pytest.raises(GraphError, match="may not contain"):
         fg.LeveledGraph([["a"]], [["c"]], [_T("f{}", "a", "c")], [_T("g", "c", "c")])
+
+
+@pytest.mark.parametrize("base, block, base_fams, block_fams, name", [
+    ([["v1000"]], [["v{}"]], [_T("s", "v1000", "v{}")], [_T("t", "v{}", "v{}")], "v1000"),
+    ([["a"]], [["b"]], [_T("e@5", "a", "b")], [_T("e", "b", "b")], "e@5"),
+], ids=["base-name-is-a-far-instance", "base-id-is-a-far-instance"])
+def test_base_names_are_checked_against_every_repetition(base, block, base_fams, block_fams,
+                                                         name):
+    """A base name or id the block side reads at any level, not only over the
+    first repetitions, is refused."""
+    with pytest.raises(GraphError, match=f"^(vertex name|family id) collision at '{name}'$"):
+        fg.LeveledGraph(base, block, base_fams, block_fams)
+
+
+def test_a_base_name_on_another_level_class_is_not_a_collision():
+    # x1 and x4 spell the template x{} only at levels where no block level has it
+    g = fg.LeveledGraph([["x1"], ["x4"]], [["x{}"], ["y"]],
+                        [_T("s", "x1", "x4"), _T("t", "x4", "x{}")],
+                        [_T("u", "x{}", "y"), _T("v", "y", "x{}")])
+    assert [g.resolve_vertex(n) for n in ("x1", "x4", "x3", "x5")] == [
+        (0, 0), (1, 0), (2, 0), (4, 0)]
+    assert [g.vertex_by_index(i) for i in range(1, 6)] == ["x1", "x4", "x3", "y@0", "x5"]
+
+
+def test_an_unknown_where_or_src_level_is_refused():
+    # graph_to_json would write what graph_from_json refuses
+    with pytest.raises(GraphError, match="where 'up'"):
+        _T("e", "w", "w", "up")
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(GraphError, match="src_level"):
+            _T("e", "w", "w", "next", bad)
+
+
+@pytest.mark.parametrize("where", ["same", "next"])
+def test_leveled_json_roundtrip_keeps_where(where):
+    g = fg.LeveledGraph([["a"]], [["w"]], [_T("e", "a", "a" if where == "same" else "w", where)],
+                        [_T("f", "w", "w", where)])
+    assert fg.graph_from_json(fg.graph_to_json(g)) == g
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fg.LeveledGraph(["ab"], [["w"]], [], []),
+    lambda: fg.Graph(["a", 5], []),
+    lambda: fg.Graph([["a"]], []),
+    lambda: fg.Graph(["a"], ["e"]),
+    lambda: fg.Graph(["a"], [fg.EdgeFamily(5, "a", "a")]),
+    lambda: fg.LeveledGraph([], [["w", 5]], [], []),
+    lambda: fg.LeveledGraph([], [["w"]], [], [("e", "w", "w")]),
+], ids=["string-level", "number-vertex", "list-vertex", "string-family", "number-id",
+        "number-block-vertex", "tuple-template"])
+def test_constructors_refuse_wrong_types_with_graph_errors(build):
+    with pytest.raises(GraphError):
+        build()
+
+
+def test_a_leveled_graph_has_one_out_query():
+    # every out-family of a leveled graph is single
+    assert fg.LeveledGraph.out_singles is fg.LeveledGraph.out_families
