@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GraphError, ParseError
-from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily, _as_tuple, _strings
+from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily, _as_tuple, _cycles, _strings
 from .pathspace import FinitePath, make_path
 from .tables import Piece, Table, make_table
 from .embed import default_labeling, embed_table
@@ -132,10 +132,7 @@ class BratteliDiagram:
             starts.setdefault(lev, []).append(make_path(self._graph, name))
         frontier = starts.get(0, [])
         for lev in range(1, N + 1):
-            outs = _out_edges(self._graph, (p.rng for p in frontier))
-            frontier = [FinitePath(p.start, p.edges + (ref,), r)
-                        for p in frontier for ref, r in outs[p.rng]]
-            frontier += starts.get(lev, ())
+            frontier = _step(self._graph, frontier) + starts.get(lev, [])
         fibers = {}
         for p in frontier:
             fibers.setdefault(p.rng, []).append(p)
@@ -247,6 +244,13 @@ def _out_edges(g, vertices):
             for v in set(vertices)}
 
 
+def _step(g, paths) -> list:
+    """Each of ``paths`` (a list) extended by each out-edge of its range, in
+    order: the paths one level down."""
+    outs = _out_edges(g, (p.rng for p in paths))
+    return [FinitePath(p.start, p.edges + (ref,), r) for p in paths for ref, r in outs[p.rng]]
+
+
 @dataclass(frozen=True)
 class GammaElement:
     """Range-preserving permutation of the depth-N source-rooted paths.
@@ -261,6 +265,10 @@ class GammaElement:
 
     def __post_init__(self):
         self.diagram._check_level(self.level)
+        m = self.mapping
+        if not (isinstance(m, dict) and all(
+                isinstance(p, FinitePath) for p in itertools.chain(m, m.values()))):
+            raise GraphError("a mapping must be a dict from paths to paths")
         moved = {p: q for p, q in self.mapping.items() if p != q}
         if set(moved.values()) != moved.keys():
             raise GraphError("images do not form a permutation")
@@ -285,28 +293,16 @@ class GammaElement:
         return not self.mapping
 
     def order(self) -> int:
-        """The lcm of the cycle lengths, walking each moved path once."""
-        lengths, seen = [], set()
-        for p in self.mapping:
-            if p not in seen:
-                n, q = 0, p
-                while q not in seen:
-                    seen.add(q)
-                    q = self.mapping[q]
-                    n += 1
-                lengths.append(n)
-        return math.lcm(*lengths)
+        """The lcm of the cycle lengths; every moved path is on a cycle."""
+        return math.lcm(*map(len, _cycles(self.mapping)))
 
     def extend(self) -> "GammaElement":
-        """The same element one level deeper (the direct-limit inclusion)."""
+        """The same element one level deeper (the direct-limit inclusion).
+        A path and its image share a range, so their extensions line up."""
         b = self.diagram
-        outs = _out_edges(b.underlying_graph(), (p.rng for p in self.mapping))
-        mapping = {}
-        for p, q in self.mapping.items():
-            for ref, r in outs[p.rng]:
-                mapping[FinitePath(p.start, p.edges + (ref,), r)] = FinitePath(
-                    q.start, q.edges + (ref,), r)
-        return GammaElement(b, self.level + 1, mapping)
+        paths = _step(b.underlying_graph(), [*self.mapping, *self.mapping.values()])
+        half = len(paths) // 2
+        return GammaElement(b, self.level + 1, dict(zip(paths[:half], paths[half:])))
 
     def __hash__(self):
         return hash((self.diagram, self.level, frozenset(self.mapping.items())))

@@ -44,9 +44,7 @@ def _load_table(path: str, g):
 
 
 def _load_labeling(path, g):
-    if path is None:
-        return em.default_labeling(g)
-    return em.labeling_from_json(g, _load_json(path))
+    return em.labeling_from_json(g, None if path is None else _load_json(path))
 
 
 def _emit(args, text: str) -> None:

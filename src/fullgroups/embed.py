@@ -66,7 +66,7 @@ def binary_point(prefix: str, cycle: str) -> BoundaryPoint:
 
 def code_word(j: int, i) -> str:
     """The j-th word of the i-way prefix code (i may be OMEGA)."""
-    if j < 1:
+    if type(j) is not int or j < 1:
         raise PathError("code index must be positive")
     if i != OMEGA and j > i:
         raise PathError(f"code index {j} exceeds alphabet size {i}")
@@ -74,8 +74,6 @@ def code_word(j: int, i) -> str:
         return ""
     if j == i:
         return "a" * (j - 1)
-    if j == 1:
-        return "b"
     return "a" * (j - 1) + "b"
 
 
@@ -133,6 +131,8 @@ class Labeling:
         if vertex_order is not None:
             if not graph.is_finite:
                 raise PathError("leveled graphs use the level-by-level labeling")
+            if not _strings(vertex_order):
+                raise PathError("a vertex order must be a list of vertex names")
             order = tuple(vertex_order)
             if sorted(order) != sorted(graph.vertices):
                 raise PathError("vertex order must be a permutation of the vertices")
@@ -141,7 +141,11 @@ class Labeling:
                 self._numbers = {v: i for i, v in enumerate(order, 1)}
         self.edge_orders = {}
         self._reordered = {}    # single family id -> its number in edge_orders
-        for v, ids in (edge_orders or {}).items():
+        edge_orders = {} if edge_orders is None else edge_orders
+        if not (isinstance(edge_orders, dict)
+                and all(isinstance(v, str) and _strings(ids) for v, ids in edge_orders.items())):
+            raise PathError("edge orders must map vertex names to lists of edge ids")
+        for v, ids in edge_orders.items():
             if not graph.has_vertex(v):
                 raise _no_such_vertex(v)
             if sorted(ids) != sorted(f.id for f in graph.out_singles(v)):
@@ -173,7 +177,7 @@ class Labeling:
     def vertex_by_number(self, i: int) -> str:
         if self.vertex_order is None:
             return self.graph.vertex_by_index(i)
-        if not 1 <= i <= self.n:
+        if type(i) is not int or not 1 <= i <= self.n:
             raise GraphError(f"vertex index {i} not in 1..{self.n}")
         return self.vertex_order[i - 1]
 
@@ -193,7 +197,7 @@ class Labeling:
         return self._reordered.get(fid) or self.graph._edge_slot(fid)[1] + idx
 
     def edge_by_number(self, vertex: str, j: int):
-        if j < 1:
+        if type(j) is not int or j < 1:
             raise PathError(f"edge numbers are 1-based, got {j}")
         singles = self.singles_at(vertex)
         if j <= len(singles):
@@ -251,9 +255,7 @@ def word_of_edges(mu: FinitePath, lab: Labeling) -> str:
 
 def point_map(p: BoundaryPoint, lab: Labeling) -> BoundaryPoint:
     """Image of a representable boundary point in the binary path space."""
-    if p.cycle is None:
-        return binary_point(word_of_path(p.prefix, lab), "a")
-    cyc = word_of_edges(p.cycle, lab)
+    cyc = "a" if p.cycle is None else word_of_edges(p.cycle, lab)
     if not cyc:
         raise AdmissibilityError("cycle with no exit encountered in the point map")
     return binary_point(word_of_path(p.prefix, lab), cyc)
@@ -375,7 +377,7 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
     if lab.graph != g:
         raise PathError("the labeling is of another graph")
     require_admissible(g)
-    if edge_bound < 1:
+    if type(edge_bound) is not int or edge_bound < 1:
         raise GraphError("edge bound must be at least 1")
     count = g.vertex_count() if g.is_finite else edge_bound
     words = {lab.vertex_by_number(i): code_word(i, lab.n) for i in range(1, count + 1)}

@@ -129,7 +129,8 @@ class _GraphBase:
         except (TypeError, ValueError):
             raise GraphError(f"bad edge reference {ref!r}: not an (id, index) pair") from None
         fam = self.family(fid)
-        if not isinstance(idx, int) or idx < 1:
+        # type() is int refuses bools and floats, as for every count and index
+        if type(idx) is not int or idx < 1:
             raise GraphError(f"bad edge index in {ref!r}")
         if not fam.is_omega and idx != 1:
             raise GraphError(f"single family {fid!r} has no edge #{idx}")
@@ -246,7 +247,7 @@ class Graph(_GraphBase):
             raise _unknown_vertex(name) from None
 
     def vertex_by_index(self, i: int) -> str:
-        if not 1 <= i <= len(self.vertices):
+        if type(i) is not int or not 1 <= i <= len(self.vertices):
             raise GraphError(f"vertex index {i} not in 1..{len(self.vertices)}")
         return self.vertices[i - 1]
 
@@ -502,6 +503,8 @@ class LeveledGraph(_GraphBase):
         return f"{template}@{rep}"
 
     def level_vertex_names(self, level: int):
+        if type(level) is not int or level < 0:
+            raise GraphError(f"level {level!r} is not a nonnegative integer")
         return tuple(self._instantiate(level, t) for t in self._level_vertices(level))
 
     def _template_levels(self):
@@ -555,7 +558,7 @@ class LeveledGraph(_GraphBase):
         return self._offsets[self._nbase + r] + reps * self._block_total + pos + 1
 
     def vertex_by_index(self, i: int) -> str:
-        if i < 1:
+        if type(i) is not int or i < 1:
             raise GraphError("vertex indices are 1-based")
         k, reps = i - 1, 0
         base_total = self._offsets[self._nbase]
@@ -587,6 +590,8 @@ class LeveledGraph(_GraphBase):
     out_singles = out_families
 
     def omega_family(self, name: str):
+        if not self.has_vertex(name):
+            raise _unknown_vertex(name)
         return None
 
     def out_degree(self, name: str):
@@ -778,7 +783,7 @@ def count_paths_capped(g, v: str, w: str, cap: int):
     Any route through a cycle or an omega-bundle saturates the count.
     """
     _require_finite(g, "path counting")
-    if cap < 1:
+    if type(cap) is not int or cap < 1:
         raise GraphError("cap must be positive")
     for name in (v, w):
         if not g.has_vertex(name):
@@ -1096,7 +1101,8 @@ def graph_to_json(g) -> dict:
 
 
 def _strings(x) -> bool:
-    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+    """A list of strings, as JSON gives it, or a tuple of them."""
+    return isinstance(x, (list, tuple)) and all(isinstance(s, str) for s in x)
 
 
 # the accepted values of an edge record's optional fields; type() refuses bools

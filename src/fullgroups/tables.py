@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .errors import ArrowError, GermError, ParseError, TableError
+from .errors import ArrowError, GermError, ParseError, PathError, TableError
 from .graph import _strings
 from .pathspace import (
     BoundaryPoint,
@@ -210,8 +210,7 @@ def apply(t: Table, p: BoundaryPoint) -> BoundaryPoint:
 
 def inverse(t: Table) -> Table:
     """The inverse table; known valid when ``t`` is."""
-    pieces = _in_atom_order(t.graph, t.pieces, attrgetter("mu", "F"))  # the inverses' domains
-    return _marked(Table(t.graph, tuple(p.inverse() for p in pieces)), t._valid)
+    return _marked(make_table(t.graph, [p.inverse() for p in t.pieces], validate=False), t._valid)
 
 
 def compose(s: Table, t: Table) -> Table:
@@ -498,6 +497,8 @@ def _arrow_piece(g, ar: Arrow, m: int, n: int, d: int):
 def random_table(g, rng: random.Random, splits: int = 5, omega_bound: int = 3) -> Table:
     """Random element: a random atom partition of the boundary space plus a
     range-and-exclusion-preserving permutation of its atoms."""
+    if not g.is_finite:
+        raise PathError("random tables need a finite graph: its boundary must be compact")
     atoms = [atom(g, trivial_path(g, v)) for v in g.vertices]
     for _ in range(splits):
         i = rng.randrange(len(atoms))

@@ -66,6 +66,19 @@ def make_two_vertex_omega():
     )
 
 
+def make_ab_graph():
+    """e: a -> b, f: b -> a, a loop h at a and an omega loop bundle w at b."""
+    return fg.Graph(
+        ["a", "b"],
+        [
+            fg.EdgeFamily("e", "a", "b"),
+            fg.EdgeFamily("f", "b", "a"),
+            fg.EdgeFamily("h", "a", "a"),
+            fg.EdgeFamily("w", "b", "b", "omega"),
+        ],
+    )
+
+
 def make_sink_graph():
     """Loop a at v, b: v -> s (a sink), c: v -> u, d: u -> v, omega loops x at u."""
     return fg.Graph(

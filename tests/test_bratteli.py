@@ -650,3 +650,13 @@ class TestBoundary:
     def test_wrong_types_are_refused(self, levels, edges):
         with pytest.raises(GraphError):
             fg.BratteliDiagram(levels, edges, None)
+
+    def test_a_mapping_of_numbers_is_refused(self):
+        b = fg.BratteliDiagram([["r"], ["x", "y"]], [[("r", "x"), ("r", "y")]], None)
+        with pytest.raises(GraphError, match="^a mapping must be a dict from paths to paths$"):
+            fg.GammaElement(b, 1, {1: 2, 2: 1})
+
+    def test_a_mapping_that_is_not_a_dict_is_refused(self):
+        b = fg.BratteliDiagram([["r"], ["x", "y"]], [[("r", "x"), ("r", "y")]], None)
+        with pytest.raises(GraphError, match="^a mapping must be a dict from paths to paths$"):
+            fg.GammaElement(b, 1, [1, 2])

@@ -24,6 +24,7 @@ from conftest import (
     make_e_nr,
     make_gamma2_diagram,
     make_gamma24_diagram,
+    make_ab_graph,
     make_leveled_chain_graph,
     make_leveled_mixed_graph,
     make_one_orbit,
@@ -392,6 +393,37 @@ class TestCustomLabeling:
             chain.vertex_by_number(0)
         with pytest.raises(PathError):
             chain.edge_by_number("w1", 0)
+
+    def test_numbers_that_are_not_ints_are_refused(self):
+        lab = fg.Labeling(make_ab_graph(), ["b", "a"])
+        for i in (1.5, True):
+            with pytest.raises(GraphError, match="not in 1..2"):
+                lab.vertex_by_number(i)
+            with pytest.raises(PathError, match="1-based"):
+                lab.edge_by_number("a", i)
+
+    def test_a_string_vertex_order_is_refused(self):
+        # not the sequence of its letters
+        with pytest.raises(PathError, match="vertex order must be a list"):
+            fg.Labeling(make_ab_graph(), "ab")
+
+    def test_a_string_edge_order_is_refused(self):
+        # not the sequence of its letters
+        with pytest.raises(PathError, match="edge orders must map"):
+            fg.Labeling(make_ab_graph(), None, {"a": "eh"})
+
+    def test_a_number_edge_order_is_refused(self):
+        with pytest.raises(PathError, match="edge orders must map"):
+            fg.Labeling(make_ab_graph(), None, {"a": 5})
+
+    def test_edge_orders_given_as_a_list_are_refused(self):
+        with pytest.raises(PathError, match="edge orders must map"):
+            fg.Labeling(make_ab_graph(), None, [("a", ["h", "e"])])
+
+    def test_lists_and_tuples_are_orders(self):
+        g = make_ab_graph()
+        assert fg.Labeling(g, ("b", "a"), {"a": ("h", "e")}) == \
+            fg.Labeling(g, ["b", "a"], {"a": ["h", "e"]})
 
 
 def _check_labeling_against_reference(lab, vertices):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fullgroups as fg
 from fullgroups.errors import (AdmissibilityError, GraphError, ParseError, PathError,
-                               UnsupportedConditionError)
+                               ToolkitError, UnsupportedConditionError)
 from fullgroups.graph import _cycle_vertices
 
 import pairwise_reference as ref
@@ -22,6 +22,7 @@ from conftest import (
     make_e2,
     make_e_inf,
     make_e_nr,
+    make_ab_graph,
     make_leveled_chain_graph,
     make_leveled_mixed_graph,
     make_no_cover,
@@ -820,6 +821,98 @@ def test_leveled_json_roundtrip_keeps_where(where):
 def test_constructors_refuse_wrong_types_with_graph_errors(build):
     with pytest.raises(GraphError):
         build()
+
+
+# ---------------------------------------------------------------------------
+# Leveled queries for names that are not vertices, and integer arguments
+# ---------------------------------------------------------------------------
+
+
+def _small_leveled():
+    T = fg.TemplateFamily
+    return fg.LeveledGraph([["r"]], [["w"]], [T("s", "r", "w")],
+                           [T("e", "w", "w"), T("f", "w", "w")])
+
+
+def test_leveled_omega_family_refuses_an_unknown_name():
+    # as Graph.omega_family does
+    with pytest.raises(GraphError, match="^unknown vertex 'nope'$"):
+        _small_leveled().omega_family("nope")
+
+
+def test_level_vertex_names_refuses_a_negative_level():
+    # a name for level -1 would be one that has_vertex denies
+    lg = _small_leveled()
+    assert not lg.has_vertex("w")
+    with pytest.raises(GraphError, match="^level -1 is not a nonnegative integer$"):
+        lg.level_vertex_names(-1)
+
+
+@pytest.mark.parametrize("level", [1.5, True, "1", None])
+def test_level_vertex_names_refuses_a_level_that_is_not_an_int(level):
+    with pytest.raises(GraphError, match="is not a nonnegative integer$"):
+        _small_leveled().level_vertex_names(level)
+
+
+def test_check_ref_refuses_a_bool_index():
+    # parse_path cannot read a path that format_path writes as b:w[True]
+    g = make_ab_graph()
+    with pytest.raises(GraphError, match="bad edge index"):
+        fg.make_path(g, "b", [("w", True)])
+    assert fg.format_path(g, fg.make_path(g, "b", [("w", 1)])) == "b:w[1]"
+
+
+@pytest.mark.parametrize("cap", [1.5, True])
+def test_count_paths_capped_refuses_a_cap_that_is_not_an_int(cap):
+    with pytest.raises(GraphError, match="^cap must be positive$"):
+        fg.count_paths_capped(make_ab_graph(), "a", "b", cap)
+
+
+@pytest.mark.parametrize("bound", [2.5, True])
+def test_emit_generators_refuses_an_edge_bound_that_is_not_an_int(bound):
+    g = make_ab_graph()
+    with pytest.raises(GraphError, match="^edge bound must be at least 1$"):
+        fg.emit_generators(g, fg.default_labeling(g), bound)
+
+
+@pytest.mark.parametrize("j", [1.5, True])
+def test_code_word_refuses_an_index_that_is_not_an_int(j):
+    with pytest.raises(PathError, match="^code index must be positive$"):
+        fg.code_word(j, 3)
+
+
+@pytest.mark.parametrize("g", [make_ab_graph(), _small_leveled()], ids=["graph", "leveled"])
+@pytest.mark.parametrize("i", [1.5, True])
+def test_vertex_by_index_refuses_an_index_that_is_not_an_int(g, i):
+    with pytest.raises(GraphError):
+        g.vertex_by_index(i)
+
+
+_G = make_ab_graph()
+_INTEGER_ARGUMENTS = {
+    "check_ref": lambda x: _G.check_ref(("w", x)),
+    "make_path": lambda x: fg.make_path(_G, "b", [("w", x)]),
+    "count_paths_capped": lambda x: fg.count_paths_capped(_G, "a", "b", x),
+    "emit_generators": lambda x: fg.emit_generators(_G, fg.default_labeling(_G), x),
+    "vertex_by_index": _G.vertex_by_index,
+    "leveled vertex_by_index": _small_leveled().vertex_by_index,
+    "level_vertex_names": _small_leveled().level_vertex_names,
+    "vertex_by_number": fg.Labeling(_G, ["b", "a"]).vertex_by_number,
+    "edge_by_number": lambda x: fg.default_labeling(_G).edge_by_number("b", x),
+    "code_word": lambda x: fg.code_word(x, fg.OMEGA),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_INTEGER_ARGUMENTS)),
+       st.one_of(st.integers(-3, 50), st.booleans(), st.floats(), st.text(max_size=3)))
+def test_integer_arguments_answer_or_refuse_with_toolkit_errors(name, x):
+    # an edge bound of at most 50 keeps every emitted image small
+    try:
+        _INTEGER_ARGUMENTS[name](x)
+    except ToolkitError:
+        return
+    assert type(x) is int, f"{name} accepted {x!r}"
 
 
 def test_a_leveled_graph_has_one_out_query():

@@ -166,8 +166,8 @@ def _long_atom_lists(draw, g):
     return draw(st.lists(st.sampled_from(few), max_size=30))
 
 
-class TestStemIndex:
-    """The stem index gives the pairwise algebra's results atom for atom."""
+class TestStemTrie:
+    """The stem trie gives the pairwise algebra's results atom for atom."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_graph_and_atom_lists())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fullgroups as fg
 from fullgroups import pathspace, tables
 from fullgroups.errors import (
-    ArrowError, AtomError, GermError, GraphError, TableError, ToolkitError,
+    ArrowError, AtomError, GermError, GraphError, PathError, TableError, ToolkitError,
 )
 
 from conftest import (
@@ -957,6 +957,13 @@ class TestConstructors:
         with pytest.raises(TableError):
             fg.make_table(e2, [(path(e2, "v", "a"), frozenset(), path(e2, "v", "b"))],
                           validate=True)
+
+    def test_random_table_refuses_a_leveled_graph(self):
+        # like full_space: a leveled graph's boundary is not compact
+        lg = fg.LeveledGraph([["r"]], [["w"]], [fg.TemplateFamily("s", "r", "w")],
+                             [fg.TemplateFamily("e", "w", "w"), fg.TemplateFamily("f", "w", "w")])
+        with pytest.raises(PathError, match="finite graph"):
+            fg.random_table(lg, random.Random(1))
 
 
 class TestArrows:
