@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
 
     p = add("apply", _cmd_apply)
-    p.add_argument("--format", choices=("json", "text"), default=None)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("table")
     p.add_argument("--graph", required=True)
     p.add_argument("--point", required=True)
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeling", default=None)
 
     p = add("emit", _cmd_emit)
-    p.add_argument("--format", choices=("json", "text"), default=None)
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("graph_file")
     p.add_argument("--labeling", default=None)
     p.add_argument("--bound", type=int, default=10)

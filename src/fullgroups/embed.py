@@ -94,16 +94,6 @@ def _tiles(words, w: str) -> bool:
             and sum(map(whole.__rshift__, map(len, words))) == whole >> len(w))
 
 
-def code_partition_check(i, depth: int) -> bool:
-    """The code words have length at most ``depth`` and tile all binary
-    words (with ``a^depth`` added when i is OMEGA)."""
-    if i == OMEGA:
-        words = [code_word(j, i) for j in range(1, depth + 1)] + ["a" * depth]
-    else:
-        words = [code_word(j, i) for j in range(1, i + 1)]
-    return all(len(w) <= depth for w in words) and _tiles(sorted(words), "")
-
-
 # ---------------------------------------------------------------------------
 # Labelings
 # ---------------------------------------------------------------------------
@@ -247,15 +237,10 @@ def word_of_path(mu: FinitePath, lab: Labeling) -> str:
     return word_of_vertex(mu.start, lab) + "".join(edge_word(e, lab) for e in mu.edges)
 
 
-def word_of_edges(mu: FinitePath, lab: Labeling) -> str:
-    """Edge code words only (used for cycle tails)."""
-    require_admissible(lab.graph)
-    return "".join(edge_word(e, lab) for e in mu.edges)
-
-
 def point_map(p: BoundaryPoint, lab: Labeling) -> BoundaryPoint:
     """Image of a representable boundary point in the binary path space."""
-    cyc = "a" if p.cycle is None else word_of_edges(p.cycle, lab)
+    require_admissible(lab.graph)
+    cyc = "a" if p.cycle is None else "".join(edge_word(e, lab) for e in p.cycle.edges)
     if not cyc:
         raise AdmissibilityError("cycle with no exit encountered in the point map")
     return binary_point(word_of_path(p.prefix, lab), cyc)

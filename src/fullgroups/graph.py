@@ -627,18 +627,6 @@ class LeveledGraph(_GraphBase):
 
 
 # ---------------------------------------------------------------------------
-# Validation entry point
-# ---------------------------------------------------------------------------
-
-
-def validate_graph(g) -> None:
-    """Re-check all structural invariants (also run at construction time)."""
-    if not isinstance(g, (Graph, LeveledGraph)):
-        raise GraphError(f"not a graph: {g!r}")
-    g._validate()
-
-
-# ---------------------------------------------------------------------------
 # Reachability and path counting (finite graphs)
 # ---------------------------------------------------------------------------
 

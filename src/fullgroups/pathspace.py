@@ -96,11 +96,6 @@ def _every_branch(g, v: str, edges) -> bool:
     return bool(edges) and len(edges) == g.out_degree(v)
 
 
-def _atom_or_none(g, mu: FinitePath, F: frozenset) -> CylinderAtom | None:
-    """Atom constructor that returns None instead of an empty atom."""
-    return None if _every_branch(g, mu.rng, F) else CylinderAtom(mu, F)
-
-
 def atom(g, mu: FinitePath, F=frozenset()) -> CylinderAtom:
     """Validated nonempty atom Z(mu \\ F)."""
     F = frozenset(tuple(e) for e in F)
@@ -110,53 +105,9 @@ def atom(g, mu: FinitePath, F=frozenset()) -> CylinderAtom:
             raise AtomError(f"excluded edge {ref!r} is not outgoing at {mu.rng!r}")
     if g.is_sink(mu.rng) and F:
         raise AtomError("F must be empty at a sink")
-    a = _atom_or_none(g, mu, F)
-    if a is None:
+    if _every_branch(g, mu.rng, F):
         raise AtomError("empty atom: every outgoing edge excluded at a regular vertex")
-    return a
-
-
-def atom_intersect(g, a: CylinderAtom, b: CylinderAtom):
-    """Intersection of two atoms: None, one of them, or a merged-F atom."""
-    if a.mu == b.mu:
-        return _atom_or_none(g, a.mu, a.F | b.F)
-    if is_prefix(a.mu, b.mu):
-        e = b.mu.edges[len(a.mu.edges)]
-        return b if e not in a.F else None
-    if is_prefix(b.mu, a.mu):
-        e = a.mu.edges[len(b.mu.edges)]
-        return a if e not in b.F else None
-    return None
-
-
-def atom_subtract(g, a: CylinderAtom, b: CylinderAtom):
-    """a minus b as a disjoint list of atoms."""
-    inter = atom_intersect(g, a, b)
-    if inter is None:
-        return [a]
-    if inter == a:
-        return []
-    if a.mu == b.mu:
-        return [CylinderAtom(extend(g, a.mu, e), frozenset()) for e in b.F - a.F]
-    # here a.mu < b.mu strictly and b's branch is allowed in a
-    k = len(a.mu.edges)
-    out = [_atom_or_none(g, a.mu, a.F | {b.mu.edges[k]})]
-    for d in range(k + 1, len(b.mu.edges)):
-        stem = FinitePath(a.mu.start, b.mu.edges[:d], g.ref_source(b.mu.edges[d]))
-        out.append(_atom_or_none(g, stem, frozenset({b.mu.edges[d]})))
-    out += (CylinderAtom(extend(g, b.mu, e), frozenset()) for e in b.F)
-    return [x for x in out if x is not None]
-
-
-def atom_split(g, a: CylinderAtom, e: EdgeRef):
-    """Z(mu\\F) = Z(mu\\(F+{e})) + Z(mu e) in atom order; an empty residual is dropped."""
-    e = tuple(e)
-    if g.check_ref(e).source != a.mu.rng:
-        raise AtomError(f"edge {e!r} is not outgoing at {a.mu.rng!r}")
-    if e in a.F:
-        raise AtomError(f"edge {e!r} already excluded")
-    parts = (_atom_or_none(g, a.mu, a.F | {e}), CylinderAtom(extend(g, a.mu, e), frozenset()))
-    return CompactOpen(tuple(x for x in parts if x is not None))
+    return CylinderAtom(mu, F)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +233,13 @@ def co_make(g, atoms) -> CompactOpen:
     Each atom keeps what the earlier atoms leave of it; exact repeats go
     first.  That is what the earlier atoms' parts leave: a part of ``a_i``
     misses every atom before ``a_j``, so it meets ``a_j`` where it meets
-    ``a_j``'s parts, and ``atom_subtract`` cuts it alike whether ``a_j``'s
-    stem lies above, at or below its own.  One walk of the stem trie carries
-    the least atom covering the stem from above and whether its leftover is
-    open there (no other can be); atoms held after it lie inside it.  The
-    rest go through ``_cut``, where the earlier atoms at the stem ``w`` make
-    up ``Z(w \\ H)``, ``H`` the intersection of their Fs.
+    ``a_j``'s parts, and the pairwise ``atom_subtract`` of the differential
+    reference (``tests/pairwise_reference.py``) cuts it alike whether
+    ``a_j``'s stem lies above, at or below its own.  One walk of the stem
+    trie carries the least atom covering the stem from above and whether its
+    leftover is open there (no other can be); atoms held after it lie inside
+    it.  The rest go through ``_cut``, where the earlier atoms at the stem
+    ``w`` make up ``Z(w \\ H)``, ``H`` the intersection of their Fs.
     """
     atoms = list(dict.fromkeys(atoms))
     Fs = [a.F for a in atoms]

@@ -13,11 +13,10 @@ correspondence breaks down and those operations refuse to answer.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .errors import ArrowError, GermError, ParseError, PathError, TableError
+from .errors import ArrowError, GermError, ParseError, TableError
 from .graph import _strings
 from .pathspace import (
     BoundaryPoint,
@@ -30,7 +29,6 @@ from .pathspace import (
     _out_refs,
     _parts,
     atom,
-    atom_split,
     co_contains_point,
     co_subtract,
     extend,
@@ -45,7 +43,6 @@ from .pathspace import (
     point_edge,
     point_in_atom,
     replace_point_prefix,
-    trivial_path,
 )
 
 
@@ -487,45 +484,6 @@ def _arrow_piece(g, ar: Arrow, m: int, n: int, d: int):
     if point_edge(ar.target, len(chi.edges)) in F or point_edge(ar.source, len(ups.edges)) in F:
         return None
     return make_piece(g, chi, F, ups)
-
-
-# ---------------------------------------------------------------------------
-# Random valid tables
-# ---------------------------------------------------------------------------
-
-
-def random_table(g, rng: random.Random, splits: int = 5, omega_bound: int = 3) -> Table:
-    """Random element: a random atom partition of the boundary space plus a
-    range-and-exclusion-preserving permutation of its atoms."""
-    if not g.is_finite:
-        raise PathError("random tables need a finite graph: its boundary must be compact")
-    atoms = [atom(g, trivial_path(g, v)) for v in g.vertices]
-    for _ in range(splits):
-        i = rng.randrange(len(atoms))
-        a = atoms[i]
-        v = a.mu.rng
-        candidates = [(f.id, 1) for f in g.out_singles(v) if (f.id, 1) not in a.F]
-        fam = g.omega_family(v)
-        if fam is not None:
-            top = max([idx for (fid, idx) in a.F if fid == fam.id], default=0)
-            candidates += [(fam.id, j) for j in range(1, top + omega_bound + 1)
-                           if (fam.id, j) not in a.F]
-        if not candidates:
-            continue
-        e = rng.choice(candidates)
-        atoms[i:i + 1] = atom_split(g, a, e).atoms
-    groups = {}
-    for a in atoms:
-        key = (a.mu.rng, tuple(sorted(a.F)))
-        groups.setdefault(key, []).append(a)
-    pieces = []
-    for group in groups.values():
-        perm = group[:]
-        rng.shuffle(perm)
-        for src, tgt in zip(group, perm):
-            if src != tgt:
-                pieces.append(Piece(tgt.mu, src.F, src.mu))
-    return make_table(g, pieces, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import strategies as st
 
 import fullgroups as fg
+from fullgroups.embed import _tiles
+from fullgroups.errors import PathError
+
+from pairwise_reference import atom_split
 
 
 def make_e2():
@@ -300,6 +304,50 @@ def enumerate_paths_upto(g, v, length):
     return out
 
 
+def random_table(g, rng: random.Random, splits: int = 5, omega_bound: int = 3):
+    """Random element: a random atom partition of the boundary space plus a
+    range-and-exclusion-preserving permutation of its atoms."""
+    if not g.is_finite:
+        raise PathError("random tables need a finite graph: its boundary must be compact")
+    atoms = [fg.atom(g, fg.trivial_path(g, v)) for v in g.vertices]
+    for _ in range(splits):
+        i = rng.randrange(len(atoms))
+        a = atoms[i]
+        v = a.mu.rng
+        candidates = [(f.id, 1) for f in g.out_singles(v) if (f.id, 1) not in a.F]
+        fam = g.omega_family(v)
+        if fam is not None:
+            top = max([idx for (fid, idx) in a.F if fid == fam.id], default=0)
+            candidates += [(fam.id, j) for j in range(1, top + omega_bound + 1)
+                           if (fam.id, j) not in a.F]
+        if not candidates:
+            continue
+        e = rng.choice(candidates)
+        atoms[i:i + 1] = atom_split(g, a, e).atoms
+    groups = {}
+    for a in atoms:
+        key = (a.mu.rng, tuple(sorted(a.F)))
+        groups.setdefault(key, []).append(a)
+    pieces = []
+    for group in groups.values():
+        perm = group[:]
+        rng.shuffle(perm)
+        for src, tgt in zip(group, perm):
+            if src != tgt:
+                pieces.append(fg.Piece(tgt.mu, src.F, src.mu))
+    return fg.make_table(g, pieces, validate=False)
+
+
+def code_partition_check(i, depth: int) -> bool:
+    """The code words have length at most ``depth`` and tile all binary
+    words (with ``a^depth`` added when i is OMEGA)."""
+    if i == fg.OMEGA:
+        words = [fg.code_word(j, i) for j in range(1, depth + 1)] + ["a" * depth]
+    else:
+        words = [fg.code_word(j, i) for j in range(1, i + 1)]
+    return all(len(w) <= depth for w in words) and _tiles(sorted(words), "")
+
+
 def _refs_at(g, v, omega_bound=3):
     refs = [(f.id, 1) for f in g.out_singles(v)]
     fam = g.omega_family(v)
@@ -335,7 +383,7 @@ def atom_lists(draw, g, max_atoms=8, max_depth=3):
             a = parts[i]
             refs = [e for e in _refs_at(g, a.mu.rng) if e not in a.F]
             if refs:
-                parts[i:i + 1] = fg.atom_split(g, a, draw(st.sampled_from(refs))).atoms
+                parts[i:i + 1] = atom_split(g, a, draw(st.sampled_from(refs))).atoms
         keep = draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
         atoms += draw(st.permutations([a for a, k in zip(parts, keep) if k]))
     return atoms

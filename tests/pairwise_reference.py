@@ -26,7 +26,12 @@ Disjointification subtracts every earlier part, ``_merge_atoms`` restarts its
 fixpoint after each merge, and table validation, composition and images loop
 over all pairs of atoms.  ``old_canonicalize`` rebuilds its map of stem pairs
 and restarts after every merge of table pieces.  Only the atom-level
-primitives and the table constructors come from the package.
+constructors and the table constructors come from the package.  The
+pairwise atom operations, ``atom_intersect``, ``atom_subtract`` and
+``atom_split``, live here: the library's compact-open algebra is
+``co_make``, ``co_intersect``, ``co_subtract`` and ``co_equals``, which cut
+atoms in one walk of a stem trie.  ``atom_split`` also builds the random
+partitions of the test generators in ``conftest.py``.
 
 The ``old_`` graph queries read only a graph's declared fields: vertices and
 families of a ``Graph``; levels and family templates of a ``LeveledGraph``.
@@ -63,20 +68,20 @@ from fullgroups.embed import (
     word_of_vertex,
 )
 from fullgroups.bratteli import MAX_ORDER_DIGITS, GammaElement, _out_edges, _too_long
-from fullgroups.errors import GraphError, ParseError, PathError, TableError
+from fullgroups.errors import AtomError, GraphError, ParseError, PathError, TableError
 from fullgroups.graph import OMEGA, EdgeFamily, Verdict
 from fullgroups.pathspace import (
     BoundaryPoint,
     CompactOpen,
     CylinderAtom,
     FinitePath,
+    _every_branch,
     atom,
-    atom_intersect,
-    atom_subtract,
     concat,
     extend,
     finite_point,
     format_path,
+    is_prefix,
     make_path,
     parse_path,
     parse_ref,
@@ -92,6 +97,54 @@ from fullgroups.tables import (
     domain_atom,
     make_table,
 )
+
+
+def _atom_or_none(g, mu, F):
+    """Atom constructor that returns None instead of an empty atom."""
+    return None if _every_branch(g, mu.rng, F) else CylinderAtom(mu, F)
+
+
+def atom_intersect(g, a, b):
+    """Intersection of two atoms: None, one of them, or a merged-F atom."""
+    if a.mu == b.mu:
+        return _atom_or_none(g, a.mu, a.F | b.F)
+    if is_prefix(a.mu, b.mu):
+        e = b.mu.edges[len(a.mu.edges)]
+        return b if e not in a.F else None
+    if is_prefix(b.mu, a.mu):
+        e = a.mu.edges[len(b.mu.edges)]
+        return a if e not in b.F else None
+    return None
+
+
+def atom_subtract(g, a, b):
+    """a minus b as a disjoint list of atoms."""
+    inter = atom_intersect(g, a, b)
+    if inter is None:
+        return [a]
+    if inter == a:
+        return []
+    if a.mu == b.mu:
+        return [CylinderAtom(extend(g, a.mu, e), frozenset()) for e in b.F - a.F]
+    # here a.mu < b.mu strictly and b's branch is allowed in a
+    k = len(a.mu.edges)
+    out = [_atom_or_none(g, a.mu, a.F | {b.mu.edges[k]})]
+    for d in range(k + 1, len(b.mu.edges)):
+        stem = FinitePath(a.mu.start, b.mu.edges[:d], g.ref_source(b.mu.edges[d]))
+        out.append(_atom_or_none(g, stem, frozenset({b.mu.edges[d]})))
+    out += (CylinderAtom(extend(g, b.mu, e), frozenset()) for e in b.F)
+    return [x for x in out if x is not None]
+
+
+def atom_split(g, a, e):
+    """Z(mu\\F) = Z(mu\\(F+{e})) + Z(mu e) in atom order; an empty residual is dropped."""
+    e = tuple(e)
+    if g.check_ref(e).source != a.mu.rng:
+        raise AtomError(f"edge {e!r} is not outgoing at {a.mu.rng!r}")
+    if e in a.F:
+        raise AtomError(f"edge {e!r} already excluded")
+    parts = (_atom_or_none(g, a.mu, a.F | {e}), CylinderAtom(extend(g, a.mu, e), frozenset()))
+    return CompactOpen(tuple(x for x in parts if x is not None))
 
 
 def path_sort_key(g, p):

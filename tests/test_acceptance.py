@@ -17,6 +17,7 @@ import fullgroups as fg
 from fullgroups.cli import main as cli_main
 
 from conftest import (
+    code_partition_check,
     enumerate_points,
     make_e2,
     make_e_inf,
@@ -28,6 +29,7 @@ from conftest import (
     make_one_orbit,
     make_two_vertex_omega,
     path,
+    random_table,
 )
 from test_embed import mutations
 
@@ -139,7 +141,7 @@ def test_criterion_05_condition_goldens_and_covering(tmp_path):
     arrow = fg.Arrow(einf_h, 1, einf_h)
     rng = random.Random(515)
     for _ in range(500):
-        t = fg.random_table(h, rng, splits=rng.randint(1, 6))
+        t = random_table(h, rng, splits=rng.randint(1, 6))
         fg.validate_table(t)
         assert not fg.contains_arrow(t, arrow)
     took = time.monotonic() - t0
@@ -159,7 +161,7 @@ def test_criterion_06_group_axioms():
     for name, factory in GROUP_LAW_GRAPHS:
         g = factory()
         pts = [p for p in enumerate_points(g, 4, 3) if not p.is_finite]
-        tables = [fg.random_table(g, rng, splits=rng.randint(1, 5)) for _ in range(200)]
+        tables = [random_table(g, rng, splits=rng.randint(1, 5)) for _ in range(200)]
         ident = fg.identity(g)
         for i, t in enumerate(tables):
             s = tables[(i + 1) % len(tables)]
@@ -194,7 +196,7 @@ def test_criterion_07_embedding_homomorphism_and_conjugation():
         g = factory()
         lab = fg.default_labeling(g)
         pts = enumerate_points(g, 3, 2, omega_bound=2)[:30]
-        tables = [fg.random_table(g, rng, splits=rng.randint(1, 4), omega_bound=3)
+        tables = [random_table(g, rng, splits=rng.randint(1, 4), omega_bound=3)
                   for _ in range(200)]
         images = []
         for t in tables:
@@ -217,8 +219,8 @@ def test_criterion_07_embedding_homomorphism_and_conjugation():
 def test_criterion_08_prefix_code_suite():
     t0 = time.monotonic()
     for i in range(1, 13):
-        assert fg.code_partition_check(i, 12)
-    assert fg.code_partition_check(fg.OMEGA, 12)
+        assert code_partition_check(i, 12)
+    assert code_partition_check(fg.OMEGA, 12)
     took = time.monotonic() - t0
     report(8, took, "prefix codes tile depth 12 for i = 1..12 and i = omega")
 

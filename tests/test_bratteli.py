@@ -46,6 +46,13 @@ class TestDiagram:
                 edges=((("v", "u"),), (("u", "u"),)),
                 repeat=(1, 1),
             )
+        # a source on level 1, the block's first recurring level
+        with pytest.raises(GraphError, match="^level 1 has a vertex with no incoming edge; "):
+            fg.BratteliDiagram(
+                levels=(("r",), ("x", "y"), ("r",)),
+                edges=((("r", "x"),), (("x", "r"), ("y", "r"))),
+                repeat=(0, 2),
+            )
 
     def test_underlying_finite(self):
         b = fg.BratteliDiagram(
@@ -95,6 +102,8 @@ class TestDiagram:
         ([[("r", "x")], [("x", "x")]], (True, 1), "a repeat rule must be"),
         ([[("r", "x", "z")], [("x", "x")]], None, "every edge must be"),
         ([[("r", "x")], [("x",)]], (1, 1), "every edge must be"),
+        ([[("r", "x")], [("x", "x")]], (2, 0), "with a repeat rule the declared levels"),
+        ([[("r", "x")], [("x", "x")]], (-1, 3), "with a repeat rule the declared levels"),
     ])
     def test_malformed_arguments_are_graph_errors(self, edges, repeat, message):
         with pytest.raises(GraphError, match=f"^{message}"):
@@ -107,6 +116,11 @@ class TestGammaGroups:
         assert b.gamma_order(1) == 2
         b24 = make_gamma24_diagram()
         assert b24.gamma_order(2) == math.factorial(4)
+
+    def test_compose_refuses_elements_at_different_levels(self):
+        b = make_gamma2_diagram()
+        with pytest.raises(GraphError, match="^elements live at different levels$"):
+            next(b.gamma_elements(1)).compose(next(b.gamma_elements(2)))
 
     def test_trivial_when_ranges_distinct(self):
         b = fg.BratteliDiagram(

@@ -20,6 +20,7 @@ from conftest import (
     make_leveled_chain_graph,
     make_one_orbit,
     make_two_vertex_omega,
+    random_table,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -140,6 +141,29 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == {
             "code": "parse-error", "message": "reserved character in block vertex 'x@1'"}
+
+    @pytest.mark.parametrize("kind, data, message", [
+        ("bratteli", {"levels": [["r"], ["x", "y"], ["x", "y"]],
+                      "edges": [[["r", "x"], ["r", "y"]], [["x", "x"], ["y", "y"]]],
+                      "repeat": {"from": 0, "period": 1}},
+         "with a repeat rule the declared levels must be 0..from+period, "
+         "the last one repeating level 'from'"),
+        ("bratteli", {"levels": [["r"], ["x"]], "edges": [[["x", "x"]]]},
+         "edge source 'x' not on level 0"),
+        ("bratteli", {"levels": [["r"], ["x"]], "edges": [[["r", "x", "x"]]]},
+         "diagram 'edges' must be a list of lists of [source, range] pairs"),
+        ("graph", {"kind": "leveled", "base_levels": [], "block_levels": ["w"],
+                   "base_edges": [], "block_edges": []},
+         "graph JSON: levels must be lists of lists of vertex names"),
+    ])
+    def test_reader_refusal_messages(self, tmp_path, capsys, kind, data, message):
+        """The whole stderr line of a file the readers refuse: a weaker
+        reader check would still refuse, but with another message."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(bad), "--kind", kind)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": {"code": "parse-error", "message": message}}) + "\n"
 
     def test_table_is_validated_once(self, files, capsys, monkeypatch):
         calls = []
@@ -403,7 +427,7 @@ class TestHashSeed:
             for k in range(3):
                 t = tmp_path / f"{name}{k}.table"
                 t.write_text(json.dumps(fg.table_to_json(
-                    fg.random_table(g, rng, splits=12, omega_bound=3))))
+                    random_table(g, rng, splits=12, omega_bound=3))))
                 tables.append(str(t))
             graph = ["--graph", files[name]]
             argvs += [["compose", tables[0], tables[1], *graph],

@@ -22,6 +22,7 @@ from conftest import (
     make_leveled_chain_graph,
     make_one_orbit,
     make_two_vertex_omega,
+    random_table,
 )
 
 SECONDS = 2  # per run: a hang fails its example instead of stalling the suite
@@ -29,7 +30,7 @@ SECONDS = 2  # per run: a hang fails its example instead of stalling the suite
 
 def _graph_files(g, seed):
     rnd = random.Random(seed)
-    tables = [fg.table_to_json(fg.random_table(g, rnd, splits=4, omega_bound=2))
+    tables = [fg.table_to_json(random_table(g, rnd, splits=4, omega_bound=2))
               for _ in "st"]
     v = g.vertices[0]
     loop = next(f for f in g.out_families(v) if f.range == v)

@@ -18,6 +18,7 @@ import pairwise_reference as ref
 from pairwise_reference import ONE, FormalSum
 from conftest import (
     algebra_graphs,
+    code_partition_check,
     enumerate_points,
     make_e2,
     make_e_inf,
@@ -33,6 +34,7 @@ from conftest import (
     random_diagram,
     random_graph,
     random_leveled_graph,
+    random_table,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -61,23 +63,23 @@ class TestAlpha:
             fg.code_word(0, 3)
 
     def test_partitions(self):
-        assert fg.code_partition_check(1, 3)
-        assert fg.code_partition_check(3, 2)
-        assert fg.code_partition_check(3, 5)
-        assert fg.code_partition_check(OM, 5)
+        assert code_partition_check(1, 3)
+        assert code_partition_check(3, 2)
+        assert code_partition_check(3, 5)
+        assert code_partition_check(OM, 5)
 
     def test_partitions_match_the_brute_force_reference(self):
         answers = set()
         for i in [*range(15), OM]:
             for depth in range(15):
-                answer = fg.code_partition_check(i, depth)
+                answer = code_partition_check(i, depth)
                 assert answer == ref.old_code_partition_check(i, depth), (i, depth)
                 answers.add(answer)
         assert answers == {True, False}
 
     @pytest.mark.parametrize("i", [0, 1, 2, OM])
     def test_a_negative_depth_is_no_partition(self, i):
-        assert fg.code_partition_check(i, -1) is False
+        assert code_partition_check(i, -1) is False
 
 
 class TestAdmissibility:
@@ -264,7 +266,7 @@ class TestEmbedTable:
         lab = fg.default_labeling(g)
         pts = enumerate_points(g, 3, 2, omega_bound=3)
         for _ in range(10):
-            t = fg.random_table(g, rng, splits=4, omega_bound=3)
+            t = random_table(g, rng, splits=4, omega_bound=3)
             vt = fg.embed_table(t, lab)
             for p in pts:
                 assert (fg.point_map(fg.apply(t, p), lab)
@@ -275,8 +277,8 @@ class TestEmbedTable:
         g = factory()
         lab = fg.default_labeling(g)
         for _ in range(8):
-            s = fg.random_table(g, rng, splits=3)
-            t = fg.random_table(g, rng, splits=3)
+            s = random_table(g, rng, splits=3)
+            t = random_table(g, rng, splits=3)
             assert fg.germ_equal(fg.embed_table(fg.compose(s, t), lab),
                                  fg.compose(fg.embed_table(s, lab), fg.embed_table(t, lab)))
             assert fg.germ_equal(fg.embed_table(fg.inverse(s), lab),
@@ -286,7 +288,7 @@ class TestEmbedTable:
         g = make_one_orbit()
         lab = fg.default_labeling(g)
         for _ in range(20):
-            t = fg.random_table(g, rng, splits=3)
+            t = random_table(g, rng, splits=3)
             assert fg.is_identity(fg.embed_table(t, lab)) == fg.is_identity(t)
 
     def test_leveled_graph_table_conjugation(self):
@@ -370,7 +372,7 @@ class TestCustomLabeling:
         lab = fg.Labeling(g, vertex_order=["w2", "w1"])
         pts = enumerate_points(g, 3, 2, omega_bound=2)
         for _ in range(8):
-            t = fg.random_table(g, rng, splits=3, omega_bound=2)
+            t = random_table(g, rng, splits=3, omega_bound=2)
             vt = fg.embed_table(t, lab)
             for p in pts:
                 assert (fg.point_map(fg.apply(t, p), lab)
@@ -540,7 +542,7 @@ def _moved_gamma24_table():
 
 
 @pytest.mark.parametrize("table", [
-    lambda: fg.random_table(make_two_vertex_omega(), random.Random(19), splits=8, omega_bound=3),
+    lambda: random_table(make_two_vertex_omega(), random.Random(19), splits=8, omega_bound=3),
     _moved_gamma24_table,
 ], ids=["two_vertex_omega", "gamma24_level3"])
 def test_embed_table_reads_the_labeling_tables_only(monkeypatch, table):
@@ -585,8 +587,8 @@ def custom_labelings(draw):
 @given(custom_labelings(), st.randoms(use_true_random=False))
 def test_embedding_is_an_equivariant_homomorphism_under_custom_labelings(lab, rnd):
     g = lab.graph
-    s = fg.random_table(g, rnd, splits=3, omega_bound=2)
-    t = fg.random_table(g, rnd, splits=3, omega_bound=2)
+    s = random_table(g, rnd, splits=3, omega_bound=2)
+    t = random_table(g, rnd, splits=3, omega_bound=2)
     vs = fg.embed_table(s, lab)
     assert fg.germ_equal(fg.embed_table(fg.compose(s, t), lab),
                          fg.compose(vs, fg.embed_table(t, lab)))
@@ -611,7 +613,7 @@ _embeddable_graphs = st.one_of(st.sampled_from(_EMBEDDABLE),
 @given(_embeddable_graphs, st.randoms(use_true_random=False))
 def test_embedding_is_a_homomorphism_on_random_graphs(g, rnd):
     lab = fg.default_labeling(g)
-    s, t = (fg.random_table(g, rnd, splits=rnd.randint(0, 6), omega_bound=2) for _ in "st")
+    s, t = (random_table(g, rnd, splits=rnd.randint(0, 6), omega_bound=2) for _ in "st")
     vs = fg.embed_table(s, lab)
     assert fg.germ_equal(fg.embed_table(fg.compose(s, t), lab),
                          fg.compose(vs, fg.embed_table(t, lab)))
@@ -622,7 +624,7 @@ def test_embedding_is_a_homomorphism_on_random_graphs(g, rnd):
 @given(_embeddable_graphs, st.randoms(use_true_random=False))
 def test_embedding_conjugates_the_action_on_random_graphs(g, rnd):
     lab = fg.default_labeling(g)
-    t = fg.random_table(g, rnd, splits=rnd.randint(0, 6), omega_bound=2)
+    t = random_table(g, rnd, splits=rnd.randint(0, 6), omega_bound=2)
     vt = fg.embed_table(t, lab)
     for p in _points(g):
         assert fg.point_map(fg.apply(t, p), lab) == fg.apply(vt, fg.point_map(p, lab))
@@ -633,7 +635,7 @@ def test_embedding_conjugates_the_action_on_random_graphs(g, rnd):
        st.randoms(use_true_random=False))
 def test_embed_table_matches_the_string_reference(lab, rnd):
     g = lab.graph
-    s, t = (fg.random_table(g, rnd, splits=rnd.randint(0, 8), omega_bound=3) for _ in "st")
+    s, t = (random_table(g, rnd, splits=rnd.randint(0, 8), omega_bound=3) for _ in "st")
     for x in (s, fg.compose(s, t), fg.commutator(s, t)):
         assert fg.embed_table(x, lab) == ref.old_embed_table(x, lab)
 

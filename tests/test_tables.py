@@ -29,9 +29,12 @@ from conftest import (
     make_two_vertex_omega,
     path,
     random_graph,
+    random_table,
 )
 from pairwise_reference import (
+    atom_intersect,
     atom_sort_key,
+    atom_split,
     old_canonicalize,
     old_co_intersect,
     old_co_make,
@@ -108,8 +111,8 @@ _GRAPHS = algebra_graphs()
 @st.composite
 def _random_tables(draw, g):
     seed = draw(st.integers(0, 2**32 - 1))
-    return fg.random_table(g, random.Random(seed), splits=draw(st.integers(0, 12)),
-                           omega_bound=2)
+    return random_table(g, random.Random(seed), splits=draw(st.integers(0, 12)),
+                        omega_bound=2)
 
 
 @st.composite
@@ -129,7 +132,7 @@ def _piece_lists(draw, g):
 def _split_piece(g, p, e):
     """The pieces of ``p`` on the two parts of its domain split along ``e``."""
     out = []
-    for part in fg.atom_split(g, tables.domain_atom(p), e).atoms:
+    for part in atom_split(g, tables.domain_atom(p), e).atoms:
         rel = part.mu.edges[len(p.lam.edges):]
         out.append(fg.Piece(fg.FinitePath(p.mu.start, p.mu.edges + rel, part.mu.rng),
                             part.F, part.mu))
@@ -184,17 +187,10 @@ class TestStemIndexTables:
         x = fg.co_make(g, atoms)
         assert fg.table_image(t, x) == old_table_image(t, x)
 
-    def test_valid_table_is_not_cut(self, e2, monkeypatch):
-        calls = []
-        for mod in (pathspace, tables):
-            if hasattr(mod, "atom_subtract"):
-                subtract = mod.atom_subtract
-                monkeypatch.setattr(mod, "atom_subtract",
-                                    lambda *args, f=subtract: calls.append(1) or f(*args))
-        t = fg.random_table(e2, random.Random(11), splits=340)
+    def test_valid_table_is_not_cut(self, e2):
+        t = random_table(e2, random.Random(11), splits=340)
         assert len(t.pieces) >= 200
         fg.validate_table(t)
-        assert calls == []
 
 
 class TestKnownValid:
@@ -313,8 +309,8 @@ class TestValidateWalk:
         lab = fg.default_labeling(g)
         outcomes = set()
         for seed in range(3):
-            t = fg.embed_table(fg.random_table(g, random.Random(seed), splits=12,
-                                               omega_bound=2), lab)
+            t = fg.embed_table(random_table(g, random.Random(seed), splits=12,
+                                            omega_bound=2), lab)
             assert t.graph == fg.E2
             assert _verdict(old_validate_table, t) is None
             outcomes |= _assert_mutations_agree(t)
@@ -346,7 +342,7 @@ class TestValidateWalk:
         outcomes = set()
         for seed in range(3):
             rnd = random.Random(seed)
-            t = fg.embed_table(fg.random_table(g, rnd, splits=8, omega_bound=2), lab)
+            t = fg.embed_table(random_table(g, rnd, splits=8, omega_bound=2), lab)
             for k in rnd.sample(range(len(t.pieces)), min(4, len(t.pieces))):
                 p, rest = t.pieces[k], list(t.pieces[:k] + t.pieces[k + 1:])
                 images = rnd.sample(words, 4)
@@ -421,11 +417,11 @@ class TestValidateWalk:
 
     def test_one_atom_check_per_range_and_exclusions(self, monkeypatch):
         g = make_two_vertex_omega()
-        t = fg.random_table(g, random.Random(5), splits=300, omega_bound=3)
+        t = random_table(g, random.Random(5), splits=300, omega_bound=3)
         assert len(t.pieces) >= 200 and any(p.F for p in t.pieces)
         calls = []
         for mod in (pathspace, tables):
-            for name in ("_merge_atoms", "co_equals", "atom_subtract"):
+            for name in ("_merge_atoms", "co_equals"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
         checked = []
@@ -458,8 +454,8 @@ _ANY_GRAPH = st.one_of(st.sampled_from(_GRAPHS),
 @st.composite
 def _larger_tables(draw, g):
     seed = draw(st.integers(0, 2**32 - 1))
-    return fg.random_table(g, random.Random(seed), splits=draw(st.integers(0, 40)),
-                           omega_bound=2)
+    return random_table(g, random.Random(seed), splits=draw(st.integers(0, 40)),
+                        omega_bound=2)
 
 
 def _compose_shapes(s, t, refined):
@@ -497,7 +493,7 @@ class TestComposeWalk:
         g = make_sink_graph()
         rnd = random.Random(3)
         for _ in range(30):
-            s, t = (fg.random_table(g, rnd, splits=rnd.randint(0, 20), omega_bound=2)
+            s, t = (random_table(g, rnd, splits=rnd.randint(0, 20), omega_bound=2)
                     for _ in "st")
             for a, b in _compose_shapes(s, t, s):
                 assert fg.compose(a, b) == old_compose(a, b)
@@ -544,22 +540,16 @@ class TestComposeWalk:
         assert fg.compose(refined, fg.inverse(swap)).pieces == ()
         assert fg.compose(refined, swap) == old_compose(refined, swap)
 
-    def test_no_pairwise_atom_operations(self, monkeypatch):
+    def test_no_pairwise_atom_operations(self):
         rnd = random.Random(5)
         g = make_two_vertex_omega()
-        s, t = (fg.random_table(g, rnd, splits=300) for _ in "st")
+        s, t = (random_table(g, rnd, splits=300) for _ in "st")
         x, y = fg.support(s), fg.support(t)
         atoms = list(x.atoms) + list(y.atoms)
         expected = (old_compose(s, t), old_co_make(g, atoms), old_co_subtract(g, x, y),
                     old_co_intersect(g, x, y), old_table_image(t, x))
-        calls = []
-        for mod in (pathspace, tables):
-            for name in ("atom_subtract", "atom_intersect"):
-                if hasattr(mod, name):
-                    monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
         assert (fg.compose(s, t), fg.co_make(g, atoms), fg.co_subtract(g, x, y),
                 fg.co_intersect(g, x, y), fg.table_image(t, x)) == expected
-        assert calls == []
 
 
 def _reference_order(g, items, atom_of):
@@ -583,7 +573,7 @@ def _assert_reference_order(g, pieces, atoms, rnd):
     for a in atoms[:4]:
         for e in _refs_at(g, a.mu.rng, 2):
             if e not in a.F:
-                parts = fg.atom_split(g, a, e).atoms
+                parts = atom_split(g, a, e).atoms
                 assert parts == _reference_order(g, parts, lambda a: a)
 
 
@@ -610,14 +600,14 @@ class TestAtomOrder:
     @given(st.sampled_from([make_e2(), make_one_orbit(), make_e_inf(), make_two_vertex_omega()]),
            st.randoms(use_true_random=False))
     def test_binary_images(self, g, rnd):
-        t = fg.embed_table(fg.random_table(g, rnd, splits=rnd.randint(0, 12), omega_bound=2),
+        t = fg.embed_table(random_table(g, rnd, splits=rnd.randint(0, 12), omega_bound=2),
                            fg.default_labeling(g))
         pieces = t.pieces + fg.inverse(t).pieces
         _assert_reference_order(fg.E2, pieces, map(tables.domain_atom, pieces), rnd)
 
     def test_one_key_per_distinct_edge(self, monkeypatch):
         g = make_two_vertex_omega()
-        t = fg.embed_table(fg.random_table(g, random.Random(5), splits=200, omega_bound=3),
+        t = fg.embed_table(random_table(g, random.Random(5), splits=200, omega_bound=3),
                            fg.default_labeling(g))
         assert len(t.pieces) >= 200
         pieces = list(t.pieces)
@@ -674,8 +664,8 @@ class TestGroupOps:
     def test_compose_matches_pointwise(self, e2, rng):
         pts = enumerate_points(e2, 4, 3)
         for _ in range(25):
-            s = fg.random_table(e2, rng)
-            t = fg.random_table(e2, rng)
+            s = random_table(e2, rng)
+            t = random_table(e2, rng)
             st = fg.compose(s, t)
             for p in pts:
                 assert fg.apply(st, p) == fg.apply(s, fg.apply(t, p))
@@ -694,7 +684,7 @@ class TestGroupOps:
 
     def test_compose_with_identity(self, e2, rng):
         for _ in range(10):
-            t = fg.random_table(e2, rng)
+            t = random_table(e2, rng)
             assert fg.germ_equal(fg.compose(fg.identity(e2), t), t)
             assert fg.germ_equal(fg.compose(t, fg.identity(e2)), t)
 
@@ -736,7 +726,7 @@ class TestCanonicalize:
 
     def test_canonicalize_idempotent(self, e2, rng):
         for _ in range(25):
-            t = fg.random_table(e2, rng)
+            t = random_table(e2, rng)
             c = fg.canonicalize(t)
             assert fg.canonicalize(c).pieces == c.pieces
 
@@ -746,7 +736,7 @@ class TestCanonicalize:
         g = factory()
         pts = enumerate_points(g, 3, 2, omega_bound=3)
         for _ in range(20):
-            t = fg.random_table(g, rng, splits=4, omega_bound=3)
+            t = random_table(g, rng, splits=4, omega_bound=3)
             c = fg.canonicalize(t)
             fg.validate_table(c)
             for p in pts:
@@ -757,7 +747,7 @@ class TestCanonicalize:
         g = factory()
         pts = enumerate_points(g, 3, 2, omega_bound=3)
         for _ in range(15):
-            t = fg.random_table(g, rng, splits=4, omega_bound=3)
+            t = random_table(g, rng, splits=4, omega_bound=3)
             inv = fg.inverse(t)
             for p in pts:
                 assert fg.apply(inv, fg.apply(t, p)) == p
@@ -822,7 +812,7 @@ class TestCanonicalize:
 
     def test_canonical_form_unique_for_germ_equal(self, e2, rng):
         for _ in range(40):
-            t = fg.random_table(e2, rng)
+            t = random_table(e2, rng)
             # refine a random piece along both edges, preserving the map
             pieces = list(t.pieces)
             if pieces:
@@ -909,7 +899,7 @@ class TestSupport:
 
     def test_support_of_compose_contained_in_union(self, e2, rng):
         for _ in range(15):
-            s, t = fg.random_table(e2, rng), fg.random_table(e2, rng)
+            s, t = random_table(e2, rng), random_table(e2, rng)
             sup = fg.support(fg.compose(s, t))
             bound = fg.co_union(e2, fg.support(s), fg.support(t))
             assert fg.co_subtract(e2, sup, bound).is_empty()
@@ -922,7 +912,7 @@ class TestSupport:
 
     def test_support_of_inverse_is_image(self, e2, rng):
         for _ in range(15):
-            t = fg.random_table(e2, rng)
+            t = random_table(e2, rng)
             lhs = fg.support(fg.inverse(t))
             rhs = fg.table_image(t, fg.support(t))
             assert fg.co_equals(e2, lhs, rhs)
@@ -963,7 +953,7 @@ class TestConstructors:
         lg = fg.LeveledGraph([["r"]], [["w"]], [fg.TemplateFamily("s", "r", "w")],
                              [fg.TemplateFamily("e", "w", "w"), fg.TemplateFamily("f", "w", "w")])
         with pytest.raises(PathError, match="finite graph"):
-            fg.random_table(lg, random.Random(1))
+            random_table(lg, random.Random(1))
 
 
 class TestArrows:
@@ -992,7 +982,7 @@ class TestArrows:
         pts = [p for p in enumerate_points(e2, 3, 2) if not p.is_finite]
         found = 0
         for _ in range(40):
-            s, t = fg.random_table(e2, rng), fg.random_table(e2, rng)
+            s, t = random_table(e2, rng), random_table(e2, rng)
             for y in pts:
                 z = fg.apply(t, y)
                 x = fg.apply(s, z)
@@ -1161,7 +1151,7 @@ def _ref_transposition(g, ar, within):
         if piece is None:
             continue
         da, ca = fg.CylinderAtom(piece.lam, piece.F), fg.CylinderAtom(piece.mu, piece.F)
-        if fg.atom_intersect(g, da, ca) is None and all(
+        if atom_intersect(g, da, ca) is None and all(
                 fg.co_subtract(g, fg.CompactOpen((a,)), within).is_empty() for a in (da, ca)):
             return fg.involution_hat(g, [piece])
     raise ArrowError("reference: no piece up to depth 64")
@@ -1237,8 +1227,8 @@ def _assert_arrow_atoms_disjoint(g, ar, within):
     for d in range(tables._last_depth(g, ar, m, n, within) + 1):
         piece = tables._arrow_piece(g, ar, m, n, d)
         if piece is not None:
-            assert fg.atom_intersect(g, tables.domain_atom(piece),
-                                     tables.codomain_atom(piece)) is None
+            assert atom_intersect(g, tables.domain_atom(piece),
+                                  tables.codomain_atom(piece)) is None
 
 
 class TestArrowPieceAtoms:
@@ -1280,7 +1270,7 @@ class TestCommutator:
     def test_commutator_trivialities(self, e2, rng):
         s = swap_table(e2)
         assert fg.is_identity(fg.commutator(s, s))
-        t = fg.random_table(e2, rng)
+        t = random_table(e2, rng)
         assert fg.is_identity(fg.commutator(t, fg.identity(e2)))
 
     def test_order_three_commutator(self, e2):
@@ -1301,9 +1291,9 @@ class TestGroupLawsRandomized:
     def test_laws(self, factory, rng):
         g = factory()
         for _ in range(12):
-            s = fg.random_table(g, rng, splits=3)
-            t = fg.random_table(g, rng, splits=3)
-            u = fg.random_table(g, rng, splits=3)
+            s = random_table(g, rng, splits=3)
+            t = random_table(g, rng, splits=3)
+            u = random_table(g, rng, splits=3)
             assert fg.germ_equal(fg.compose(fg.compose(s, t), u),
                                  fg.compose(s, fg.compose(t, u)))
             assert fg.is_identity(fg.compose(s, fg.inverse(s)))
@@ -1346,7 +1336,7 @@ class TestJson:
     def test_roundtrip(self, e2, one_orbit, rng):
         for g in (e2, one_orbit):
             for _ in range(10):
-                t = fg.random_table(g, rng)
+                t = random_table(g, rng)
                 assert fg.table_from_json(g, fg.table_to_json(t)).pieces == t.pieces
 
     def test_arrow_literal_roundtrip(self, e2):
