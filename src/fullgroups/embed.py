@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import AdmissibilityError, GraphError, ParseError, PathError
-from .graph import OMEGA, EdgeFamily, Graph, _strings
+from .graph import OMEGA, EdgeFamily, Graph, _Record, _setters, _strings
 from .pathspace import BoundaryPoint, FinitePath, periodic_point
 from .tables import Piece, Table, _marked, make_table, validate_table
 
@@ -316,30 +316,46 @@ def embed_table(t: Table, lab: Labeling) -> Table:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Record):
     """s_alpha s_beta* over the binary alphabet."""
 
-    alpha: str
-    beta: str
+    __slots__ = _fields = ("alpha", "beta")
+
+    def __init__(self, alpha: str, beta: str):
+        _mn_alpha(self, alpha)
+        _mn_beta(self, beta)
 
     def is_projection(self) -> bool:
         return self.alpha == self.beta
 
 
-@dataclass(frozen=True)
-class VertexImage:
-    vertex: str
-    mono: Monomial
+_mn_alpha, _mn_beta = _setters(Monomial)
 
 
-@dataclass(frozen=True)
-class EdgeImage:
-    name: str        # display name: family id, or id[j] for omega edges
-    ref: tuple
-    source: str
-    range: str
-    mono: Monomial
+class VertexImage(_Record):
+    __slots__ = _fields = ("vertex", "mono")
+
+    def __init__(self, vertex: str, mono: Monomial):
+        _vi_vertex(self, vertex)
+        _vi_mono(self, mono)
+
+
+_vi_vertex, _vi_mono = _setters(VertexImage)
+
+
+class EdgeImage(_Record):
+    # name is the display name: the family id, or id[j] for omega edges
+    __slots__ = _fields = ("name", "ref", "source", "range", "mono")
+
+    def __init__(self, name: str, ref: tuple, source: str, range: str, mono: Monomial):
+        _ei_name(self, name)
+        _ei_ref(self, ref)
+        _ei_source(self, source)
+        _ei_range(self, range)
+        _ei_mono(self, mono)
+
+
+_ei_name, _ei_ref, _ei_source, _ei_range, _ei_mono = _setters(EdgeImage)
 
 
 @dataclass(frozen=True)

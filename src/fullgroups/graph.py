@@ -19,6 +19,7 @@ import bisect
 import itertools
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import GraphError, ParseError, UnsupportedConditionError
 
@@ -33,21 +34,70 @@ OMEGA_MULT = "omega"
 _UNSPELLABLE = re.compile(r"[:,\[\]/|]|^\s|\s$")
 
 
-@dataclass(frozen=True)
-class EdgeFamily:
-    id: str
-    source: str
-    range: str
-    multiplicity: str = SINGLE
+class _Record:
+    """Base of the value classes built in the hot loops (``EdgeFamily``,
+    ``FinitePath``, ``CylinderAtom``, ``Piece``, ``Monomial``, ``VertexImage``,
+    ``EdgeImage``): an immutable ``__slots__`` record.
 
-    def __post_init__(self):
-        if self.multiplicity not in (SINGLE, OMEGA_MULT):
-            raise GraphError(f"family {self.id!r} has multiplicity {self.multiplicity!r}, "
+    A subclass names its two or more fields in ``_fields`` and sets them in
+    ``__init__`` through its slots' setters (``_setters``), since assigning or
+    deleting an attribute raises ``AttributeError``.  It compares and hashes
+    by the tuple of its fields, ``_key(self)``, as a frozen dataclass does, so
+    set orders, and the output that follows them, are the same under every
+    hash seed.  ``FinitePath``, hashed more often than it is built, stores its
+    hash and writes ``__eq__`` out; the rest hash on demand."""
+
+    __slots__ = ("__weakref__",)  # weak references work, as on a dataclass
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._key(self)
+
+
+def _setters(cls) -> tuple:
+    """The setters of ``cls``'s own slots, in ``__slots__`` order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+class EdgeFamily(_Record):
+    __slots__ = _fields = ("id", "source", "range", "multiplicity")
+
+    def __init__(self, id: str, source: str, range: str, multiplicity: str = SINGLE):
+        _ef_id(self, id)
+        _ef_source(self, source)
+        _ef_range(self, range)
+        _ef_multiplicity(self, multiplicity)
+        if multiplicity not in (SINGLE, OMEGA_MULT):
+            raise GraphError(f"family {id!r} has multiplicity {multiplicity!r}, "
                              f"not {SINGLE!r} or {OMEGA_MULT!r}")
 
     @property
     def is_omega(self) -> bool:
         return self.multiplicity == OMEGA_MULT
+
+
+_ef_id, _ef_source, _ef_range, _ef_multiplicity = _setters(EdgeFamily)
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,35 @@ from operator import attrgetter
 from sys import maxsize as _NO_ID  # above every atom id
 
 from .errors import AtomError, GraphError, ParseError, PathError
-from .graph import EdgeRef, _strings
+from .graph import EdgeRef, _Record, _setters, _strings
 
 
-@dataclass(frozen=True)
-class FinitePath:
-    start: str
-    edges: tuple
-    rng: str
+class FinitePath(_Record):
+    _fields = ("start", "edges", "rng")
+    __slots__ = (*_fields, "_hash")
+
+    def __init__(self, start: str, edges: tuple, rng: str):
+        _fp_start(self, start)
+        _fp_edges(self, edges)
+        _fp_rng(self, rng)
+        try:
+            _fp_hash(self, hash((start, edges, rng)))
+        except TypeError:  # unhashable fields fail at hash, as on a dataclass
+            _fp_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.edges, self.rng) == (other.start, other.edges, other.rng)
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+_fp_start, _fp_edges, _fp_rng, _fp_hash = _setters(FinitePath)
 
 
 def make_path(g, start: str, edges=()) -> FinitePath:
@@ -73,14 +91,19 @@ def is_prefix(p: FinitePath, q: FinitePath) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CylinderAtom:
-    mu: FinitePath
-    F: frozenset
+class CylinderAtom(_Record):
+    __slots__ = _fields = ("mu", "F")
+
+    def __init__(self, mu: FinitePath, F: frozenset):
+        _ca_mu(self, mu)
+        _ca_F(self, F)
 
     @property
     def depth(self) -> int:
         return len(self.mu.edges)
+
+
+_ca_mu, _ca_F = _setters(CylinderAtom)
 
 
 def _out_refs(g, vertex: str):

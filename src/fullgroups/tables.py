@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import ArrowError, GermError, ParseError, TableError
-from .graph import _strings
+from .graph import _Record, _setters, _strings
 from .pathspace import (
     BoundaryPoint,
     CompactOpen,
@@ -46,11 +46,13 @@ from .pathspace import (
 )
 
 
-@dataclass(frozen=True)
-class Piece:
-    mu: FinitePath
-    F: frozenset
-    lam: FinitePath
+class Piece(_Record):
+    __slots__ = _fields = ("mu", "F", "lam")
+
+    def __init__(self, mu: FinitePath, F: frozenset, lam: FinitePath):
+        _pc_mu(self, mu)
+        _pc_F(self, F)
+        _pc_lam(self, lam)
 
     @property
     def lag(self) -> int:
@@ -58,6 +60,9 @@ class Piece:
 
     def inverse(self) -> "Piece":
         return Piece(self.lam, self.F, self.mu)
+
+
+_pc_mu, _pc_F, _pc_lam = _setters(Piece)
 
 
 def make_piece(g, mu: FinitePath, F, lam: FinitePath) -> Piece:
@@ -212,28 +217,49 @@ def inverse(t: Table) -> Table:
 
 def compose(s: Table, t: Table) -> Table:
     """Table of ``s after t``; both must be valid tables, as ``validate_table``
-    checks.  ``pathspace._parts`` cuts t's codomains (kind 0), s's domains
-    (kind 1) and t's domains (kind 2) into their meets and the leftovers
-    where s or t is the identity; identity pieces are not built.  The result
-    is known valid when both inputs are."""
+    checks.  The result is known valid when both inputs are."""
     if s.graph != t.graph:
         raise TableError("tables live over different graphs")
     g = s.graph
-    tp, sp = t.pieces, s.pieces
     out = []
 
-    def emit(i, j, start, w, v, F):
-        """The piece on ``Z(w \\ F)``, ``w`` a stem from ``start``, through t's
-        piece ``i`` and s's piece ``j``; None stands for the identity."""
-        p, q = None if i is None else tp[i], None if j is None else sp[j]
-        ds, de = (p.lam.start, p.lam.edges + w[len(p.mu.edges):]) if p else (start, w)
-        cs, ce = (q.mu.start, q.mu.edges + w[len(q.lam.edges):]) if q else (start, w)
-        if de != ce or ds != cs:
-            out.append(Piece(FinitePath(cs, ce, v), F, FinitePath(ds, de, v)))
+    def emit(cs, ce, ds, de, v, F):
+        out.append(Piece(FinitePath(cs, ce, v), F, FinitePath(ds, de, v)))
 
-    _parts(g, emit, ([p.mu for p in tp], [q.lam for q in sp], [p.lam for p in tp]),
-           ([p.F for p in tp], [q.F for q in sp], [p.F for p in tp]))
+    _moved_parts(g, _sides(s), _sides(t), emit)
     return _marked(make_table(g, out, validate=False), s._valid and t._valid)
+
+
+def _sides(t: Table) -> tuple:
+    """The codomain stems, domain stems and exclusion sets of t's pieces."""
+    tp = t.pieces
+    return [p.mu for p in tp], [p.lam for p in tp], [p.F for p in tp]
+
+
+def _moved_parts(g, s, t, found) -> None:
+    """The parts of ``s after t`` that move, each table given by its
+    ``_sides`` ``(cod, dom, F)``: piece ``i`` maps ``Z(dom[i] \\ F[i])`` onto
+    ``Z(cod[i] \\ F[i])``.  ``pathspace._parts`` cuts t's codomains (kind 0),
+    s's domains (kind 1) and t's domains (kind 2) into their meets and the
+    leftovers where s or t is the identity.  Each part that moves goes to
+    ``found(cs, ce, ds, de, v, F)``: it maps ``Z(de \\ F)`` from ``ds`` onto
+    ``Z(ce \\ F)`` from ``cs``, both stems ending at ``v``."""
+    s_cod, s_dom, s_F = s
+    t_cod, t_dom, t_F = t
+
+    def emit(i, j, start, w, v, F):
+        """The part ``Z(w \\ F)``, ``w`` a stem from ``start``, through t's
+        piece ``i`` and s's piece ``j``; None stands for the identity."""
+        ds, de = start, w
+        if i is not None:
+            ds, de = t_dom[i].start, t_dom[i].edges + w[len(t_cod[i].edges):]
+        cs, ce = start, w
+        if j is not None:
+            cs, ce = s_cod[j].start, s_cod[j].edges + w[len(s_dom[j].edges):]
+        if de != ce or ds != cs:
+            found(cs, ce, ds, de, v, F)
+
+    _parts(g, emit, (t_cod, s_dom, t_dom), (t_F, s_F, t_F))
 
 
 def commutator(s: Table, t: Table) -> Table:
@@ -309,10 +335,28 @@ def is_identity(t: Table) -> bool:
     return all(p.mu == p.lam for p in t.pieces)
 
 
+class _Moved(Exception):
+    """A part of ``s`` after ``t``'s inverse moves: ``germ_equal`` is False."""
+
+
 def germ_equal(s: Table, t: Table) -> bool:
+    """Whether the valid tables ``s`` and ``t`` are one homeomorphism:
+    ``is_identity(compose(s, inverse(t)))``, decided in one walk of that
+    composition's parts, with t's pieces read inverted, which stops at the
+    first part that moves."""
     if s.graph != t.graph:
         raise TableError("tables live over different graphs")
-    return is_identity(compose(s, inverse(t)))
+    _require_effective(s.graph)
+
+    def moved(*part):
+        raise _Moved
+
+    t_cod, t_dom, t_F = _sides(t)
+    try:
+        _moved_parts(s.graph, _sides(s), (t_dom, t_cod, t_F), moved)
+    except _Moved:
+        return False
+    return True
 
 
 def support(t: Table) -> CompactOpen:

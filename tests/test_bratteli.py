@@ -54,6 +54,16 @@ class TestDiagram:
                 repeat=(0, 2),
             )
 
+    def test_a_base_name_repeated_in_the_block_is_refused(self):
+        # a plain name and its ``@k`` instances do not collide in the
+        # underlying graph, so only the diagram's own check refuses this
+        with pytest.raises(GraphError, match="^vertex names must be unique across levels$"):
+            fg.BratteliDiagram(
+                levels=(("r",), ("r",), ("r",)),
+                edges=((("r", "r"),), (("r", "r"),)),
+                repeat=(1, 1),
+            )
+
     def test_underlying_finite(self):
         b = fg.BratteliDiagram(
             levels=(("v0",), ("u",)),

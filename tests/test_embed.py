@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import pathlib
@@ -855,10 +854,12 @@ def _words(img):
 
 def _with_words(img, words):
     """``img`` with the words of its monomials replaced, in ``_words`` order."""
-    gens = [dataclasses.replace(x, mono=Monomial(*words[2 * k:2 * k + 2]))
-            for k, x in enumerate((*img.vertices, *img.edges))]
+    monos = [Monomial(*words[2 * k:2 * k + 2]) for k in range(len(words) // 2)]
     nv = len(img.vertices)
-    return fg.GeneratorImage(tuple(gens[:nv]), tuple(gens[nv:]))
+    return fg.GeneratorImage(
+        tuple(embed.VertexImage(x.vertex, m) for x, m in zip(img.vertices, monos[:nv])),
+        tuple(embed.EdgeImage(x.name, x.ref, x.source, x.range, m)
+              for x, m in zip(img.edges, monos[nv:])))
 
 
 @st.composite

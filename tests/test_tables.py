@@ -884,6 +884,49 @@ class TestIsIdentity:
         assert fg.germ_equal(swap, swap) and not fg.germ_equal(swap, baker)
 
 
+class TestGermEqualWalk:
+    """``germ_equal`` answers as ``is_identity(compose(s, inverse(t)))`` in
+    one walk that builds no table and stops at the first part that moves."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(_EFFECTIVE).flatmap(
+        lambda g: st.tuples(_random_tables(g), _random_tables(g), _padded_tables(g)))
+           .flatmap(lambda case: st.tuples(st.just(case), _refined_copy(case[0]))))
+    def test_matches_the_composition(self, case):
+        (s, t, padded), refined = case
+        one = fg.identity(s.graph)
+        pairs = [(s, refined), (refined, s), (padded, one), (s, t), (t, s), (s, one),
+                 (fg.compose(s, t), fg.compose(refined, t)), (fg.commutator(s, t), t)]
+        answers = [fg.germ_equal(x, y) for x, y in pairs]
+        assert answers == [fg.is_identity(fg.compose(x, fg.inverse(y))) for x, y in pairs]
+        assert answers[0] and answers[1] and answers[6]
+
+    def test_stops_at_the_first_moved_part(self, e2, monkeypatch):
+        pieces = list(swap_table(e2).pieces)
+        for _ in range(8):
+            pieces = [fg.Piece(fg.extend(e2, p.mu, e), frozenset(), fg.extend(e2, p.lam, e))
+                      for p in pieces for e in (("a", 1), ("b", 1))]
+        refined = fg.make_table(e2, pieces)
+        reported = []
+        cut = tables._parts
+        monkeypatch.setattr(tables, "_parts", lambda g, report, *rest: cut(
+            g, lambda *part: reported.append(part) or report(*part), *rest))
+        monkeypatch.setattr(tables, "make_table", None)
+        monkeypatch.setattr(tables, "inverse", None)
+        assert not fg.germ_equal(refined, fg.identity(e2))
+        assert len(reported) == 1
+        assert fg.germ_equal(refined, swap_table(e2))
+        assert len(reported) == 1 + 512
+
+    def test_refusals(self, e2):
+        g = fg.Graph(["v"], [fg.EdgeFamily("a", "v", "v")])
+        t = fg.make_table(g, [(path(g, "v", "a", "a"), frozenset(), path(g, "v", "a"))])
+        with pytest.raises(TableError, match="different graphs"):
+            fg.germ_equal(swap_table(e2), t)
+        with pytest.raises(GermError):
+            fg.germ_equal(t, t)
+
+
 class TestSupport:
     def test_support_examples(self, e2, one_orbit):
         assert fg.support(fg.identity(e2)).is_empty()
