@@ -25,6 +25,8 @@ from .embed import default_labeling, embed_table
 # CPython's default limit on int-to-str conversion; the CLI prints the order
 # as a JSON number, so a longer one could not be written.
 MAX_ORDER_DIGITS = 4300
+# the least order that is refused
+_LIMIT = 10 ** MAX_ORDER_DIGITS
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,10 @@ class BratteliDiagram:
         The sizes are counted on the declared levels, as in ``_below``.  Past
         the block's first level f, with N = f + q * period + r, the counts at
         f go through the q-th power of the block's transfer matrix, taken by
-        squaring, and then r more levels.  An answer of more than
-        ``MAX_ORDER_DIGITS`` decimal digits is refused on an estimate from
-        the sizes at level N, before it is formed."""
+        squaring, and then r more levels.  The factorials are multiplied one
+        at a time, and an answer of more than ``MAX_ORDER_DIGITS`` decimal
+        digits is refused as soon as the partial product has more; a capped
+        size is refused without forming its factorial."""
         self._check_level(N)
         f, p = self.repeat or (N, 1)
         counts = _below(self, dict.fromkeys(self.levels[0], 1), 0, min(N, f))
@@ -159,12 +162,13 @@ class BratteliDiagram:
                 q //= 2
                 block = {v: _through(row, block) for v, row in block.items()}
             counts = _below(self, counts, f, f + r)
-        if not _too_long(counts):
-            order = math.prod(map(math.factorial, counts.values()))
-            if order < 10 ** MAX_ORDER_DIGITS:
-                return order
-        raise GraphError(f"the order at level {N} has more than "
-                         f"{MAX_ORDER_DIGITS} decimal digits")
+        order = 1
+        for c in counts.values():
+            order = order * math.factorial(c) if c < _CAP else _LIMIT
+            if order >= _LIMIT:
+                raise GraphError(f"the order at level {N} has more than "
+                                 f"{MAX_ORDER_DIGITS} decimal digits")
+        return order
 
     def gamma_elements(self, N: int):
         """Enumerate the range-preserving permutations at level N, lazily.
@@ -203,11 +207,10 @@ def _underlying(b: BratteliDiagram):
     return LeveledGraph(b.levels[:f], b.levels[f:f + p], base, block)
 
 
-# the largest total T whose T! the estimate below keeps within the limit
-_SMALL_TOTAL = 1558
-# min(_CAP, .) commutes with + and * on counts; a fiber of _CAP paths alone
-# passes the limit, so a capped count is refused and the others are exact
-_CAP = _SMALL_TOTAL + 1
+# 1558! has 4300 decimal digits and 1559! more.  min(_CAP, .) commutes with
+# + and * on counts; a fiber of _CAP paths alone passes the limit, so a
+# capped count is refused and the others are exact
+_CAP = 1559
 
 
 def _below(d: BratteliDiagram, counts, k: int, n: int):
@@ -225,16 +228,6 @@ def _through(counts, block):
     """The capped counts one block further down: ``counts`` times ``block``."""
     return {w: min(_CAP, sum(c * block[v][w] for v, c in counts.items()))
             for w in counts}
-
-
-def _too_long(counts) -> bool:
-    """The product of the factorials of ``counts``, at most T! for their
-    total T, surely has more than ``MAX_ORDER_DIGITS`` decimal digits."""
-    if sum(counts.values()) <= _SMALL_TOTAL:
-        return False
-    # lgamma takes a float; a fiber of 10**9 paths alone passes the limit
-    digits = sum(math.lgamma(min(c, 10**9) + 1) for c in counts.values())
-    return digits / math.log(10) > MAX_ORDER_DIGITS + 1
 
 
 def _out_edges(g, vertices):
@@ -367,7 +360,7 @@ def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
     N = data["level"]
     if type(N) is not int:
         raise ParseError(f"bad level: {N!r} is not an integer")
-    images = data.get("images") or {}
+    images = data.get("images", {})
     if not (isinstance(images, dict) and all(
             isinstance(s, str) and isinstance(t, str) for s, t in images.items())):
         raise ParseError("element 'images' must map path literals to path literals")

@@ -387,7 +387,7 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
     for v, vword in words.items():
         fams = g.out_families(v)  # singles, then the omega family
         if v in lab.edge_orders:
-            fams = sorted(fams, key=lambda f: lab._reordered.get(f.id, len(fams)))
+            fams = sorted(fams, key=lambda f: lab.edge_number((f.id, 1)))
         for f in fams:
             rword = words.get(f.range)
             if rword is None:  # a leveled vertex past the bound

@@ -372,6 +372,8 @@ def _as_tuple(x, what: str) -> tuple:
 # name: ASCII digits, no leading zero
 _NUMERAL = r"0|[1-9][0-9]*"
 _numeral = re.compile(_NUMERAL).fullmatch
+# a signed number as ``str(int)`` writes it, such as an arrow's lag
+_integer = re.compile(r"0|-?[1-9][0-9]*").fullmatch
 
 
 def _number_pattern(template: str):

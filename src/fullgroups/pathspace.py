@@ -19,7 +19,7 @@ from operator import attrgetter
 from sys import maxsize as _NO_ID  # above every atom id
 
 from .errors import AtomError, GraphError, ParseError, PathError
-from .graph import EdgeRef, _Record, _setters, _strings
+from .graph import _NUMERAL, EdgeRef, _Record, _setters, _strings
 
 
 class FinitePath(_Record):
@@ -530,7 +530,7 @@ def witness_point(g, a: CylinderAtom) -> BoundaryPoint:
 # Literals
 # ---------------------------------------------------------------------------
 
-_REF_RE = re.compile(r"^(?P<fam>[^\[\]]+?)(?:\[(?P<idx>\d+)\])?$")
+_REF_RE = re.compile(rf"^(?P<fam>[^\[\]]+?)(?:\[(?P<idx>{_NUMERAL})\])?$")
 
 
 def format_ref(g, ref: EdgeRef) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import ArrowError, GermError, ParseError, TableError
-from .graph import _Record, _setters, _strings
+from .graph import _Record, _integer, _setters, _strings
 from .pathspace import (
     BoundaryPoint,
     CompactOpen,
@@ -581,8 +581,7 @@ def parse_arrow(g, text: str) -> Arrow:
         raise ParseError(f"arrow literal needs three '|'-separated parts: {text!r}")
     target = parse_point(g, parts[0])
     source = parse_point(g, parts[2])
-    try:
-        lag = int(parts[1].strip())
-    except ValueError as exc:
-        raise ParseError(f"bad lag in arrow literal: {parts[1]!r}") from exc
-    return Arrow(target, lag, source)
+    lag = parts[1].strip()
+    if not _integer(lag):
+        raise ParseError(f"bad lag in arrow literal: {parts[1]!r}")
+    return Arrow(target, int(lag), source)

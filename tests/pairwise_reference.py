@@ -15,7 +15,8 @@ the table embedding into V that built each stem's
 image as a string and parsed it back, before the letter memo, the Bratteli
 element reader that built every depth-N path and looked the file's literals
 up among their strings, the element order that composed until the identity,
-the order count that stepped every level even once the fibers cycle,
+the order count that stepped every level even once the fibers cycle
+and refused on a digit estimate,
 the table identity test that built the whole canonical form, the
 shift, prefix replacement and point parser with their own case analysis,
 before the shift became a prefix replacement, and the code partition
@@ -67,7 +68,7 @@ from fullgroups.embed import (
     word_of_path,
     word_of_vertex,
 )
-from fullgroups.bratteli import MAX_ORDER_DIGITS, GammaElement, _out_edges, _too_long
+from fullgroups.bratteli import MAX_ORDER_DIGITS, GammaElement, _out_edges
 from fullgroups.errors import AtomError, GraphError, ParseError, PathError, TableError
 from fullgroups.graph import OMEGA, EdgeFamily, Verdict
 from fullgroups.pathspace import (
@@ -927,6 +928,20 @@ def old_gamma_element_from_json(b, data):
         return GammaElement(b, N, mapping)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
+
+
+# the largest total T whose T! the estimate below keeps within the limit
+_SMALL_TOTAL = 1558
+
+
+def _too_long(counts) -> bool:
+    """The product of the factorials of ``counts``, at most T! for their
+    total T, surely has more than ``MAX_ORDER_DIGITS`` decimal digits."""
+    if sum(counts.values()) <= _SMALL_TOTAL:
+        return False
+    # lgamma takes a float; a fiber of 10**9 paths alone passes the limit
+    digits = sum(math.lgamma(min(c, 10**9) + 1) for c in counts.values())
+    return digits / math.log(10) > MAX_ORDER_DIGITS + 1
 
 
 def old_gamma_order(b, N):

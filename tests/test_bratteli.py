@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import fullgroups as fg
-from fullgroups.bratteli import _SMALL_TOTAL, MAX_ORDER_DIGITS
+from fullgroups.bratteli import _CAP, MAX_ORDER_DIGITS
 from fullgroups.errors import AdmissibilityError, GraphError, ParseError
 
 from conftest import (
@@ -255,10 +255,7 @@ class TestBoundedOrder:
         assert time.perf_counter() - start < 1
 
     def test_small_totals_need_no_estimate(self, monkeypatch):
-        def digits(total):
-            return math.lgamma(total + 1) / math.log(10)
-
-        assert digits(_SMALL_TOTAL) <= MAX_ORDER_DIGITS + 1 < digits(_SMALL_TOTAL + 1)
+        assert math.factorial(_CAP - 1) < 10 ** MAX_ORDER_DIGITS <= math.factorial(_CAP)
         diagrams = [make_gamma2_diagram(), make_gamma24_diagram(), make_doubling_diagram()]
         want = {(k, N): b.gamma_order(N) for k, b in enumerate(diagrams) for N in range(3, 7)}
         monkeypatch.setattr(math, "lgamma", None)
@@ -266,9 +263,8 @@ class TestBoundedOrder:
 
     @pytest.mark.parametrize("k, refused", [(2, False), (3, True), (4, True), (5, True)])
     def test_the_limit_is_exact(self, k, refused):
-        # 1558! has 4300 digits; with k! beside it the estimate passes the
-        # limit by more than a digit only from k = 5, so k = 3 and 4 are
-        # refused by the product itself
+        # 1558! has 4300 digits, and with k! beside it the product reaches
+        # the limit from k = 3
         b = fg.BratteliDiagram(levels=(("v0",), ("x", "y")),
                                edges=((("v0", "x"),) * 1558 + (("v0", "y"),) * k,),
                                repeat=None)
@@ -374,6 +370,22 @@ class TestBlockPowers:
         with pytest.raises(GraphError, match="has more than 4300 decimal digits"):
             make_doubling_diagram().gamma_order(10**7)
         assert time.perf_counter() - start < 0.1
+
+    def test_a_capped_count_forms_no_factorial(self, monkeypatch):
+        factorial = math.factorial
+
+        def below_the_cap(n):
+            assert n < _CAP, n
+            return factorial(n)
+
+        monkeypatch.setattr(math, "factorial", below_the_cap)
+        b = fg.BratteliDiagram([["r"], ["x", "y"], ["x", "y"]],
+                               [[("r", "x"), ("r", "y")],
+                                [("x", "x"), ("y", "y"), ("x", "y")]], (1, 1))
+        assert b.gamma_order(1558) == factorial(1558)
+        for N in (1559, 10**20):
+            with pytest.raises(GraphError, match=f"^the order at level {N} has more "):
+                b.gamma_order(N)
 
     def test_sources_on_a_base_level_and_on_the_block_start(self):
         # c is a source on base level 1, z one on level f = 2
@@ -564,6 +576,14 @@ class TestElementJson:
     def test_rejects_non_integer_level(self, level):
         with pytest.raises(ParseError, match="^bad level"):
             fg.gamma_element_from_json(make_gamma2_diagram(), {"level": level, "images": {}})
+
+    @pytest.mark.parametrize("images", [[], 0, "", False, None])
+    def test_rejects_images_that_are_not_an_object(self, images):
+        b = fg.BratteliDiagram([["r"], ["x", "y"]], [[("r", "x"), ("r", "y")]], None)
+        with pytest.raises(ParseError, match="^element 'images' must map path literals "
+                                             "to path literals$"):
+            fg.gamma_element_from_json(b, {"level": 1, "images": images})
+        assert fg.gamma_element_from_json(b, {"level": 1}).is_identity()
 
     def test_rejects_literals_that_are_not_strings(self):
         b = make_gamma2_diagram()

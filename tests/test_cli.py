@@ -333,6 +333,18 @@ class TestBratteli:
         assert not fg.is_identity(vt)
         assert fg.is_identity(fg.compose(vt, vt))
 
+    @pytest.mark.parametrize("images", [[], 0, "", False, None])
+    def test_embed_refuses_images_that_are_not_an_object(self, files, capsys, tmp_path,
+                                                         images):
+        elfile = tmp_path / "el.json"
+        elfile.write_text(json.dumps({"level": 1, "images": images}))
+        code, out, err = run(capsys, "bratteli-embed", files["gamma2"],
+                             "--element", str(elfile))
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == {
+            "code": "parse-error",
+            "message": "element 'images' must map path literals to path literals"}
 
     def test_brace_block_name(self, capsys, tmp_path):
         """A ``{}`` block vertex is named by its level number in paths."""

@@ -3,6 +3,7 @@ import gc
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -707,18 +708,43 @@ _T = fg.TemplateFamily
 _LOOP = _T("f", "a", "a", "same")
 
 
-@pytest.mark.parametrize("base, block, base_fams, block_fams", [
-    ([], [["w{}"]], [], [_T("f{}@x", "w{}", "w{}")]),
-    ([["a"]], [["c"]], [_LOOP, _T("f", "a", "a", "same"), _T("g", "a", "c")], []),
-    ([["a"]], [["c"]], [_LOOP, _LOOP, _T("g", "a", "c")], []),
-    ([["a", "b"]], [["c"]], [_T("g", "a", "c"), _T("g", "b", "c")], []),
-    ([["x2"]], [["x{}"]], [_T("g", "x2", "x{}")], [_T("h", "x{}", "x{}")]),
-    ([["x"]], [["y{}"]], [_T("h2", "x", "y{}")], [_T("h{}", "y{}", "y{}")]),
+@pytest.mark.parametrize("base, block, base_fams, block_fams, message", [
+    ([], [["w{}"]], [], [_T("f{}@x", "w{}", "w{}")], "family id collision at 'f1@x'"),
+    ([["a"]], [["c"]], [_LOOP, _T("f", "a", "a", "same"), _T("g", "a", "c")], [],
+     "family id collision at 'f'"),
+    ([["a"]], [["c"]], [_LOOP, _LOOP, _T("g", "a", "c")], [], "family id collision at 'f'"),
+    ([["a", "b"]], [["c"]], [_T("g", "a", "c"), _T("g", "b", "c")], [],
+     "family id collision at 'g'"),
+    ([["x2"]], [["x{}"]], [_T("g", "x2", "x{}")], [_T("h", "x{}", "x{}")],
+     "vertex name collision at 'x2'"),
+    ([["x"]], [["y{}"]], [_T("h2", "x", "y{}")], [_T("h{}", "y{}", "y{}")],
+     "family id collision at 'h2'"),
+    ([], [["a"], ["a"]], [], [], "vertex name collision at 'a@0'"),
+    ([], [["x{}"], ["x{}1"]], [], [], "vertex name collision at 'x21'"),
 ], ids=["id-does-not-parse-back", "equal-templates", "one-template-twice",
-        "one-id-two-sources", "base-name-is-an-instance", "base-id-is-an-instance"])
-def test_leveled_names_must_read_back(base, block, base_fams, block_fams):
-    with pytest.raises(GraphError, match="collision"):
+        "one-id-two-sources", "base-name-is-an-instance", "base-id-is-an-instance",
+        "block-name-twice", "block-instances-alike"])
+def test_leveled_names_must_read_back(base, block, base_fams, block_fams, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
         fg.LeveledGraph(base, block, base_fams, block_fams)
+
+
+@pytest.mark.parametrize("check, what", [
+    (fg.check_condition_K, "condition (K)"),
+    (fg.check_condition_T, "condition (T)"),
+    (fg.check_condition_infinity, "condition (infinity)"),
+    (fg.check_cofinal, "cofinality"),
+    (fg.check_minimal, "minimality"),
+    (fg.check_strongly_connected, "strong connectedness"),
+    (fg.degenerate_vertices, "degenerate vertices"),
+    (lambda g: fg.reaches(g, "w1", "w2"), "reachability"),
+    (lambda g: fg.count_paths_capped(g, "w1", "w2", 2), "path counting"),
+], ids=["K", "T", "infinity", "cofinal", "minimal", "strongly-connected", "degenerate",
+        "reaches", "count-paths"])
+def test_finite_only_checks_refuse_a_leveled_graph(check, what):
+    with pytest.raises(UnsupportedConditionError,
+                       match=f"^{re.escape(what)} is only decided for finite graphs$"):
+        check(make_leveled_chain_graph())
 
 
 @pytest.mark.parametrize("bad", ["a:b", "a,b", "a[1]", "a]", "a/b", "a|b", " a", "a\t"])

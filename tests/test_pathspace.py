@@ -1,6 +1,7 @@
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -513,6 +514,18 @@ class TestLiterals:
         for bad in ("v", "v:q", "v:a", "v:a / ()", "v:a / b"):
             with pytest.raises(ParseError):
                 fg.parse_point(e2, bad)
+
+    @pytest.mark.parametrize("idx", ["01", "00", "007", "\u0661", "1\u0662"])
+    def test_edge_index_is_a_plain_numeral(self, idx):
+        g = make_two_vertex_omega()
+        lit = f"e[{idx}]"
+        with pytest.raises(ParseError, match=f"^bad edge reference {re.escape(repr(lit))}$"):
+            pathspace.parse_ref(g, lit)
+        with pytest.raises(ParseError, match=f"^bad edge reference {re.escape(repr(lit))}$"):
+            fg.parse_path(g, f"w1:{lit}")
+        with pytest.raises(ParseError, match=r"^bad edge reference 'e\[0\]': .*bad edge index"):
+            pathspace.parse_ref(g, "e[0]")
+        assert pathspace.parse_ref(g, "e[10]") == ("e", 10)
 
     @pytest.mark.parametrize("data", [
         [5], ["v:a"], [{}], [{"F": []}], [{"mu": 3}], [{"mu": "v:a", "F": "b"}],

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import inspect
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import fullgroups as fg
 from fullgroups import pathspace, tables
 from fullgroups.errors import (
-    ArrowError, AtomError, GermError, GraphError, PathError, TableError, ToolkitError,
+    ArrowError, AtomError, GermError, GraphError, ParseError, PathError, TableError,
+    ToolkitError,
 )
 
 from conftest import (
@@ -1387,3 +1389,19 @@ class TestJson:
         ar = fg.Arrow(x, 1, binf(e2))
         lit = fg.format_arrow(e2, ar)
         assert fg.parse_arrow(e2, lit) == ar
+
+    @pytest.mark.parametrize("lag", ["+1", "1_0", "01", "\u0661", "-0", "1.0", ""])
+    def test_arrow_lag_is_written_as_an_int(self, e2, lag):
+        message = f"bad lag in arrow literal: {f' {lag} '!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            fg.parse_arrow(e2, f"(v: / (a) | {lag} | v: / (b))")
+
+    @pytest.mark.parametrize("lit", ["(v: / (a) | 0 | v: / (b)x", "x(v: / (a) | 0 | v: / (b)"])
+    def test_arrow_literal_needs_both_parentheses(self, e2, lit):
+        with pytest.raises(ParseError, match=f"^bad arrow literal {re.escape(repr(lit))}$"):
+            fg.parse_arrow(e2, lit)
+
+    def test_arrow_lag_roundtrip(self, e2):
+        for lag in (0, 1, -1, 10, -12):
+            ar = fg.Arrow(fg.parse_point(e2, "v: / (a)"), lag, binf(e2))
+            assert fg.parse_arrow(e2, fg.format_arrow(e2, ar)) == ar
