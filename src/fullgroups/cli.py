@@ -156,6 +156,14 @@ def _cmd_bratteli_embed(args):
     _emit_json(args, tb.table_to_json(br.af_to_v(el)))
 
 
+def _int_arg(text: str) -> int:
+    """An integer option, in the one form ``str(int)`` writes; the library
+    refuses a value out of its range."""
+    if not gr._integer(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ``ParseError``, which ``main`` reports."""
 
@@ -217,16 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("graph_file")
     p.add_argument("--labeling", default=None)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=_int_arg, default=10)
 
     p = add("ck-check", _cmd_ck_check)
     p.add_argument("graph_file")
     p.add_argument("--labeling", default=None)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=_int_arg, default=10)
 
     p = add("bratteli-order", _cmd_bratteli_order)
     p.add_argument("bratteli_file")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int_arg, required=True)
 
     p = add("bratteli-embed", _cmd_bratteli_embed)
     p.add_argument("bratteli_file")

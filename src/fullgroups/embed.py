@@ -183,8 +183,11 @@ class Labeling:
     def edge_number(self, ref) -> int:
         """The caller's number of a reordered single; else the family's slot
         plus the edge's index, as the omega family is last."""
-        fid, idx = ref
-        return self._reordered.get(fid) or self.graph._edge_slot(fid)[1] + idx
+        return self._edge_number(ref, self.graph._edge_slot(ref[0]))
+
+    def _edge_number(self, ref, slot) -> int:
+        """``edge_number(ref)``, given the ``_edge_slot`` of its family."""
+        return self._reordered.get(ref[0]) or slot[1] + ref[1]
 
     def edge_by_number(self, vertex: str, j: int):
         if type(j) is not int or j < 1:
@@ -227,8 +230,8 @@ def word_of_vertex(v: str, lab: Labeling) -> str:
 def edge_word(ref, lab: Labeling) -> str:
     word = lab._words.get(ref)
     if word is None:
-        degree = lab.graph._edge_slot(ref[0])[2]
-        word = lab._words[ref] = code_word(lab.edge_number(ref), degree)
+        slot = lab.graph._edge_slot(ref[0])
+        word = lab._words[ref] = code_word(lab._edge_number(ref, slot), slot[2])
     return word
 
 
@@ -371,31 +374,37 @@ def emit_generators(g, lab: Labeling, edge_bound: int = 10) -> GeneratorImage:
     the same bound truncates the vertex enumeration.  A bound below 1 is
     refused, and so is a labeling of another graph than ``g``.
 
-    Vertex ``i`` of the labeling maps to ``code_word(i, n)``, with no name
-    read back to its number.  Each vertex's out-families are read once, so
-    an omega family is looked up once for all its emitted edges.
+    The graph's ``_first_vertices`` lists the emitted vertices (all of a
+    finite graph's, the first ``edge_bound`` of a leveled graph's) with their
+    out-families as ``(id, range, is_omega)`` in slot order; a leveled graph
+    names each once, in one walk of its levels, and parses no name back.
+    The rows are taken in the labeling's number order, which is index order
+    unless a finite graph's labeling reorders its vertices, so vertex ``i``
+    maps to ``code_word(i, n)``.  Only a range past the bound is looked up
+    by name, for its number.
     """
     if lab.graph != g:
         raise PathError("the labeling is of another graph")
     require_admissible(g)
     if type(edge_bound) is not int or edge_bound < 1:
         raise GraphError("edge bound must be at least 1")
-    count = g.vertex_count() if g.is_finite else edge_bound
-    words = {lab.vertex_by_number(i): code_word(i, lab.n) for i in range(1, count + 1)}
-    vimages = [VertexImage(v, Monomial(w, w)) for v, w in words.items()]
-    eimages = []
-    for v, vword in words.items():
-        fams = g.out_families(v)  # singles, then the omega family
+    rows = g._first_vertices(g.vertex_count() if g.is_finite else edge_bound)
+    if lab.vertex_order is not None:
+        rows.sort(key=lambda row: lab.vertex_number(row[0]))
+    words = {v: code_word(i, lab.n) for i, (v, _) in enumerate(rows, 1)}
+    vimages, eimages = [], []
+    for v, fams in rows:  # fams: singles, then the omega family
+        vword = words[v]
+        vimages.append(VertexImage(v, Monomial(vword, vword)))
         if v in lab.edge_orders:
-            fams = sorted(fams, key=lambda f: lab.edge_number((f.id, 1)))
-        for f in fams:
-            rword = words.get(f.range)
+            fams = sorted(fams, key=lambda f: lab.edge_number((f[0], 1)))
+        for fid, rng, omega in fams:
+            rword = words.get(rng)
             if rword is None:  # a leveled vertex past the bound
-                rword = code_word(lab.vertex_number(f.range), lab.n)
-            omega = f.is_omega
+                rword = code_word(lab.vertex_number(rng), lab.n)
             for j in range(1, edge_bound + 1 if omega else 2):
-                ref = (f.id, j)
-                eimages.append(EdgeImage(f"{f.id}[{j}]" if omega else f.id, ref, v, f.range,
+                ref = (fid, j)
+                eimages.append(EdgeImage(f"{fid}[{j}]" if omega else fid, ref, v, rng,
                                          Monomial(vword + edge_word(ref, lab), rword)))
     return GeneratorImage(tuple(vimages), tuple(eimages))
 

@@ -310,6 +310,12 @@ class Graph(_GraphBase):
         except KeyError:
             raise _unknown_vertex(name) from None
 
+    def _first_vertices(self, count: int) -> list:
+        """The first ``count`` vertices, each with ``(id, range, is_omega)``
+        per out-family in slot order."""
+        return [(v, [(f.id, f.range, f.is_omega) for f in self._out[v]])
+                for v in self.vertices[:count]]
+
     def in_families(self, name: str):
         try:
             return self._in[name]
@@ -447,12 +453,18 @@ class LeveledGraph(_GraphBase):
     # - ``_base_fams`` / ``_block_fams``: family id / plain block stem to
     #   ``(source level, template)``; ``_family_patterns`` likewise for ``{}``
     #   ids;
-    # - ``_outs[level][pos]``: the out-family templates of a template vertex;
+    # - ``_outs[level][pos]``: per out-family of a template vertex, in slot
+    #   order, ``(template, step, range position)``: its range is the name at
+    #   that position on the source's level (step 0) or on the next (step 1);
     # - ``_slots[level, id]``: a family template's position among its source's
     #   out-families, and that source's out-degree.
     #
-    # Nothing is kept per instantiated name, so memory does not grow with the
-    # vertices queried.
+    # ``_out_rows`` instantiates a vertex's out-families, the one place that
+    # does.  The level walk of ``_first_vertices`` hands it the names of the
+    # source's level and the next, each built once, and it picks each range
+    # there by its position; ``out_families`` resolves one name and lets it
+    # instantiate just the ranges.  Nothing is kept per instantiated name, so
+    # memory does not grow with the vertices queried.
 
     def _canon(self, level: int) -> int:
         if level < self._nbase:
@@ -508,17 +520,19 @@ class LeveledGraph(_GraphBase):
                 lev = levs[0]
                 if "{}" in f.id and patterns is None:
                     raise GraphError(f"base family id {f.id!r} may not contain '{{}}'")
-                tgt = off + lev + (f.where != "same")
-                if f.range not in self._level_vertices(tgt):
-                    raise GraphError(f"family {f.id!r} range not on level {tgt}")
+                step = int(f.where != "same")
+                targets = self._level_vertices(off + lev + step)
+                if f.range not in targets:
+                    raise GraphError(f"family {f.id!r} range not on level {off + lev + step}")
                 if "{}" in f.id:
                     patterns.append((_number_pattern(f.id), lev, f))
                 else:
                     by_id.setdefault(f.id, (lev, f))
-                outs[off + lev][levels[lev].index(f.source)].append(f)
+                outs[off + lev][levels[lev].index(f.source)].append(
+                    (f, step, targets.index(f.range)))
         self._outs = [[tuple(fs) for fs in l] for l in outs]
         self._slots = {(lev, f.id): (i, len(fs)) for lev, l in enumerate(self._outs)
-                       for fs in l for i, f in enumerate(fs)}
+                       for fs in l for i, (f, _, _) in enumerate(fs)}
         # a base name or id that the block side also reads, at any repetition,
         # would have two meanings
         for n in names:
@@ -534,7 +548,7 @@ class LeveledGraph(_GraphBase):
             for pos, name in enumerate(self.level_vertex_names(lev)):
                 if self.resolve_vertex(name) != (lev, pos):
                     raise GraphError(f"vertex name collision at {name!r}")
-                for i, t in enumerate(outs[pos]):
+                for i, (t, _, _) in enumerate(outs[pos]):
                     fid = self._instantiate(lev, t.id)
                     back = self.resolve_family(fid)
                     if (back is None or back[0] != lev or back[1] is not t
@@ -557,7 +571,7 @@ class LeveledGraph(_GraphBase):
     def level_vertex_names(self, level: int):
         if type(level) is not int or level < 0:
             raise GraphError(f"level {level!r} is not a nonnegative integer")
-        return tuple(self._instantiate(level, t) for t in self._level_vertices(level))
+        return tuple([self._instantiate(level, t) for t in self._level_vertices(level)])
 
     def _template_levels(self):
         return tuple(map(self.level_vertex_names, range(self._nbase + self._period)))
@@ -599,11 +613,15 @@ class LeveledGraph(_GraphBase):
     def has_vertex(self, name: str) -> bool:
         return self.resolve_vertex(name) is not None
 
-    def vertex_index(self, name: str) -> int:
+    def _locate(self, name: str):
+        """``(level, position)`` of a vertex name; refused if there is none."""
         loc = self.resolve_vertex(name)
         if loc is None:
             raise _unknown_vertex(name)
-        level, pos = loc
+        return loc
+
+    def vertex_index(self, name: str) -> int:
+        level, pos = self._locate(name)
         if level < self._nbase:
             return self._offsets[level] + pos + 1
         reps, r = divmod(level - self._nbase, self._period)
@@ -624,20 +642,32 @@ class LeveledGraph(_GraphBase):
     def vertex_count(self):
         return OMEGA
 
-    def _out_templates(self, name: str):
-        """The vertex's level and the templates of its out-families."""
-        loc = self.resolve_vertex(name)
-        if loc is None:
-            raise _unknown_vertex(name)
-        level, pos = loc
-        return level, self._outs[self._canon(level)][pos]
+    def _out_rows(self, level: int, pos: int, names=None) -> list:
+        """``(id, range, is_omega)`` per out-family of vertex ``pos`` of
+        ``level``, in slot order.  A range is read from ``names``, the
+        instantiated names of ``level`` and of the level after it, when the
+        caller has them, and is instantiated otherwise."""
+        return [(self._instantiate(level, t.id),
+                 names[step][rpos] if names else self._instantiate(level + step, t.range),
+                 False)
+                for t, step, rpos in self._outs[self._canon(level)][pos]]
+
+    def _first_vertices(self, count: int) -> list:
+        """The first ``count`` vertices in index order, each as ``(name,
+        _out_rows)``, from one walk of the levels that names each vertex on
+        them, and on the level after the last, once."""
+        out = []
+        level, here = 0, self.level_vertex_names(0)
+        while len(out) < count:
+            names = here, self.level_vertex_names(level + 1)
+            out += [(v, self._out_rows(level, pos, names))
+                    for pos, v in enumerate(here[:count - len(out)])]
+            level, here = level + 1, names[1]
+        return out
 
     def out_families(self, name: str):
-        level, templates = self._out_templates(name)
-        return tuple(
-            EdgeFamily(self._instantiate(level, t.id), name,
-                       self._instantiate(level if t.where == "same" else level + 1, t.range))
-            for t in templates)
+        level, pos = self._locate(name)
+        return tuple([EdgeFamily(fid, name, rng) for fid, rng, _ in self._out_rows(level, pos)])
 
     out_singles = out_families
 
@@ -647,7 +677,8 @@ class LeveledGraph(_GraphBase):
         return None
 
     def out_degree(self, name: str):
-        return len(self._out_templates(name)[1])
+        level, pos = self._locate(name)
+        return len(self._outs[self._canon(level)][pos])
 
     def resolve_family(self, fid: str):
         """Return ``(source_level, template)`` for an instantiated family id."""

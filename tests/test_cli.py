@@ -589,6 +589,20 @@ class TestErrorsAndRoundtrips:
         assert out.startswith("usage: fullgroups")
         assert err == ""
 
+    @pytest.mark.parametrize("value", ["+1", "01", "1_0", " 1", "١"],
+                             ids=["plus", "leading-zero", "underscore", "space", "arabic-indic"])
+    @pytest.mark.parametrize("command, option", [
+        ("emit", "--bound"), ("ck-check", "--bound"), ("bratteli-order", "--level"),
+    ], ids=["emit", "ck-check", "bratteli-order"])
+    def test_an_integer_option_has_one_spelling(self, files, capsys, command, option, value):
+        # int() reads each of these as 1 (or 10); str(int) writes none of them
+        graph = files["gamma2" if option == "--level" else "leveled"]
+        code, out, err = run(capsys, command, graph, option, value)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "code": "parse-error", "message": f"argument {option}: invalid int value: {value!r}"}
+
     def test_negative_level_is_refused(self, files):
         code, out, err = _run_cli(["bratteli-order", files["gamma2"], "--level", "-1"])
         assert code == 1

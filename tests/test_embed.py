@@ -474,6 +474,35 @@ class TestLabelingTables:
                     assert fg.emit_generators(g, lab, bound) == ref.old_emit_generators(g, lab, bound)
         assert emitted > 30
 
+    def test_leveled_walk_images_match_the_reference(self):
+        # base levels, {} and @ names, same and next families; bounds at the
+        # first vertex, at the end of the base, just past it and inside a level
+        rnd, graphs, met = random.Random(29), 0, set()
+        for _ in range(600):
+            g = random_leveled_graph(rnd)
+            if g._admissibility_failure is not None:
+                continue
+            graphs += 1
+            sizes = [len(g.level_vertex_names(lev)) for lev in range(8)]
+            base = sum(map(len, g.base_levels))
+            bounds = {1, base + 1} | ({base} if base else set())
+            wide = next((lev for lev, n in enumerate(sizes) if n > 1), None)
+            if wide is not None:
+                bounds.add(sum(sizes[:wide]) + 1)  # stops after the level's first vertex
+            names = [g.vertex_by_index(i) for i in range(1, max(bounds) + 1)]
+            edges = {v: list(reversed(ids)) for v in names
+                     if len(ids := [f.id for f in g.out_singles(v)]) > 1}
+            met.update(k for k, x in (("base", base), ("wide", wide is not None),
+                                      ("reordered", edges),
+                                      ("{}", any("{}" in l[0] for l in g.block_levels)),
+                                      ("same", any(f.where == "same" for f in
+                                                   g.base_families + g.block_families)))
+                       if x)
+            for lab in (fg.default_labeling(g), fg.Labeling(g, edge_orders=edges)):
+                for bound in sorted(bounds):
+                    assert fg.emit_generators(g, lab, bound) == ref.old_emit_generators(g, lab, bound)
+        assert graphs > 50 and met == {"base", "wide", "reordered", "{}", "same"}
+
     @pytest.mark.parametrize("g", [make_leveled_chain_graph(), make_leveled_mixed_graph()],
                              ids=["chain", "mixed"])
     def test_leveled_labelings_match_the_reference(self, g):
@@ -788,6 +817,20 @@ class TestFormalSumReduction:
 
 
 class TestEmit:
+    def test_the_walk_keeps_no_per_name_state(self):
+        # memory must not grow with the vertices asked for; the first call
+        # fills the graph's fixed verdict cache
+        g = make_leveled_mixed_graph()
+        lab = fg.default_labeling(g)
+        fg.emit_generators(g, lab, 1)
+
+        def sizes():
+            return {k: len(x) if hasattr(x, "__len__") else x for k, x in vars(g).items()}
+
+        before = sizes()
+        assert len(fg.emit_generators(g, lab, 3000).vertices) == 3000
+        assert sizes() == before
+
     def test_einf_golden(self):
         g = make_e_inf()
         txt = fg.format_generator_image(
@@ -842,6 +885,14 @@ class TestEmit:
         assert by_name["f[1]"] == Monomial("ab", "a")
         assert dict((v.vertex, v.mono) for v in img.vertices) == {
             "w1": Monomial("b", "b"), "w2": Monomial("a", "a")}
+
+    def test_default_bound_is_ten(self):
+        # the CLI's --bound default is its own; this pins the library's
+        g = make_two_vertex_omega()
+        lab = fg.default_labeling(g)
+        img = fg.emit_generators(g, lab)
+        assert img == fg.emit_generators(g, lab, 10)
+        assert [e.name for e in img.edges if e.ref[0] == "e"][-1] == "e[10]"
 
 
 _CK_FACTORIES = [make_e2, make_two_vertex_omega, lambda: make_e_nr(2, 2),

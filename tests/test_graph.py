@@ -581,6 +581,16 @@ def test_leveled_numbers_have_one_spelling(name):
         assert g.resolve_vertex(name) is None and g.resolve_family(name) is None
 
 
+@pytest.mark.parametrize("base, block, message", [
+    ([], [], "leveled graph needs a nonempty repeating block"),
+    ([], [["a"], []], "leveled graph needs a nonempty repeating block"),
+    ([[]], [["a"]], "empty base level"),
+], ids=["no-block", "empty-block-level", "empty-base-level"])
+def test_leveled_levels_must_be_nonempty(base, block, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        fg.LeveledGraph(base, block, [], [])
+
+
 # ---------------------------------------------------------------------------
 # One path for both graph classes; names that read back
 # ---------------------------------------------------------------------------
@@ -942,6 +952,23 @@ def test_integer_arguments_answer_or_refuse_with_toolkit_errors(name, x):
     except ToolkitError:
         return
     assert type(x) is int, f"{name} accepted {x!r}"
+
+
+def test_first_vertices_match_the_name_queries():
+    # the walk names the first vertices as vertex_by_index does and lists
+    # their out-families as out_families does, for every count
+    for g in _per_class_graphs():
+        if g.is_finite:
+            count = len(g.vertices)
+        else:
+            levels = len(g.base_levels) + 2 * len(g.block_levels) + 1
+            count = sum(len(g.level_vertex_names(lev)) for lev in range(levels))
+        rows = g._first_vertices(count)
+        assert [v for v, _ in rows] == [g.vertex_by_index(i) for i in range(1, count + 1)]
+        for v, fams in rows:
+            assert fams == [(f.id, f.range, f.is_omega) for f in g.out_families(v)]
+        for k in range(count):
+            assert g._first_vertices(k) == rows[:k]
 
 
 def test_a_leveled_graph_has_one_out_query():
