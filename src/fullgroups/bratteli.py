@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import GraphError, ParseError
 from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily, _as_tuple, _cycles, _strings
 from .pathspace import FinitePath, make_path
-from .tables import Piece, Table, make_table
+from .tables import Piece, Table, _marked, make_table
 from .embed import default_labeling, embed_table
 
 # CPython's default limit on int-to-str conversion; the CLI prints the order
@@ -42,8 +42,13 @@ class BratteliDiagram:
             tuple(_as_tuple(e, "an edge") for e in _as_tuple(eset, "an edge set"))
             for eset in _as_tuple(self.edges, "edges")))
         self._validate()
-        # not a field, so equality and hashing see only the declaration
-        object.__setattr__(self, "_graph", _underlying(self))
+        # not fields, so equality and hashing see only the declaration.  The
+        # labeling refers to the graph, not to the diagram, so nothing here
+        # refers back to the diagram
+        g = _underlying(self)
+        object.__setattr__(self, "_graph", g)
+        object.__setattr__(self, "_sources", frozenset(self.sources()))
+        object.__setattr__(self, "_labeling", default_labeling(g))
 
     def _validate(self) -> None:
         if not self.levels or any(not l for l in self.levels):
@@ -108,6 +113,10 @@ class BratteliDiagram:
         # type() is int refuses bools, floats and strings, as the JSON readers do
         if type(N) is not int or N < 0 or self.repeat is None and N >= len(self.levels):
             raise GraphError(f"level {N} is not declared")
+
+    def _level_names(self, N: int):
+        """The graph's names of the vertices on level N."""
+        return self.levels[N] if self.repeat is None else self._graph.level_vertex_names(N)
 
     def sources(self):
         """(level, instantiated name) of every source vertex.  Both graph
@@ -250,7 +259,15 @@ class GammaElement:
 
     ``mapping`` holds exactly the paths it moves; every other path is fixed.
     Pairs ``p -> p`` given to the constructor are dropped, so equal
-    permutations compare and hash equal however they were built."""
+    permutations compare and hash equal however they were built.
+
+    A moved path must be a source path down to level N: it starts at a
+    source on level ``N - len(p)``, its ``rng`` is a vertex on level N, and
+    no other moved path has its start and edges.  (The edges are not
+    followed through the graph; ``gamma_element_from_json`` does that for
+    literals.)  A start has one level, so the moved paths from one start have
+    one length and none is a prefix of another: their cylinders are pairwise
+    disjoint, which is what makes ``gamma_to_table`` valid by construction."""
 
     diagram: BratteliDiagram
     level: int
@@ -267,6 +284,15 @@ class GammaElement:
             raise GraphError("images do not form a permutation")
         if any(p.rng != q.rng for p, q in moved.items()):
             raise GraphError("permutation must preserve the range vertex")
+        if moved:
+            b, N = self.diagram, self.level
+            ends, stems = set(b._level_names(N)), set()
+            for p in moved:
+                stem = p.start, p.edges
+                if (type(p.edges) is not tuple or (N - len(p.edges), p.start) not in b._sources
+                        or p.rng not in ends or stem in stems):
+                    raise GraphError(f"not a depth-{N} source path: {p!r}")
+                stems.add(stem)
         object.__setattr__(self, "mapping", moved)
 
     def __call__(self, path: FinitePath) -> FinitePath:
@@ -302,18 +328,21 @@ class GammaElement:
 
 
 def gamma_to_table(el: GammaElement) -> Table:
-    """Prefix-exchange table of the permutation; identity elsewhere, lags 0."""
-    g = el.diagram.underlying_graph()
+    """Prefix-exchange table of the permutation; identity elsewhere, lags 0.
+
+    It is known valid without ``validate_table``: the element's moved paths
+    have pairwise disjoint cylinders, domain and codomain are the same paths,
+    each piece's stems share a range, and that range is a vertex."""
     pieces = [Piece(q, frozenset(), p) for p, q in el.mapping.items()]
-    return make_table(g, pieces, validate=True)
+    return _marked(make_table(el.diagram.underlying_graph(), pieces, validate=False))
 
 
 def af_to_v(el: GammaElement, lab=None) -> Table:
-    """Image of a finitary permutation in the binary full group."""
-    g = el.diagram.underlying_graph()
-    if lab is None:
-        lab = default_labeling(g)
-    return embed_table(gamma_to_table(el), lab)
+    """Image of a finitary permutation in the binary full group.
+
+    Without ``lab`` it is the diagram's default labeling, built with the
+    diagram, so repeated calls reuse its code words."""
+    return embed_table(gamma_to_table(el), el.diagram._labeling if lab is None else lab)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +395,6 @@ def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
         raise ParseError("element 'images' must map path literals to path literals")
     b._check_level(N)
     g = b.underlying_graph()
-    sources = set(b.sources())
     steps = {}  # vertex -> {edge id: (ref, range)}, read once through _out_edges
 
     def resolve(literal):
@@ -375,7 +403,7 @@ def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
         start, colon, rest = lit.partition(":")
         ids = rest.split(",") if rest else ()
         refs, at = [], start
-        if colon and (N - len(ids), start) in sources:
+        if colon and (N - len(ids), start) in b._sources:
             for fid in ids:
                 if at not in steps:
                     steps[at] = {ref[0]: (ref, r) for ref, r in _out_edges(g, (at,))[at]}

@@ -1,8 +1,11 @@
+import gc
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -53,6 +56,12 @@ class TestDiagram:
                 edges=((("r", "x"),), (("x", "r"), ("y", "r"))),
                 repeat=(0, 2),
             )
+
+    @pytest.mark.parametrize("levels, edges", [((), ()), ((("a",), ()), ((),))],
+                             ids=["no-level", "empty-level"])
+    def test_an_empty_level_is_refused(self, levels, edges):
+        with pytest.raises(GraphError, match="^every level must be nonempty$"):
+            fg.BratteliDiagram(levels, edges, None)
 
     def test_a_base_name_repeated_in_the_block_is_refused(self):
         # a plain name and its ``@k`` instances do not collide in the
@@ -522,6 +531,115 @@ class TestGammaToTable:
             assert fg.germ_equal(fg.gamma_to_table(el), fg.gamma_to_table(ext2))
 
 
+def _swap(p, q):
+    return {p: q, q: p}
+
+
+def _short_of_level_2(b):
+    """Two level-1 paths into u@0, one edge short of level 2."""
+    return _swap(*b.fibers(1)["u@0"])
+
+
+def _not_from_a_source(b):
+    """Two depth-2 paths into u@1 whose start is the level-1 vertex u@0."""
+    p, q = b.fibers(2)["u@1"][:2]
+    return _swap(fg.FinitePath("u@0", p.edges, p.rng), fg.FinitePath("u@0", q.edges, q.rng))
+
+
+def _ending_above_level_2(b):
+    """Two depth-2 paths whose range is the level-1 vertex u@0."""
+    p, q = b.fibers(2)["u@1"][:2]
+    return _swap(fg.FinitePath(p.start, p.edges, "u@0"), fg.FinitePath(q.start, q.edges, "u@0"))
+
+
+def _one_stem_two_ranges(b):
+    """v0:e1_1 into u@0 and, with the same start and edges, into u2@0."""
+    p, q = b.fibers(1)["u@0"]
+    (r,) = b.fibers(1)["u2@0"]
+    return {**_swap(p, q), **_swap(fg.FinitePath(p.start, p.edges, r.rng), r)}
+
+
+def _edges_not_a_tuple(b):
+    """Two paths into u@0 whose edges are a number."""
+    return _swap(fg.FinitePath("v0", 1, "u@0"), fg.FinitePath("v0", 2, "u@0"))
+
+
+class TestSourcePaths:
+    """A moved path must be a source path down to the element's level, so
+    that ``gamma_to_table`` is valid without ``validate_table``."""
+
+    @pytest.mark.parametrize("N, mapping, bad", [
+        (2, _short_of_level_2, "FinitePath(start='v0', edges=(('e1_1', 1),), rng='u@0')"),
+        (2, _not_from_a_source,
+         "FinitePath(start='u@0', edges=(('e1_1', 1), ('e2_1@0', 1)), rng='u@1')"),
+        (2, _ending_above_level_2,
+         "FinitePath(start='v0', edges=(('e1_1', 1), ('e2_1@0', 1)), rng='u@0')"),
+        (1, _one_stem_two_ranges, "FinitePath(start='v0', edges=(('e1_1', 1),), rng='u2@0')"),
+        (1, _edges_not_a_tuple, "FinitePath(start='v0', edges=1, rng='u@0')"),
+    ], ids=["short", "start", "range", "stem", "edges"])
+    def test_a_moved_path_that_is_not_a_source_path_is_refused(self, N, mapping, bad):
+        b = make_gamma2_diagram()
+        m = mapping(b)
+        # each is a range-preserving permutation, which the checks before
+        # this rule accept
+        assert set(m.values()) == m.keys() and all(p.rng == q.rng for p, q in m.items())
+        with pytest.raises(GraphError, match=f"^{re.escape(f'not a depth-{N} source path: {bad}')}$"):
+            fg.GammaElement(b, N, m)
+
+    def test_the_fixed_paths_are_not_checked(self):
+        b = make_gamma2_diagram()
+        p = fg.FinitePath("nowhere", (), "nowhere")
+        assert fg.GammaElement(b, 1, {p: p}).is_identity()
+
+    def test_gamma_tables_are_valid_by_construction(self):
+        moved = 0
+        for seed in range(20):
+            rnd = random.Random(seed)
+            b = random_diagram(rnd)
+            g = b.underlying_graph()
+            for N in _levels(b):
+                s, t = random_gamma_element(b, N, rnd), random_gamma_element(b, N, rnd)
+                els = [s, t, s.compose(t), s.inverse(), *itertools.islice(b.gamma_elements(N), 40)]
+                if b.repeat is not None or N < len(b.levels) - 1:
+                    els += [s.extend(), s.compose(t).extend()]
+                for el in els:
+                    table = fg.gamma_to_table(el)
+                    assert table._valid
+                    fg.validate_table(table)
+                    pieces = [fg.Piece(q, frozenset(), p) for p, q in el.mapping.items()]
+                    assert table.pieces == fg.make_table(g, pieces, validate=True).pieces
+                    moved += len(el.mapping)
+        assert moved > 5000
+
+
+class TestDiagramLabeling:
+    """``af_to_v`` without a labeling uses the one its diagram keeps."""
+
+    def test_a_repeated_call_adds_no_code_word(self):
+        b = make_doubling_diagram()
+        g, lab, N = b.underlying_graph(), b._labeling, 4
+        el = random_gamma_element(b, N, random.Random(1))
+
+        def memo():
+            return [set(lab._words), set(lab._letters), set(lab._vertex_letters)]
+
+        first = fg.af_to_v(el)
+        keys = memo()
+        assert fg.af_to_v(el) == first == fg.af_to_v(el, fg.default_labeling(g))
+        assert memo() == keys and keys[0] and keys[2]
+        # an edge from level n to n + 1 has its source on level n < N
+        assert all(g._edge_slot(fid)[0] < N for fid, _ in keys[0] | keys[1])
+        assert all(g.resolve_vertex(v)[0] <= N for v in keys[2])
+
+    def test_the_labeling_does_not_pin_the_diagram(self):
+        b = make_doubling_diagram()
+        fg.af_to_v(random_gamma_element(b, 3, random.Random(1)))
+        ref = weakref.ref(b)
+        del b
+        gc.collect()
+        assert ref() is None
+
+
 class TestAfToV:
     def test_identity(self):
         b = make_gamma2_diagram()
@@ -571,6 +689,11 @@ class TestElementJson:
         }
         el2 = fg.gamma_element_from_json(b, {"level": 1, "images": images})
         assert el2.mapping == el.mapping
+
+    @pytest.mark.parametrize("data", [{"images": {}}, "level", ["level"], None])
+    def test_rejects_an_element_without_a_level(self, data):
+        with pytest.raises(ParseError, match="^element JSON needs 'level' and 'images'$"):
+            fg.gamma_element_from_json(make_gamma2_diagram(), data)
 
     @pytest.mark.parametrize("level", [1.9, 1.0, True, "1", None])
     def test_rejects_non_integer_level(self, level):

@@ -3,12 +3,13 @@ against the edge-set scans they replaced, and names the graph reserves."""
 
 import collections
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fullgroups as fg
-from fullgroups.errors import GraphError, ParseError
+from fullgroups.errors import GraphError, ParseError, ToolkitError
 
 from conftest import (
     make_gamma2_diagram, make_gamma24_diagram, random_diagram, random_gamma_element,
@@ -93,3 +94,74 @@ def test_names_the_leveled_graph_reserves_are_parse_errors(levels, edges):
         fg.bratteli_from_json(data)
     # a finite underlying graph reserves nothing
     fg.bratteli_from_json({"levels": levels[:2], "edges": edges[:1]})
+
+
+def _sample_paths(b, levels, rnd, k=10):
+    """Up to ``k`` source paths of ``b`` down to each of ``levels``."""
+    out = []
+    for n in levels:
+        paths = [p for ps in b.fibers(n).values() for p in ps]
+        out += rnd.sample(paths, min(k, len(paths)))
+    return out
+
+
+def _unknown_paths(paths, rnd, k=20):
+    """Paths spelled from the names and refs of ``paths``, names no diagram
+    has, and refs with an unknown id or index."""
+    names = sorted({v for p in paths for v in (p.start, p.rng)})
+    names += ["nowhere", "v0_0@99", "v1_0@-1"]
+    refs = sorted({e for p in paths for e in p.edges})
+    refs += [("zz", 1), ("e1_1", 2), ("e1_1", 0), ("e2_1@x", 1)]
+    return [fg.FinitePath(rnd.choice(names),
+                          tuple(rnd.choice(refs) for _ in range(rnd.randint(0, 4))),
+                          rnd.choice(names))
+            for _ in range(k)]
+
+
+@st.composite
+def wrong_content(draw):
+    """A diagram, a level and a mapping of some of the level's movable paths
+    and a few wrong ones: paths to other levels, paths of another diagram
+    (whose names may be this one's) and paths spelled from unknown names.  A
+    repeating diagram may get a huge level.  Most mappings rotate the paths
+    that share a range, so they reach the source-path rule."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    b, other = random_diagram(rnd), random_diagram(rnd)
+    levels = list(_levels(b))
+    N = draw(st.sampled_from(levels))
+    wrong = (_sample_paths(b, [n for n in levels if n != N], rnd)
+             + _sample_paths(other, _levels(other), rnd))
+    wrong += _unknown_paths(wrong, rnd)
+    own = [p for ps in b.fibers(N).values() if len(ps) > 1 for p in ps]
+    if b.repeat is not None and draw(st.booleans()):
+        N += 10 ** draw(st.integers(2, 40))
+    paths = draw(st.lists(st.sampled_from(own), min_size=2, max_size=8)) if own else []
+    paths += draw(st.lists(st.sampled_from(wrong), max_size=2))
+    paths = list(dict.fromkeys(paths))
+    if draw(st.integers(0, 3)):
+        by_range = {}
+        for p in paths:
+            by_range.setdefault(p.rng, []).append(p)
+        mapping = {p: ps[i - 1] for ps in by_range.values() for i, p in enumerate(ps)}
+    else:
+        mapping = dict(zip(paths, draw(st.permutations(paths))))
+    return b, N, mapping
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wrong_content())
+def test_wrong_content_is_answered_or_refused(case):
+    b, N, mapping = case
+    start = time.perf_counter()
+    try:
+        el = fg.GammaElement(b, N, mapping)
+    except ToolkitError:
+        el = None
+    if el is not None:
+        table = fg.gamma_to_table(el)
+        fg.validate_table(table)
+        try:
+            fg.af_to_v(el)
+        except ToolkitError:
+            pass
+    assert time.perf_counter() - start < 1

@@ -17,10 +17,12 @@ The sites are sampled with ``--seed``; ``--count`` bounds how many run.
 ``--within`` keeps the sites inside the named top-level functions or
 classes.  Each mutant runs the ``--tests`` files with ``pytest -x`` in a
 temporary copy of the repository; the working tree is never written.  The
-module is first run unparsed but unmutated, and must pass.  One JSON line
-per mutant goes to stdout: the site, the change, and ``killed`` (a test
-failed), ``timeout`` (past ``TIMEOUT`` seconds, counted as killed) or
-``survived``.  The last line on stderr is killed/total.
+module is first run unparsed but unmutated, and must pass; that run is
+timed, and each mutant may take ``TIMEOUT_FACTOR`` times as long, but at
+least ``MIN_TIMEOUT`` seconds.  One JSON line per mutant goes to stdout: the
+site, the change, and ``killed`` (a test failed), ``timeout`` (past its time,
+counted as killed) or ``survived``.  The last line on stderr is
+killed/total.
 
 A survivor is either equivalent (no input tells the two programs apart) or
 shows a missing test: run it against all of tier-1 before deciding.
@@ -41,7 +43,10 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-TIMEOUT = 600.0  # seconds per mutant
+# a mutant that loops forever is stopped after this many times the unmutated
+# run, and never before MIN_TIMEOUT seconds
+TIMEOUT_FACTOR = 5
+MIN_TIMEOUT = 60.0
 
 _SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -87,12 +92,12 @@ def _mutant(source: str, index: int, within) -> str:
     return ast.unparse(tree)
 
 
-def _run_tests(copy: pathlib.Path, tests) -> str:
+def _run_tests(copy: pathlib.Path, tests, timeout) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
                PYTHONHASHSEED="0")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, timeout=TIMEOUT,
+        done = subprocess.run(cmd, cwd=copy, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -123,15 +128,17 @@ def main(argv=None) -> int:
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info"))
         target = copy / module
         target.write_text(ast.unparse(ast.parse(source)))
-        if _run_tests(copy, args.tests) != "survived":
+        start = time.perf_counter()
+        if _run_tests(copy, args.tests, None) != "survived":
             print("the unmutated module fails its tests; nothing to measure", file=sys.stderr)
             return 2
+        timeout = max(MIN_TIMEOUT, TIMEOUT_FACTOR * (time.perf_counter() - start))
         killed = 0
         for index in chosen:
             node, _, change = sites[index]
             target.write_text(_mutant(source, index, args.within))
             start = time.perf_counter()
-            outcome = _run_tests(copy, args.tests)
+            outcome = _run_tests(copy, args.tests, timeout)
             killed += outcome != "survived"
             print(json.dumps({"module": str(module), "site": index, "line": node.lineno,
                               "col": node.col_offset, "change": change,
