@@ -19,7 +19,7 @@ from operator import attrgetter
 from sys import maxsize as _NO_ID  # above every atom id
 
 from .errors import AtomError, GraphError, ParseError, PathError
-from .graph import _NUMERAL, EdgeRef, _Record, _setters, _strings
+from .graph import _NUMERAL, OMEGA, EdgeRef, _Record, _setters, _strings
 
 
 class FinitePath(_Record):
@@ -159,14 +159,13 @@ def _stem_trie(*kinds):
             if node[least] > i:
                 node[least] = i
             for e in stem.edges:
-                below = node[3]
-                if e in below:
-                    node = below[e]
-                    if node[least] > i:
-                        node[least] = i
-                else:
-                    node = below[e] = [[], [], [], {}, _NO_ID, _NO_ID, _NO_ID]
-                    node[least] = i
+                kid = node[3].get(e)
+                if kid is None:
+                    kid = node[3][e] = [[], [], [], {}, _NO_ID, _NO_ID, _NO_ID]
+                    kid[least] = i
+                elif kid[least] > i:
+                    kid[least] = i
+                node = kid
             node[k].append(i)
     return roots
 
@@ -181,6 +180,13 @@ def _parts(g, report, stems, Fs):
     atoms (``i`` None).  The walk carries, for each kind, the atom covering
     the stem from above, and ``_cut`` cuts each leftover at every stem it is
     carried to.
+
+    A stem with atoms or leftovers on it has its range vertex and out-degree
+    read once.  Edges excluded there are every branch when they number that
+    degree.  At a sink or an omega vertex no edge set is, since the stem
+    itself stays a branch (and an omega vertex has unboundedly many edges),
+    so the count to reach is ``OMEGA`` there.  A stem without atoms or
+    leftovers only hands the covering atoms on to its kids.
     """
     F0, F1, F2 = Fs
     for start, root in _stem_trie(*stems).items():
@@ -188,10 +194,13 @@ def _parts(g, report, stems, Fs):
         while stack:
             (h0, h1, h2, kids, _, _, _), w, c0, c1, c2, o0, o1 = stack.pop()
             if not (h0 or h1 or o0 is not None or o1 is not None):
-                stack.extend((kid, w + (e,), c0, c1, _holder(c2, h2, F2, e), None, None)
-                             for e, kid in kids.items() if kid[4] < _NO_ID or kid[5] < _NO_ID)
+                for e, kid in kids.items():
+                    if kid[4] < _NO_ID or kid[5] < _NO_ID:
+                        stack.append((kid, w + (e,), c0, c1,
+                                      _holder(c2, h2, F2, e) if h2 else c2, None, None))
                 continue
             v = g.ref_range(w[-1]) if w else start
+            full = g.out_degree(v) or OMEGA
             for j in h1 if c0 is not None else ():
                 report(c0, j, start, w, v, F1[j])
             for i in h0 if c1 is not None else ():
@@ -199,33 +208,41 @@ def _parts(g, report, stems, Fs):
             for i in h0:
                 for j in h1:
                     F = F0[i] | F1[j]
-                    if not _every_branch(g, v, F):
+                    if len(F) != full:
                         report(i, j, start, w, v, F)
-            left = [(0, i, F0[i]) for i in h0 if c1 is None]
-            left += [(1, j, F1[j]) for j in h1 if c2 is None]
-            left += [(k, i, frozenset()) for k, i in ((0, o0), (1, o1)) if i is not None]
-            opens = {}, {}  # per kind: kid edge -> atom whose leftover goes on there
-            for k, i, F in left:  # kind 1 cuts kind 0, kind 2 cuts kind 1
-                i0, i1 = (None, i) if k else (i, None)
-                for x, u, H in _cut(g, w, v, F, Fs[k + 1], (h1, h2)[k], kids, k + 1,
-                                    opens[k], i):
-                    report(i0, i1, start, x, u, H)
+            opens0, opens1 = {}, {}  # per kind: kid edge -> atom whose leftover goes on there
+            for i in h0 if c1 is None else ():  # kind 1 cuts kind 0, kind 2 cuts kind 1
+                for x, u, H in _cut(g, w, v, full, F0[i], F1, h1, kids, 1, opens0, i):
+                    report(i, None, start, x, u, H)
+            for j in h1 if c2 is None else ():
+                for x, u, H in _cut(g, w, v, full, F1[j], F2, h2, kids, 2, opens1, j):
+                    report(None, j, start, x, u, H)
+            if o0 is not None:
+                for x, u, H in _cut(g, w, v, full, frozenset(), F1, h1, kids, 1, opens0, o0):
+                    report(o0, None, start, x, u, H)
+            if o1 is not None:
+                for x, u, H in _cut(g, w, v, full, frozenset(), F2, h2, kids, 2, opens1, o1):
+                    report(None, o1, start, x, u, H)
             for e, kid in kids.items():
-                k0, k1 = opens[0].get(e), opens[1].get(e)
+                k0, k1 = opens0.get(e), opens1.get(e)
                 if kid[4] < _NO_ID or kid[5] < _NO_ID or k0 is not None or k1 is not None:
-                    stack.append((kid, w + (e,), _holder(c0, h0, F0, e), _holder(c1, h1, F1, e),
-                                  _holder(c2, h2, F2, e), k0, k1))
+                    stack.append((kid, w + (e,), _holder(c0, h0, F0, e) if h0 else c0,
+                                  _holder(c1, h1, F1, e) if h1 else c1,
+                                  _holder(c2, h2, F2, e) if h2 else c2, k0, k1))
 
 
-def _cut(g, w, v, F, Fs, subs, kids, k, opens, i, limit=_NO_ID):
+def _cut(g, w, v, full, F, Fs, subs, kids, k, opens, i, limit=_NO_ID):
     """The parts ``(stem, range, F)`` of the leftover ``Z(w \\ F)`` of atom
     ``i`` outside the atoms ``Z(w \\ Fs[j])``, ``j`` in ``subs``, and the
     kind-``k`` atoms with ids below ``limit`` below ``w``; the kids where it
-    goes on map to ``i`` in ``opens``.  Subtrahends at ``w`` that meet it
-    leave the plain children they all exclude; else it excludes the branches
-    with subtrahends below.  Any order of subtraction gives these parts.
+    goes on map to ``i`` in ``opens``.  ``w`` ends at ``v``, where an edge
+    set is every branch when it numbers ``full``, the walk's once-read
+    out-degree (``OMEGA`` at a sink or an omega vertex).  Subtrahends at
+    ``w`` that meet it leave the plain children they all exclude; else it
+    excludes the branches with subtrahends below.  Any order of subtraction
+    gives these parts.
     """
-    meet = [Fs[j] for j in subs if not _every_branch(g, v, F | Fs[j])]
+    meet = [Fs[j] for j in subs if len(F | Fs[j]) != full]
     least = 4 + k
     if meet:
         parts = []
@@ -237,15 +254,16 @@ def _cut(g, w, v, F, Fs, subs, kids, k, opens, i, limit=_NO_ID):
                 parts.append((w + (e,), g.ref_range(e), frozenset()))
         return parts
     below = [e for e, kid in kids.items() if kid[least] < limit and e not in F]
-    opens.update(dict.fromkeys(below, i))
-    F = F.union(below)
-    return [] if _every_branch(g, v, F) else [(w, v, F)]
+    if below:
+        opens.update(dict.fromkeys(below, i))
+        F = F.union(below)
+    return [] if len(F) == full else [(w, v, F)]
 
 
 def _holder(c, held, Fs, e):
     """The atom covering branch ``e``: ``c`` from above, or the one of the
     ``held`` atoms at the stem that does not exclude ``e``."""
-    if c is not None or not held:
+    if c is not None:
         return c
     return next((i for i in held if e not in Fs[i]), None)
 
@@ -272,10 +290,11 @@ def co_make(g, atoms) -> CompactOpen:
         while stack:
             (held, _, _, kids, _, _, _), w, c, is_open = stack.pop()
             v = g.ref_range(w[-1]) if w else start
+            full = g.out_degree(v) or OMEGA
             opens = {}
             earlier = []  # [H]: the atoms cut at w so far make up Z(w \ H)
             for i, F in [(i, Fs[i]) for i in held if i < c] + [(c, frozenset())] * is_open:
-                cut = _cut(g, w, v, F, earlier, range(len(earlier)), kids, 0, opens, i, i)
+                cut = _cut(g, w, v, full, F, earlier, range(len(earlier)), kids, 0, opens, i, i)
                 parts += (CylinderAtom(FinitePath(start, x, u), H) for x, u, H in cut)
                 earlier = [earlier[0] & F] if earlier else [F]
             for e, kid in kids.items():

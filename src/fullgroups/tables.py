@@ -13,6 +13,7 @@ correspondence breaks down and those operations refuse to answer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -31,7 +32,6 @@ from .pathspace import (
     atom,
     co_contains_point,
     co_subtract,
-    extend,
     format_path,
     format_point,
     format_ref,
@@ -129,14 +129,18 @@ def validate_table(t: Table) -> None:
     outside its F.  Atoms meet when one covers the other's stem or both hold
     a branch, so the walk finds the least overlapping pair ``(i, j)``,
     domains first.  The unions agree when each branch with no stem below is
-    covered on both sides or on neither.
+    covered on both sides or on neither.  Building the trie follows each
+    stem's edges: a stem that starts at no vertex, has an edge that does not
+    leave the vertex reached, or ends off its ``rng`` is refused.
     """
     g = t.graph
     pieces = t.pieces
     checked = set()
     # Its own trie, without the least ids that ``pathspace._stem_trie`` keeps
     # per node: built through that trie, validation took 12-18% longer.
-    roots = {}  # start vertex -> node; a node is ([domain ids], [codomain ids], {edge: node})
+    # A node is ([domain ids], [codomain ids], {edge: node}, the vertex its
+    # stem reaches); each edge is followed once, where its node is made.
+    roots = {}  # start vertex -> node
     for i, p in enumerate(pieces):
         if p.mu.rng != p.lam.rng:
             raise TableError("piece stems end at different vertices")
@@ -146,23 +150,30 @@ def validate_table(t: Table) -> None:
         for side, stem in ((0, p.lam), (1, p.mu)):
             node = roots.get(stem.start)
             if node is None:
-                node = roots[stem.start] = ([], [], {})
+                if not g.has_vertex(stem.start):
+                    raise TableError(f"piece stem starts at an unknown vertex {stem.start!r}")
+                node = roots[stem.start] = ([], [], {}, stem.start)
             for e in stem.edges:
                 below = node[2]
-                node = below.get(e)
-                if node is None:
-                    node = below[e] = ([], [], {})
+                kid = below.get(e)
+                if kid is None:
+                    fam = g.check_ref(e)
+                    if fam.source != node[3]:
+                        raise TableError(f"piece stem edge {e!r} does not leave {node[3]!r}")
+                    kid = below[e] = ([], [], {}, fam.range)
+                node = kid
+            if node[3] != stem.rng:
+                raise TableError(f"piece stem ends at {node[3]!r}, not at {stem.rng!r}")
             node[side].append(i)
     overlaps = []  # (i, j, side) of overlapping atoms, side 0 the domain
     differ = False
     stack = [(node, None, None) for node in roots.values()]
     while stack:
-        (dom, cod, kids), dc, cc = stack.pop()
+        (dom, cod, kids, v), dc, cc = stack.pop()
         if not dom and not cod:  # no atom here: both covers pass down as they are
             for kid in kids.values():
                 stack.append((kid, dc, cc))
             if (dc is None) != (cc is None) and not differ:
-                v = g.ref_source(next(iter(kids)))
                 differ = not _every_branch(g, v, kids)
             continue
         excluded = {e for i in dom + cod for e in pieces[i].F}
@@ -173,14 +184,11 @@ def validate_table(t: Table) -> None:
                 stack.append((kids[e], d, k))
             elif (d is None) != (k is None):
                 differ = True
-        if excluded:
-            v = pieces[(dom or cod)[0]].mu.rng
-            if _every_branch(g, v, excluded):
-                continue  # no branch that every atom here holds
+        if excluded and _every_branch(g, v, excluded):
+            continue  # no branch that every atom here holds
         d, k = _cover(dc, dom, 0, overlaps), _cover(cc, cod, 1, overlaps)
         stack.extend((kid, d, k) for e, kid in kids.items() if e not in excluded)
         if (d is None) != (k is None) and not differ:
-            v = pieces[(dom or cod)[0]].mu.rng
             differ = not _every_branch(g, v, excluded.union(kids))
     if overlaps:
         raise TableError(f"overlapping {('domain', 'codomain')[min(overlaps)[2]]} atoms")
@@ -292,18 +300,20 @@ def canonicalize(t: Table) -> Table:
             levels.setdefault(len(p.mu.edges), {}).setdefault((p.mu, p.lam), []).append(p)
     out = []
     carried = {}  # stem pair -> {edge e: plain child (mu e, lam e)}, one level down
+    branches = functools.cache(lambda v: _out_refs(g, v) if g.is_regular(v) else None)
     for d in range(max(levels, default=-1), -1, -1):
         below, carried = carried, {}
         for (mu, lam), here in levels.get(d, {}).items():
             kids = below.get((mu, lam), {})
             if here and not here[0].F:  # covers every branch: nothing to merge
                 F = frozenset()
-            elif g.is_regular(mu.rng):
-                edges = _out_refs(g, mu.rng)
+            elif (edges := branches(mu.rng)) is not None:
                 covered = set(kids).union(*(edges - p.F for p in here))
                 if len(covered) == 1 < len(edges):
-                    (e,) = covered
-                    out.append(Piece(extend(g, mu, e), frozenset(), extend(g, lam, e)))
+                    (e,) = covered  # an out-ref of mu.rng: the children need no check
+                    u = g.ref_range(e)
+                    out.append(Piece(FinitePath(mu.start, mu.edges + (e,), u), frozenset(),
+                                     FinitePath(lam.start, lam.edges + (e,), u)))
                     continue
                 F = edges - covered
             elif here:

@@ -1,3 +1,4 @@
+import inspect
 import os
 import pathlib
 import random
@@ -228,8 +229,9 @@ class TestStemTrie:
         and subtrahends read within twice their atoms and trie stems."""
         work = []
         cut = pathspace._cut
-        monkeypatch.setattr(pathspace, "_cut",
-                            lambda *args: work.append(1 + len(args[5])) or cut(*args))
+        subs = inspect.signature(cut).bind
+        monkeypatch.setattr(pathspace, "_cut", lambda *args: work.append(
+            1 + len(subs(*args).arguments["subs"])) or cut(*args))
         rng = random.Random(0)
 
         def deep(n):

@@ -98,6 +98,17 @@ class TestValidation:
                 (path(e2, "v", "b"), frozenset(), path(e2, "v", "b", "a")),
             ])
 
+    def test_codomains_overlapping_on_an_excluded_branch(self, e2):
+        # At stem "a" the domain Z(a \ {a}) and the codomain Z(a \ {b})
+        # exclude every branch between them; the codomains Z(a) and
+        # Z(a \ {b}) still overlap on branch a.
+        a, b = ("a", 1), ("b", 1)
+        t = fg.Table(e2, (fg.Piece(path(e2, "v", "a"), frozenset(), path(e2, "v", "b")),
+                          fg.Piece(path(e2, "v", "a"), frozenset({b}), path(e2, "v", "a", "a")),
+                          fg.Piece(path(e2, "v", "b", "b"), frozenset({a}), path(e2, "v", "a"))))
+        with pytest.raises(TableError, match="overlapping codomain atoms"):
+            fg.validate_table(t)
+
     def test_one_orbit_cover_table_ok(self, one_orbit):
         one_orbit_cover_table(one_orbit)
 
@@ -105,6 +116,37 @@ class TestValidation:
         t = fg.identity(e2)
         assert t.pieces == ()
         assert fg.apply(t, ainf(e2)) == ainf(e2)
+
+
+class TestStemsFollowTheirEdges:
+    """Validation follows each stem's edges from its start to its range.
+    On ``make_e_nr(2, 2)`` the edge f1 runs w2 -> w1, so a stem ``w1:f1`` is
+    spelled from a real edge that does not leave w1; unchecked, the swap of
+    ``w1:e1`` with it passed validation and embedded into overlapping atoms."""
+
+    g = make_e_nr(2, 2)
+    real = fg.FinitePath("w1", (("e1", 1),), "w2")
+    bogus = fg.FinitePath("w1", (("f1", 1),), "w2")
+
+    def test_an_edge_that_does_not_leave_the_vertex_is_refused(self):
+        pieces = [fg.Piece(self.real, frozenset(), self.bogus),
+                  fg.Piece(self.bogus, frozenset(), self.real)]
+        with pytest.raises(TableError, match="does not leave 'w1'"):
+            fg.make_table(self.g, pieces, validate=True)
+        unmarked = fg.Table(self.g, fg.make_table(self.g, pieces, validate=False).pieces)
+        with pytest.raises(TableError, match="does not leave 'w1'"):
+            fg.embed_table(unmarked, fg.default_labeling(self.g))
+
+    @pytest.mark.parametrize("stem, why", [
+        (fg.FinitePath("w1", (("e1", 1),), "w1"), "ends at 'w2', not at 'w1'"),
+        (fg.FinitePath("w1", (), "w2"), "ends at 'w1', not at 'w2'"),
+        (fg.FinitePath("x", (), "w2"), "unknown vertex 'x'"),
+    ], ids=["edge-off-range", "empty-off-range", "unknown-start"])
+    def test_a_stem_off_its_range_or_start_is_refused(self, stem, why):
+        mate = fg.FinitePath(stem.rng, (), stem.rng)
+        for p in (fg.Piece(stem, frozenset(), mate), fg.Piece(mate, frozenset(), stem)):
+            with pytest.raises(TableError, match=why):
+                fg.validate_table(fg.Table(self.g, (p,)))
 
 
 _GRAPHS = algebra_graphs()
@@ -888,7 +930,10 @@ class TestIsIdentity:
 
 class TestGermEqualWalk:
     """``germ_equal`` answers as ``is_identity(compose(s, inverse(t)))`` in
-    one walk that builds no table and stops at the first part that moves."""
+    one walk that builds no table and stops at the first part that moves.
+    Under (L) the canonical form of a homeomorphism is unique, so it also
+    answers as equality of the two canonical forms: the cutting walk and
+    ``canonicalize`` check each other."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(_EFFECTIVE).flatmap(
@@ -901,6 +946,7 @@ class TestGermEqualWalk:
                  (fg.compose(s, t), fg.compose(refined, t)), (fg.commutator(s, t), t)]
         answers = [fg.germ_equal(x, y) for x, y in pairs]
         assert answers == [fg.is_identity(fg.compose(x, fg.inverse(y))) for x, y in pairs]
+        assert answers == [fg.canonicalize(x) == fg.canonicalize(y) for x, y in pairs]
         assert answers[0] and answers[1] and answers[6]
 
     def test_stops_at_the_first_moved_part(self, e2, monkeypatch):
