@@ -16,9 +16,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import GraphError, ParseError
+from .errors import GraphError, ParseError, PathError
 from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily, _as_tuple, _cycles, _strings
-from .pathspace import FinitePath, make_path
+from .pathspace import FinitePath, _follow, _walk, make_path
 from .tables import Piece, Table, _marked, make_table
 from .embed import default_labeling, embed_table
 
@@ -113,10 +113,6 @@ class BratteliDiagram:
         # type() is int refuses bools, floats and strings, as the JSON readers do
         if type(N) is not int or N < 0 or self.repeat is None and N >= len(self.levels):
             raise GraphError(f"level {N} is not declared")
-
-    def _level_names(self, N: int):
-        """The graph's names of the vertices on level N."""
-        return self.levels[N] if self.repeat is None else self._graph.level_vertex_names(N)
 
     def sources(self):
         """(level, instantiated name) of every source vertex.  Both graph
@@ -262,12 +258,12 @@ class GammaElement:
     permutations compare and hash equal however they were built.
 
     A moved path must be a source path down to level N: it starts at a
-    source on level ``N - len(p)``, its ``rng`` is a vertex on level N, and
-    no other moved path has its start and edges.  (The edges are not
-    followed through the graph; ``gamma_element_from_json`` does that for
-    literals.)  A start has one level, so the moved paths from one start have
-    one length and none is a prefix of another: their cylinders are pairwise
-    disjoint, which is what makes ``gamma_to_table`` valid by construction."""
+    source on level ``N - len(p)``, and its edges, followed through the graph
+    (``make_path``'s walk), lead to its ``rng``, which is then on level N.
+    Paths with one start and edges lead to one vertex, so they are one path.
+    A start has one level, so the moved paths from one start have one length
+    and none is a prefix of another: their cylinders are pairwise disjoint,
+    which is what makes ``gamma_to_table`` valid by construction."""
 
     diagram: BratteliDiagram
     level: int
@@ -284,15 +280,15 @@ class GammaElement:
             raise GraphError("images do not form a permutation")
         if any(p.rng != q.rng for p, q in moved.items()):
             raise GraphError("permutation must preserve the range vertex")
-        if moved:
-            b, N = self.diagram, self.level
-            ends, stems = set(b._level_names(N)), set()
-            for p in moved:
-                stem = p.start, p.edges
-                if (type(p.edges) is not tuple or (N - len(p.edges), p.start) not in b._sources
-                        or p.rng not in ends or stem in stems):
-                    raise GraphError(f"not a depth-{N} source path: {p!r}")
-                stems.add(stem)
+        b, N, memo = self.diagram, self.level, {}
+        for p in moved:
+            try:
+                _follow(b._graph, p, memo)
+                source = (N - len(p.edges), p.start) in b._sources
+            except (GraphError, PathError):
+                source = False
+            if not source:
+                raise GraphError(f"not a depth-{N} source path: {p!r}")
         object.__setattr__(self, "mapping", moved)
 
     def __call__(self, path: FinitePath) -> FinitePath:
@@ -394,26 +390,18 @@ def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
             isinstance(s, str) and isinstance(t, str) for s, t in images.items())):
         raise ParseError("element 'images' must map path literals to path literals")
     b._check_level(N)
-    g = b.underlying_graph()
-    steps = {}  # vertex -> {edge id: (ref, range)}, read once through _out_edges
+    memo = {}  # the walk's, so the paths share one (id, 1) tuple per family id
 
     def resolve(literal):
         """The depth-N source path that ``format_path`` writes as ``literal``."""
         lit = literal.strip()
         start, colon, rest = lit.partition(":")
         ids = rest.split(",") if rest else ()
-        refs, at = [], start
         if colon and (N - len(ids), start) in b._sources:
-            for fid in ids:
-                if at not in steps:
-                    steps[at] = {ref[0]: (ref, r) for ref, r in _out_edges(g, (at,))[at]}
-                edge = steps[at].get(fid)
-                if edge is None:
-                    break
-                refs.append(edge[0])
-                at = edge[1]
-            else:
-                return FinitePath(start, tuple(refs), at)
+            try:
+                return FinitePath(start, *_walk(b._graph, start, [(i, 1) for i in ids], memo))
+            except (GraphError, PathError):
+                pass
         raise ParseError(f"not a depth-{N} source path: {lit!r}")
 
     # a key resolves before its value, so the first bad literal is the one named

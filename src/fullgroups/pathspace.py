@@ -50,18 +50,44 @@ class FinitePath(_Record):
 _fp_start, _fp_edges, _fp_rng, _fp_hash = _setters(FinitePath)
 
 
-def make_path(g, start: str, edges=()) -> FinitePath:
-    """Build a validated finite path; ``edges`` is a sequence of EdgeRefs."""
+def _walk(g, start: str, refs, memo: dict):
+    """The refs as tuples and the vertex reached, following ``refs`` from the
+    vertex ``start``: each must be a ref of ``g`` leaving the vertex reached.
+    ``memo``, kept for one call, maps each ref checked to ``(tuple, source,
+    range)``, so a repeat is checked once and shares its tuple."""
     if not g.has_vertex(start):
         raise PathError(f"unknown start vertex {start!r}")
-    at, refs = start, []
-    for ref in edges:
-        fam = g.check_ref(ref)  # before ``tuple``, which a non-pair may break
-        if fam.source != at:
-            raise PathError(f"edge {tuple(ref)!r} does not continue the path at {at!r}")
-        refs.append(tuple(ref))
-        at = fam.range
-    return FinitePath(start, tuple(refs), at)
+    at, out = start, []
+    for ref in refs:
+        try:
+            step = memo.get(ref)
+        except TypeError:  # unhashable: check_ref refuses it, or tuple() mends it
+            step = None
+        if step is None or type(ref[1]) is not int:  # True == 1, but is no index
+            fam = g.check_ref(ref)  # before ``tuple``, which a non-pair may break
+            key = tuple(ref)
+            step = memo[key] = key, fam.source, fam.range
+        if step[1] != at:
+            raise PathError(f"edge {step[0]!r} does not continue the path at {at!r}")
+        out.append(step[0])
+        at = step[2]
+    return tuple(out), at
+
+
+def _follow(g, p: FinitePath, memo: dict) -> None:
+    """Refuse ``p`` unless its edges, a tuple, lead from its start to its ``rng``."""
+    if type(p.edges) is not tuple:
+        raise PathError(f"the edges of {p!r} are not a tuple")
+    at = _walk(g, p.start, p.edges, memo)[1]
+    if at != p.rng:
+        raise PathError(f"{p!r} ends at {at!r}, not at {p.rng!r}")
+
+
+def make_path(g, start: str, edges=()) -> FinitePath:
+    """The path from ``start`` along ``edges``, EdgeRefs followed through
+    ``g`` (``_walk``): each must leave the vertex reached."""
+    refs, at = _walk(g, start, edges, {})
+    return FinitePath(start, refs, at)
 
 
 def trivial_path(g, vertex: str) -> FinitePath:
@@ -75,10 +101,8 @@ def concat(g, p: FinitePath, q: FinitePath) -> FinitePath:
 
 
 def extend(g, p: FinitePath, ref: EdgeRef) -> FinitePath:
-    fam = g.check_ref(ref)
-    if fam.source != p.rng:
-        raise PathError(f"edge {ref!r} does not start at {p.rng!r}")
-    return FinitePath(p.start, p.edges + (tuple(ref),), fam.range)
+    refs, at = _walk(g, p.rng, (ref,), {})
+    return FinitePath(p.start, p.edges + refs, at)
 
 
 def is_prefix(p: FinitePath, q: FinitePath) -> bool:
@@ -120,17 +144,22 @@ def _every_branch(g, v: str, edges) -> bool:
 
 
 def atom(g, mu: FinitePath, F=frozenset()) -> CylinderAtom:
-    """Validated nonempty atom Z(mu \\ F)."""
+    """Validated nonempty atom Z(mu \\ F): ``mu`` is followed through ``g``
+    (``make_path``'s walk) to its ``rng``, where ``F``'s edges must leave."""
+    _follow(g, mu, {})
+    return CylinderAtom(mu, _excluded(g, mu.rng, F))
+
+
+def _excluded(g, v: str, F) -> frozenset:
+    """``F`` as a set of edge tuples, refs of ``g`` out of ``v`` that are not
+    every branch there: the F of a nonempty atom whose stem ends at ``v``."""
     F = frozenset(tuple(e) for e in F)
     for ref in F:
-        fam = g.check_ref(ref)
-        if fam.source != mu.rng:
-            raise AtomError(f"excluded edge {ref!r} is not outgoing at {mu.rng!r}")
-    if g.is_sink(mu.rng) and F:
-        raise AtomError("F must be empty at a sink")
-    if _every_branch(g, mu.rng, F):
+        if g.check_ref(ref).source != v:
+            raise AtomError(f"excluded edge {ref!r} is not outgoing at {v!r}")
+    if _every_branch(g, v, F):
         raise AtomError("empty atom: every outgoing edge excluded at a regular vertex")
-    return CylinderAtom(mu, F)
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +459,26 @@ def _primitive(edges: tuple) -> tuple:
 
 
 def periodic_point(g, prefix: FinitePath, cycle: FinitePath) -> BoundaryPoint:
-    """Eventually periodic point prefix . cycle^inf, stored in minimal form."""
+    """Eventually periodic point prefix . cycle^inf, stored in minimal form.
+    The edges of both are followed through ``g`` (``make_path``'s walk)."""
     if not cycle.edges:
         raise PathError("cycle must be nonempty")
+    return _periodic(g, make_path(g, prefix.start, prefix.edges),
+                     make_path(g, cycle.start, cycle.edges))
+
+
+def _periodic(g, prefix: FinitePath, cycle: FinitePath) -> BoundaryPoint:
+    """``periodic_point`` of paths already followed through ``g``."""
     if cycle.start != cycle.rng or cycle.start != prefix.rng:
         raise PathError("cycle must be based at the end of the prefix")
     cyc = _primitive(cycle.edges)
     pre = prefix.edges
-    start = prefix.start
     # roll the prefix back while its last edge matches the cycle's last edge
     while pre and pre[-1] == cyc[-1]:
         pre = pre[:-1]
         cyc = (cyc[-1],) + cyc[:-1]
-    p = make_path(g, start, pre)
-    c = make_path(g, p.rng, cyc)
-    return BoundaryPoint(p, c)
+    v = g.ref_source(cyc[0])
+    return BoundaryPoint(FinitePath(prefix.start, pre, v), FinitePath(v, cyc, v))
 
 
 def point_edge(p: BoundaryPoint, i: int):
@@ -500,7 +534,7 @@ def replace_point_prefix(g, p: BoundaryPoint, old: FinitePath, new: FinitePath) 
     # past the prefix, old also eats the first k - |prefix| cycle edges
     c = p.cycle.edges
     d = max(0, k - len(p.prefix.edges)) % len(c)
-    return periodic_point(g, head, make_path(g, head.rng, c[d:] + c[:d]))
+    return _periodic(g, head, make_path(g, head.rng, c[d:] + c[:d]))
 
 
 def tail_equivalent(g, p: BoundaryPoint, q: BoundaryPoint) -> bool:
@@ -535,7 +569,7 @@ def witness_point(g, a: CylinderAtom) -> BoundaryPoint:
             k = seen[v]
             pre = make_path(g, path.start, path.edges[:k])
             cyc = make_path(g, v, path.edges[k:])
-            return periodic_point(g, pre, cyc)
+            return _periodic(g, pre, cyc)
         seen[v] = len(path.edges)
         options = [(f.id, 1) for f in g.out_singles(v) if (f.id, 1) not in banned]
         if not options:
@@ -558,13 +592,16 @@ def format_ref(g, ref: EdgeRef) -> str:
     return f"{fid}[{idx}]" if fam.is_omega else fid
 
 
-def parse_ref(g, text: str) -> EdgeRef:
+def _ref_of(text: str) -> EdgeRef:
+    """The edge ref ``text`` spells, not yet checked against a graph."""
     m = _REF_RE.match(text.strip())
     if not m:
         raise ParseError(f"bad edge reference {text!r}")
-    fid = m.group("fam")
-    idx = int(m.group("idx")) if m.group("idx") else 1
-    ref = (fid, idx)
+    return m.group("fam"), int(m.group("idx") or 1)
+
+
+def parse_ref(g, text: str) -> EdgeRef:
+    ref = _ref_of(text)
     try:
         g.check_ref(ref)
     except GraphError as exc:
@@ -577,17 +614,25 @@ def format_path(g, p: FinitePath) -> str:
 
 
 def parse_path(g, text: str) -> FinitePath:
+    return _parse_path(g, text, {})
+
+
+def _parse_path(g, text: str, memo: dict) -> FinitePath:
+    """``parse_path``, each ref checked once by ``_walk`` with ``memo``."""
     text = text.strip()
     if ":" not in text:
         raise ParseError(f"bad path literal {text!r} (missing ':')")
     start, _, rest = text.partition(":")
     start = start.strip()
-    rest = rest.strip()
-    refs = [parse_ref(g, tok) for tok in rest.split(",") if tok.strip()] if rest else []
+    tokens = [tok for tok in rest.split(",") if tok.strip()]
+    refs = [_ref_of(tok) for tok in tokens]
     try:
-        return make_path(g, start, refs)
+        return FinitePath(start, *_walk(g, start, refs, memo))
     except PathError as exc:
         raise ParseError(str(exc)) from exc
+    except GraphError as exc:  # check_ref refused the first ref the memo lacks
+        bad = next(tok for tok, ref in zip(tokens, refs) if ref not in memo)
+        raise ParseError(f"bad edge reference {bad!r}: {exc}") from exc
 
 
 def format_point(g, p: BoundaryPoint) -> str:
@@ -599,19 +644,21 @@ def format_point(g, p: BoundaryPoint) -> str:
 
 def parse_point(g, text: str) -> BoundaryPoint:
     text = text.strip()
+    memo = {}
     try:
         if "/" in text:
             head, _, tail = text.partition("/")
-            prefix = parse_path(g, head)
+            prefix = _parse_path(g, head, memo)
             tail = tail.strip()
             if not (tail.startswith("(") and tail.endswith(")")):
                 raise ParseError(f"bad cycle part in point literal {text!r}")
-            refs = [parse_ref(g, tok) for tok in tail[1:-1].split(",") if tok.strip()]
-            if not refs:
+            # the cycle, read as a path literal from the prefix's end
+            cycle = _parse_path(g, f"{prefix.rng}:{tail[1:-1]}", memo)
+            if not cycle.edges:
                 raise ParseError("empty cycle in point literal")
-            return periodic_point(g, prefix, make_path(g, prefix.rng, refs))
+            return _periodic(g, prefix, cycle)
         if text.endswith("!"):
-            return finite_point(g, parse_path(g, text[:-1]))
+            return finite_point(g, _parse_path(g, text[:-1], memo))
     except PathError as exc:
         raise ParseError(str(exc)) from exc
     raise ParseError(f"bad point literal {text!r} (expected '... !' or '... / (...)')")
@@ -627,16 +674,16 @@ def co_to_json(g, x: CompactOpen) -> list:
 def co_from_json(g, data) -> CompactOpen:
     if not isinstance(data, list):
         raise ParseError("compact open JSON must be a list")
-    atoms = []
+    atoms, memo = [], {}
     for rec in data:
         if not (isinstance(rec, dict) and isinstance(rec.get("mu"), str)
                 and _strings(rec.get("F", []))):
             raise ParseError("an atom record needs a path literal 'mu' "
                              "and a list of edge references 'F'")
-        mu = parse_path(g, rec["mu"])
+        mu = _parse_path(g, rec["mu"], memo)
         F = [parse_ref(g, t) for t in rec.get("F", [])]
         try:
-            atoms.append(atom(g, mu, F))
+            atoms.append(CylinderAtom(mu, _excluded(g, mu.rng, F)))
         except AtomError as exc:
             raise ParseError(str(exc)) from exc
     return co_make(g, atoms)

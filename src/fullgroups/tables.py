@@ -25,11 +25,13 @@ from .pathspace import (
     CylinderAtom,
     FinitePath,
     _every_branch,
+    _excluded,
+    _follow,
     _in_atom_order,
     _merge_atoms,
     _out_refs,
+    _parse_path,
     _parts,
-    atom,
     co_contains_point,
     co_subtract,
     format_path,
@@ -37,7 +39,6 @@ from .pathspace import (
     format_ref,
     is_prefix,
     make_path,
-    parse_path,
     parse_point,
     parse_ref,
     point_edge,
@@ -66,11 +67,18 @@ _pc_mu, _pc_F, _pc_lam = _setters(Piece)
 
 
 def make_piece(g, mu: FinitePath, F, lam: FinitePath) -> Piece:
+    """The piece ``(mu, F, lam)``, its stems followed through ``g`` (``make_path``'s
+    walk) to one vertex, where ``Z(mu \\ F)`` is a nonempty atom (``atom``)."""
+    _follow(g, mu, {})
+    _follow(g, lam, {})
+    return _piece(g, mu, F, lam)
+
+
+def _piece(g, mu: FinitePath, F, lam: FinitePath) -> Piece:
+    """``make_piece`` of stems already followed through ``g``."""
     if mu.rng != lam.rng:
         raise TableError(f"piece stems end at different vertices: {mu.rng!r} vs {lam.rng!r}")
-    F = frozenset(tuple(e) for e in F)
-    atom(g, mu, F)  # the checks read only the range, which lam shares, and F
-    return Piece(mu, F, lam)
+    return Piece(mu, _excluded(g, mu.rng, F), lam)
 
 
 def domain_atom(p: Piece) -> CylinderAtom:
@@ -144,8 +152,8 @@ def validate_table(t: Table) -> None:
     for i, p in enumerate(pieces):
         if p.mu.rng != p.lam.rng:
             raise TableError("piece stems end at different vertices")
-        if (p.mu.rng, p.F) not in checked:  # the checks read only the range and F
-            atom(g, p.mu, p.F)
+        if (p.mu.rng, p.F) not in checked:  # the F checks read only the range and F
+            _excluded(g, p.mu.rng, p.F)
             checked.add((p.mu.rng, p.F))
         for side, stem in ((0, p.lam), (1, p.mu)):
             node = roots.get(stem.start)
@@ -537,7 +545,7 @@ def _arrow_piece(g, ar: Arrow, m: int, n: int, d: int):
     # both endpoints must stay inside their atoms, which are then nonempty
     if point_edge(ar.target, len(chi.edges)) in F or point_edge(ar.source, len(ups.edges)) in F:
         return None
-    return make_piece(g, chi, F, ups)
+    return _piece(g, chi, F, ups)
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +570,17 @@ def table_to_json(t: Table) -> dict:
 def table_from_json(g, data) -> Table:
     if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
         raise ParseError("table JSON must be an object with a 'pieces' list")
-    pieces = []
+    pieces, memo = [], {}
     for rec in data["pieces"]:
         if not (isinstance(rec, dict) and isinstance(rec.get("mu"), str)
                 and isinstance(rec.get("lambda"), str) and _strings(rec.get("F", []))):
             raise ParseError("a piece record needs path literals 'mu' and 'lambda' "
                              "and a list of edge references 'F'")
-        mu = parse_path(g, rec["mu"])
-        lam = parse_path(g, rec["lambda"])
+        mu = _parse_path(g, rec["mu"], memo)
+        lam = _parse_path(g, rec["lambda"], memo)
         F = [parse_ref(g, x) for x in rec.get("F", [])]
         try:
-            pieces.append(make_piece(g, mu, F, lam))
+            pieces.append(_piece(g, mu, F, lam))
         except TableError as exc:
             raise ParseError(str(exc)) from exc
     return make_table(g, pieces, validate=True)

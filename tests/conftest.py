@@ -162,6 +162,17 @@ def make_gamma24_diagram():
     )
 
 
+def make_two_source_diagram():
+    """Sources r and s, each with one edge to x and one to y (``e1_1`` r -> x,
+    ``e1_3`` s -> x), then a full 2x2 block that repeats."""
+    return fg.BratteliDiagram(
+        levels=(("r", "s"), ("x", "y"), ("x", "y")),
+        edges=((("r", "x"), ("r", "y"), ("s", "x"), ("s", "y")),
+               (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))),
+        repeat=(1, 1),
+    )
+
+
 def make_doubling_diagram():
     """Two fibers that double at each level: 2**(N-1) paths into u@N-1 and
     into u2@N-1 at level N."""

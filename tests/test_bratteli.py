@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -17,6 +18,7 @@ from conftest import (
     make_doubling_diagram,
     make_gamma2_diagram,
     make_gamma24_diagram,
+    make_two_source_diagram,
     random_diagram,
     random_gamma_element,
 )
@@ -585,6 +587,22 @@ class TestSourcePaths:
         assert set(m.values()) == m.keys() and all(p.rng == q.rng for p, q in m.items())
         with pytest.raises(GraphError, match=f"^{re.escape(f'not a depth-{N} source path: {bad}')}$"):
             fg.GammaElement(b, N, m)
+
+    def test_a_path_spelled_from_another_sources_edge_is_refused(self):
+        # e1_3 leaves s, not r: unchecked, the swap of r:e1_1 with "r:e1_3"
+        # gave both stems one code word, and af_to_v the identity
+        b = make_two_source_diagram()
+        q = fg.parse_path(b.underlying_graph(), "r:e1_1")
+        p = fg.FinitePath("r", (("e1_3", 1),), q.rng)
+        with pytest.raises(GraphError, match=f"^{re.escape(f'not a depth-1 source path: {p!r}')}$"):
+            fg.GammaElement(b, 1, {p: q, q: p})
+        (s,) = [r for r in b.fibers(1)[q.rng] if r.start == "s"]
+        assert fg.af_to_v(fg.GammaElement(b, 1, {s: q, q: s})).pieces
+
+    def test_an_element_is_frozen(self):
+        el = fg.GammaElement(make_gamma2_diagram(), 1, {})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            el.level = 2
 
     def test_the_fixed_paths_are_not_checked(self):
         b = make_gamma2_diagram()

@@ -502,6 +502,33 @@ class TestLiterals:
             p = fg.parse_path(g, lit)
             assert fg.format_path(g, p) == lit
 
+    def test_each_ref_is_checked_once(self, monkeypatch):
+        g = make_two_vertex_omega()
+        calls = []
+        check_ref = g.check_ref
+        monkeypatch.setattr(g, "check_ref", lambda ref: calls.append(ref) or check_ref(ref))
+        p = fg.parse_path(g, "w1:e[2],e[1],e[2],h")
+        assert calls == [("e", 2), ("e", 1), ("h", 1)] and len(p) == 4
+        calls.clear()
+        pt = fg.parse_point(g, "w1:e[2],h / (f[1],f[3],f[1])")
+        assert calls == [("e", 2), ("h", 1), ("f", 1), ("f", 3)]
+        assert fg.format_point(g, pt) == "w1:e[2],h / (f[1],f[3],f[1])"
+
+    def test_point_literal_edges(self, e2):
+        # the cycle needs both parentheses, and "!" may follow a ref directly
+        for bad in ("v: / (a,b", "v: / a,b)"):
+            with pytest.raises(ParseError, match="^bad cycle part"):
+                fg.parse_point(e2, bad)
+        g = make_two_vertex_omega()
+        assert fg.parse_point(g, "w1:h!").prefix == fg.parse_path(g, "w1:h")
+
+    def test_a_bad_ref_in_a_literal_is_named(self):
+        g = make_two_vertex_omega()
+        with pytest.raises(ParseError, match=r"^bad edge reference ' h\[2\]': .*single family"):
+            fg.parse_path(g, "w1:e[2], h[2]")
+        with pytest.raises(ParseError, match=r"^bad edge reference 'q': .*unknown family"):
+            fg.parse_point(g, "w1:e[1] / (e[1],q)")
+
     def test_point_roundtrip(self):
         g = make_two_vertex_omega()
         for lit in ("w1:h !", "w1: / (e[1],e[2])", "w2:f[2] / (f[1])"):

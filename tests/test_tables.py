@@ -118,6 +118,15 @@ class TestValidation:
         assert fg.apply(t, ainf(e2)) == ainf(e2)
 
 
+@pytest.mark.parametrize("data", [
+    [], {"pieces": 5}, {"pieces": [{"mu": "v:a"}]}, {"pieces": [{"lambda": "v:a"}]},
+    {"pieces": [{"mu": "v:a", "lambda": "v:b", "F": "a"}]},
+])
+def test_table_json_shape_errors(data):
+    with pytest.raises(ParseError):
+        fg.table_from_json(make_e2(), data)
+
+
 class TestStemsFollowTheirEdges:
     """Validation follows each stem's edges from its start to its range.
     On ``make_e_nr(2, 2)`` the edge f1 runs w2 -> w1, so a stem ``w1:f1`` is
@@ -136,6 +145,22 @@ class TestStemsFollowTheirEdges:
         unmarked = fg.Table(self.g, fg.make_table(self.g, pieces, validate=False).pieces)
         with pytest.raises(TableError, match="does not leave 'w1'"):
             fg.embed_table(unmarked, fg.default_labeling(self.g))
+
+    def test_atom_and_make_piece_follow_the_stem(self):
+        # make_path's walk refuses the stem where it is handed in
+        why = r"^edge \('f1', 1\) does not continue the path at 'w1'$"
+        with pytest.raises(PathError, match=why):
+            fg.atom(self.g, self.bogus)
+        with pytest.raises(PathError, match=why):
+            fg.co_make(self.g, [fg.atom(self.g, self.bogus)])
+        for mu, lam in ((self.real, self.bogus), (self.bogus, self.real)):
+            with pytest.raises(PathError, match=why):
+                fg.make_piece(self.g, mu, frozenset(), lam)
+        off = fg.FinitePath("w1", (("e1", 1),), "w1")
+        with pytest.raises(PathError, match="ends at 'w2', not at 'w1'"):
+            fg.atom(self.g, off)
+        with pytest.raises(PathError, match="not a tuple"):
+            fg.atom(self.g, fg.FinitePath("w1", [("e1", 1)], "w2"))
 
     @pytest.mark.parametrize("stem, why", [
         (fg.FinitePath("w1", (("e1", 1),), "w1"), "ends at 'w2', not at 'w1'"),
@@ -469,9 +494,9 @@ class TestValidateWalk:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
         checked = []
-        atom = tables.atom
-        monkeypatch.setattr(tables, "atom", lambda g, mu, F=frozenset():
-                            checked.append((mu.rng, F)) or atom(g, mu, F))
+        excluded = tables._excluded
+        monkeypatch.setattr(tables, "_excluded", lambda g, v, F:
+                            checked.append((v, F)) or excluded(g, v, F))
         fg.validate_table(t)
         assert calls == []
         assert len(checked) == len(set(checked)) == len({(p.mu.rng, p.F) for p in t.pieces})
