@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import GraphError, ParseError, PathError
 from .graph import Graph, EdgeFamily, LeveledGraph, TemplateFamily, _as_tuple, _cycles, _strings
-from .pathspace import FinitePath, _follow, _walk, make_path
+from .pathspace import FinitePath, _walk, make_path
 from .tables import Piece, Table, _marked, make_table
 from .embed import default_labeling, embed_table
 
@@ -114,6 +114,16 @@ class BratteliDiagram:
         if type(N) is not int or N < 0 or self.repeat is None and N >= len(self.levels):
             raise GraphError(f"level {N} is not declared")
 
+    def _source_path(self, N: int, start: str, refs, memo: dict):
+        """The depth-``N`` source path from ``start`` along ``refs`` (``make_path``'s
+        walk with ``memo``), or None: ``start`` is a source on level ``N - len(refs)``."""
+        try:
+            if (N - len(refs), start) in self._sources:
+                return FinitePath(start, *_walk(self._graph, start, refs, memo))
+        except (GraphError, PathError):
+            pass
+        return None
+
     def sources(self):
         """(level, instantiated name) of every source vertex.  Both graph
         classes number their vertices level by level in declaration order
@@ -189,7 +199,7 @@ class BratteliDiagram:
             mapping = {}
             for paths, perm in zip(fibers, combo):
                 mapping.update(zip(paths, perm))
-            yield GammaElement(self, N, mapping)
+            yield _element(self, N, mapping)
             for i in reversed(range(len(fibers))):
                 combo[i] = next(perms[i], None)
                 if combo[i] is not None:
@@ -275,19 +285,10 @@ class GammaElement:
         if not (isinstance(m, dict) and all(
                 isinstance(p, FinitePath) for p in itertools.chain(m, m.values()))):
             raise GraphError("a mapping must be a dict from paths to paths")
-        moved = {p: q for p, q in self.mapping.items() if p != q}
-        if set(moved.values()) != moved.keys():
-            raise GraphError("images do not form a permutation")
-        if any(p.rng != q.rng for p, q in moved.items()):
-            raise GraphError("permutation must preserve the range vertex")
         b, N, memo = self.diagram, self.level, {}
+        moved = _element(b, N, m).mapping  # the level and the permutation checked
         for p in moved:
-            try:
-                _follow(b._graph, p, memo)
-                source = (N - len(p.edges), p.start) in b._sources
-            except (GraphError, PathError):
-                source = False
-            if not source:
+            if type(p.edges) is not tuple or b._source_path(N, p.start, p.edges, memo) != p:
                 raise GraphError(f"not a depth-{N} source path: {p!r}")
         object.__setattr__(self, "mapping", moved)
 
@@ -297,12 +298,11 @@ class GammaElement:
     def compose(self, other: "GammaElement") -> "GammaElement":
         if self.level != other.level or self.diagram != other.diagram:
             raise GraphError("elements live at different levels")
-        return GammaElement(self.diagram, self.level, {
+        return _element(self.diagram, self.level, {
             p: self(other(p)) for p in itertools.chain(other.mapping, self.mapping)})
 
     def inverse(self) -> "GammaElement":
-        return GammaElement(self.diagram, self.level,
-                            {q: p for p, q in self.mapping.items()})
+        return _element(self.diagram, self.level, {q: p for p, q in self.mapping.items()})
 
     def is_identity(self) -> bool:
         return not self.mapping
@@ -317,10 +317,24 @@ class GammaElement:
         b = self.diagram
         paths = _step(b.underlying_graph(), [*self.mapping, *self.mapping.values()])
         half = len(paths) // 2
-        return GammaElement(b, self.level + 1, dict(zip(paths[:half], paths[half:])))
+        return _element(b, self.level + 1, dict(zip(paths[:half], paths[half:])))
 
     def __hash__(self):
         return hash((self.diagram, self.level, frozenset(self.mapping.items())))
+
+
+def _element(b: BratteliDiagram, N: int, mapping: dict) -> GammaElement:
+    """``GammaElement(b, N, mapping)`` of depth-``N`` source paths already checked:
+    the level and the permutation are checked, the paths are not walked again."""
+    b._check_level(N)
+    moved = {p: q for p, q in mapping.items() if p != q}
+    if set(moved.values()) != moved.keys():
+        raise GraphError("images do not form a permutation")
+    if any(p.rng != q.rng for p, q in moved.items()):
+        raise GraphError("permutation must preserve the range vertex")
+    el = object.__new__(GammaElement)
+    el.__dict__.update(diagram=b, level=N, mapping=moved)  # past the frozen __setattr__
+    return el
 
 
 def gamma_to_table(el: GammaElement) -> Table:
@@ -397,16 +411,14 @@ def gamma_element_from_json(b: BratteliDiagram, data) -> GammaElement:
         lit = literal.strip()
         start, colon, rest = lit.partition(":")
         ids = rest.split(",") if rest else ()
-        if colon and (N - len(ids), start) in b._sources:
-            try:
-                return FinitePath(start, *_walk(b._graph, start, [(i, 1) for i in ids], memo))
-            except (GraphError, PathError):
-                pass
-        raise ParseError(f"not a depth-{N} source path: {lit!r}")
+        p = b._source_path(N, start, [(i, 1) for i in ids], memo) if colon else None
+        if p is None:
+            raise ParseError(f"not a depth-{N} source path: {lit!r}")
+        return p
 
     # a key resolves before its value, so the first bad literal is the one named
     mapping = {resolve(src): resolve(tgt) for src, tgt in images.items()}
     try:
-        return GammaElement(b, N, mapping)
+        return _element(b, N, mapping)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc

@@ -178,6 +178,8 @@ class _GraphBase:
             fid, idx = ref
         except (TypeError, ValueError):
             raise GraphError(f"bad edge reference {ref!r}: not an (id, index) pair") from None
+        if not isinstance(fid, str):
+            raise GraphError(f"bad edge reference {ref!r}: the family id is not a string")
         fam = self.family(fid)
         # type() is int refuses bools and floats, as for every count and index
         if type(idx) is not int or idx < 1:

@@ -50,27 +50,32 @@ class FinitePath(_Record):
 _fp_start, _fp_edges, _fp_rng, _fp_hash = _setters(FinitePath)
 
 
+def _step(g, at: str, ref, memo: dict) -> tuple:
+    """``(ref as a tuple, source, range)`` of a ref of ``g`` leaving the vertex
+    ``at``.  ``memo``, kept for one call, maps each ref checked to that
+    triple, so a repeat is checked once and shares its tuple."""
+    try:
+        step = memo.get(ref)
+    except TypeError:  # unhashable: check_ref refuses it, or tuple() mends it
+        step = None
+    if step is None or type(ref[1]) is not int:  # True == 1, but is no index
+        fam = g.check_ref(ref)  # before ``tuple``, which a non-pair may break
+        key = tuple(ref)
+        step = memo[key] = key, fam.source, fam.range
+    if step[1] != at:
+        raise PathError(f"edge {step[0]!r} does not continue the path at {at!r}")
+    return step
+
+
 def _walk(g, start: str, refs, memo: dict):
     """The refs as tuples and the vertex reached, following ``refs`` from the
-    vertex ``start``: each must be a ref of ``g`` leaving the vertex reached.
-    ``memo``, kept for one call, maps each ref checked to ``(tuple, source,
-    range)``, so a repeat is checked once and shares its tuple."""
+    vertex ``start``, each a ``_step`` with ``memo``."""
     if not g.has_vertex(start):
         raise PathError(f"unknown start vertex {start!r}")
     at, out = start, []
     for ref in refs:
-        try:
-            step = memo.get(ref)
-        except TypeError:  # unhashable: check_ref refuses it, or tuple() mends it
-            step = None
-        if step is None or type(ref[1]) is not int:  # True == 1, but is no index
-            fam = g.check_ref(ref)  # before ``tuple``, which a non-pair may break
-            key = tuple(ref)
-            step = memo[key] = key, fam.source, fam.range
-        if step[1] != at:
-            raise PathError(f"edge {step[0]!r} does not continue the path at {at!r}")
-        out.append(step[0])
-        at = step[2]
+        key, _, at = _step(g, at, ref, memo)
+        out.append(key)
     return tuple(out), at
 
 
@@ -151,15 +156,20 @@ def atom(g, mu: FinitePath, F=frozenset()) -> CylinderAtom:
 
 
 def _excluded(g, v: str, F) -> frozenset:
-    """``F`` as a set of edge tuples, refs of ``g`` out of ``v`` that are not
-    every branch there: the F of a nonempty atom whose stem ends at ``v``."""
-    F = frozenset(tuple(e) for e in F)
-    for ref in F:
-        if g.check_ref(ref).source != v:
-            raise AtomError(f"excluded edge {ref!r} is not outgoing at {v!r}")
-    if _every_branch(g, v, F):
+    """``F`` as a set of edge tuples, refs of ``g`` leaving ``v`` (``_step``),
+    not every branch there: the F of a nonempty atom whose stem ends at ``v``."""
+    try:
+        refs, out, memo = iter(F), set(), {}
+    except TypeError:
+        raise AtomError(f"excluded edges {F!r} are not a collection of edge references") from None
+    for ref in refs:
+        try:
+            out.add(_step(g, v, ref, memo)[0])
+        except PathError:
+            raise AtomError(f"excluded edge {tuple(ref)!r} is not outgoing at {v!r}") from None
+    if _every_branch(g, v, out):
         raise AtomError("empty atom: every outgoing edge excluded at a regular vertex")
-    return F
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +220,17 @@ def _parts(g, report, stems, Fs):
     the stem from above, and ``_cut`` cuts each leftover at every stem it is
     carried to.
 
-    A stem with atoms or leftovers on it has its range vertex and out-degree
-    read once.  Edges excluded there are every branch when they number that
-    degree.  At a sink or an omega vertex no edge set is, since the stem
-    itself stays a branch (and an omega vertex has unboundedly many edges),
-    so the count to reach is ``OMEGA`` there.  A stem without atoms or
-    leftovers only hands the covering atoms on to its kids.
+    Each stem has its range vertex and out-degree read once.  Edges excluded
+    there are every branch when they number that degree.  At a sink or an
+    omega vertex no edge set is, since the stem itself stays a branch (and an
+    omega vertex has unboundedly many edges), so the count to reach is
+    ``OMEGA`` there.
     """
     F0, F1, F2 = Fs
     for start, root in _stem_trie(*stems).items():
         stack = [(root, (), None, None, None, None, None)]
         while stack:
             (h0, h1, h2, kids, _, _, _), w, c0, c1, c2, o0, o1 = stack.pop()
-            if not (h0 or h1 or o0 is not None or o1 is not None):
-                for e, kid in kids.items():
-                    if kid[4] < _NO_ID or kid[5] < _NO_ID:
-                        stack.append((kid, w + (e,), c0, c1,
-                                      _holder(c2, h2, F2, e) if h2 else c2, None, None))
-                continue
             v = g.ref_range(w[-1]) if w else start
             full = g.out_degree(v) or OMEGA
             for j in h1 if c0 is not None else ():
@@ -255,9 +258,9 @@ def _parts(g, report, stems, Fs):
             for e, kid in kids.items():
                 k0, k1 = opens0.get(e), opens1.get(e)
                 if kid[4] < _NO_ID or kid[5] < _NO_ID or k0 is not None or k1 is not None:
-                    stack.append((kid, w + (e,), _holder(c0, h0, F0, e) if h0 else c0,
-                                  _holder(c1, h1, F1, e) if h1 else c1,
-                                  _holder(c2, h2, F2, e) if h2 else c2, k0, k1))
+                    stack.append((kid, w + (e,), _holder(h0, F0, e) if h0 else c0,
+                                  _holder(h1, F1, e) if h1 else c1,
+                                  _holder(h2, F2, e) if h2 else c2, k0, k1))
 
 
 def _cut(g, w, v, full, F, Fs, subs, kids, k, opens, i, limit=_NO_ID):
@@ -289,11 +292,10 @@ def _cut(g, w, v, full, F, Fs, subs, kids, k, opens, i, limit=_NO_ID):
     return [] if len(F) == full else [(w, v, F)]
 
 
-def _holder(c, held, Fs, e):
-    """The atom covering branch ``e``: ``c`` from above, or the one of the
-    ``held`` atoms at the stem that does not exclude ``e``."""
-    if c is not None:
-        return c
+def _holder(held, Fs, e):
+    """The atom covering branch ``e`` of a stem, the one of the ``held`` atoms
+    at the stem that does not exclude ``e``; an atom of the same kind never
+    covers the stem from above, as each kind is disjoint."""
     return next((i for i in held if e not in Fs[i]), None)
 
 
@@ -445,6 +447,14 @@ class BoundaryPoint:
 
 
 def finite_point(g, mu: FinitePath) -> BoundaryPoint:
+    """The finite boundary path ``mu``, followed through ``g`` (``make_path``'s
+    walk) to its ``rng``, a singular vertex."""
+    _follow(g, mu, {})
+    return _finite(g, mu)
+
+
+def _finite(g, mu: FinitePath) -> BoundaryPoint:
+    """``finite_point`` of a path already followed through ``g``."""
     if not g.is_singular(mu.rng):
         raise PathError(f"finite boundary paths must end at a singular vertex, not {mu.rng!r}")
     return BoundaryPoint(mu, None)
@@ -564,12 +574,11 @@ def witness_point(g, a: CylinderAtom) -> BoundaryPoint:
     for _ in range(steps + 2):
         v = path.rng
         if g.is_sink(v) or g.omega_family(v) is not None:
-            return finite_point(g, path)
+            return _finite(g, path)
         if v in seen:
             k = seen[v]
-            pre = make_path(g, path.start, path.edges[:k])
-            cyc = make_path(g, v, path.edges[k:])
-            return _periodic(g, pre, cyc)
+            return _periodic(g, FinitePath(path.start, path.edges[:k], v),
+                             FinitePath(v, path.edges[k:], v))
         seen[v] = len(path.edges)
         options = [(f.id, 1) for f in g.out_singles(v) if (f.id, 1) not in banned]
         if not options:
@@ -658,7 +667,7 @@ def parse_point(g, text: str) -> BoundaryPoint:
                 raise ParseError("empty cycle in point literal")
             return _periodic(g, prefix, cycle)
         if text.endswith("!"):
-            return finite_point(g, _parse_path(g, text[:-1], memo))
+            return _finite(g, _parse_path(g, text[:-1], memo))
     except PathError as exc:
         raise ParseError(str(exc)) from exc
     raise ParseError(f"bad point literal {text!r} (expected '... !' or '... / (...)')")

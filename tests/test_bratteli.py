@@ -11,6 +11,7 @@ import weakref
 import pytest
 
 import fullgroups as fg
+from fullgroups import bratteli, pathspace
 from fullgroups.bratteli import _CAP, MAX_ORDER_DIGITS
 from fullgroups.errors import AdmissibilityError, GraphError, ParseError
 
@@ -814,6 +815,29 @@ class TestElementJson:
                     assert got == outcome(old_gamma_element_from_json, b, data)
                     seen.add(got[1][:9] if isinstance(got, tuple) else "read")
         assert {"read", "not a dep", "images do", "permutati"} <= seen
+
+
+class TestOneWalkPerPath:
+    """The element reader walks each literal once, and the derived elements
+    (``compose``, ``inverse``, ``extend``, ``gamma_elements``) walk nothing."""
+
+    def test_walks(self, monkeypatch):
+        b = make_gamma2_diagram()
+        walks = []
+        for mod in (pathspace, bratteli):
+            monkeypatch.setattr(mod, "_walk", lambda *args, walk=mod._walk:
+                                walks.append(args[1]) or walk(*args))
+        levels = b.gamma_elements(2)
+        el = next(itertools.islice(levels, 5, None))
+        walks.clear()
+        images = {fg.format_path(b.underlying_graph(), p): fg.format_path(b.underlying_graph(), q)
+                  for p, q in el.mapping.items()}
+        assert fg.gamma_element_from_json(b, {"level": 2, "images": images}) == el
+        assert len(walks) == 2 * len(images) > 0
+        walks.clear()
+        derived = [el.compose(el), el.inverse(), el.extend(), next(levels)]
+        assert walks == []
+        assert derived == [fg.GammaElement(d.diagram, d.level, d.mapping) for d in derived]
 
 
 class TestBoundary:

@@ -473,6 +473,14 @@ class TestErrorsAndRoundtrips:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "parse-error"
 
+    def test_a_table_with_an_empty_atom_is_a_parse_error(self, files, capsys):
+        bad = files["dir"] / "empty.table"
+        bad.write_text(json.dumps({"pieces": [{"mu": "v:", "F": ["a", "b"], "lambda": "v:"}]}))
+        code, out, err = run(capsys, "validate", str(bad), "--kind", "table",
+                             "--graph", files["e2"])
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert json.loads(err)["error"]["code"] == "parse-error"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent.graph")
         assert code == 2

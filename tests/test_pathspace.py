@@ -21,7 +21,9 @@ from conftest import (
     enumerate_points,
     make_e2,
     make_e_inf,
+    make_leveled_mixed_graph,
     make_one_orbit,
+    make_sink_graph,
     make_two_vertex_omega,
     path,
     random_graph,
@@ -354,6 +356,14 @@ def test_make_path_refuses_a_ref_that_is_not_a_pair():
     assert fg.make_path(g, "v", [["a", 1]]).edges == (("a", 1),)
 
 
+def test_a_family_id_that_is_not_a_string_is_refused():
+    # on both graph classes, before the id is looked up
+    for g, start in ((make_e2(), "v"), (make_leveled_mixed_graph(), "r")):
+        for fid in ([1], 5, None):
+            with pytest.raises(GraphError, match="the family id is not a string$"):
+                fg.make_path(g, start, [(fid, 1)])
+
+
 class TestPoints:
     def test_minimal_form(self, e2):
         pa = path(e2, "v", "a")
@@ -401,6 +411,21 @@ class TestPoints:
     def test_finite_point_needs_singular_range(self, e2):
         with pytest.raises(PathError):
             fg.finite_point(e2, path(e2, "v", "a"))
+
+    def test_finite_point_follows_its_stem(self, monkeypatch):
+        # d leaves u, not v; c leads to u, not to the sink s
+        g = make_sink_graph()
+        with pytest.raises(PathError, match=r"^edge \('d', 1\) does not continue the path at 'v'$"):
+            fg.finite_point(g, fg.FinitePath("v", (("d", 1),), "s"))
+        with pytest.raises(PathError, match="ends at 'u', not at 's'$"):
+            fg.finite_point(g, fg.FinitePath("v", (("c", 1),), "s"))
+        # the point reader walks its literal once
+        calls = []
+        check_ref = g.check_ref
+        monkeypatch.setattr(g, "check_ref", lambda ref: calls.append(ref) or check_ref(ref))
+        pt = fg.parse_point(g, "v:c,d,b !")
+        assert calls == [("c", 1), ("d", 1), ("b", 1)]
+        assert pt == fg.finite_point(g, fg.make_path(g, "v", [("c", 1), ("d", 1), ("b", 1)]))
 
     def test_shift_count_matches_unroll(self, rng):
         from fullgroups.pathspace import point_edge

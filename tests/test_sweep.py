@@ -2,10 +2,15 @@
 
 Stems are drawn near real paths and then spoiled: an edge from the wrong
 vertex, an unknown name, a ref of another graph, an omega index on a single
-family, a bool or zero index, a start or range off the walk.  Every call must
-answer or refuse with a ``ToolkitError`` within a timer, and what is accepted
-must be right:
+family, a bool or zero index, a start or range off the walk.  Refs and
+exclusion sets are also drawn malformed: a family id that is not a string, a
+ref that is not a pair or is a list, an F that is no collection.  Every call
+must answer or refuse with a ``ToolkitError`` within a timer, and what is
+accepted must be right:
 - the ``embed_table`` image of every accepted table passes ``validate_table``;
+- an accepted atom excludes refs, as tuples, out of its stem's range, and
+  not every branch there; an accepted finite point's stem is a path of its
+  graph ending at a singular vertex;
 - an accepted ``GammaElement`` maps to the identity under ``af_to_v`` exactly
   when it is the identity.
 """
@@ -134,6 +139,46 @@ def test_tables_answer_or_refuse_and_embed_validly(data):
     _image_is_valid(unmarked, lab)
     if unmarked is not None:
         _image_is_valid(_call(fg.table_from_json, g, _call(fg.table_to_json, unmarked)), lab)
+
+
+# refs of no graph: family ids that are not strings, non-pairs, lists
+ODD_REFS = [([1], 1), (5, 1), (None, 1), ((), 1), 5, None, "e1", ("e1",), [["e1"], 1]]
+
+
+@st.composite
+def odd_Fs(draw, k):
+    """An exclusion set for graph ``k`` that is not a collection, or holds
+    refs that are malformed, spoiled or given as lists."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([5, None, 2.5, True, "e1"]))
+    refs = draw(st.lists(st.sampled_from(REFS[k] + BAD_REFS[k] + ODD_REFS), max_size=3))
+    return [list(r) if type(r) is tuple and draw(st.booleans()) else r for r in refs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_odd_refs_and_exclusion_sets_are_refused_or_right(data):
+    k = data.draw(st.integers(0, len(GRAPHS) - 1))
+    g = GRAPHS[k]
+    mu, lam = (data.draw(stems(k)) for _ in range(2))
+    F = data.draw(odd_Fs(k))
+    odd = data.draw(st.sampled_from(ODD_REFS))
+    lab = _call(fg.default_labeling, g)
+
+    _call(fg.make_path, g, mu.start, [odd, *mu.edges])
+    _call(fg.make_path, g, mu.start, [*mu.edges, odd])
+    point = _call(fg.finite_point, g, mu)
+    if point is not None:
+        assert fg.make_path(g, mu.start, mu.edges) == mu and g.is_singular(mu.rng)
+    a = _call(fg.atom, g, mu, F)
+    if a is not None:
+        assert all(type(e) is tuple and g.ref_source(e) == mu.rng for e in a.F)
+        assert g.is_singular(mu.rng) or len(a.F) < g.out_degree(mu.rng)
+    piece = _call(fg.make_piece, g, mu, F, lam)
+    if piece is not None:
+        assert a is not None and piece.F == a.F
+    _image_is_valid(_call(fg.make_table, g, [(mu, F, lam), (lam, F, mu)]), lab)
+    _image_is_valid(_call(fg.involution_hat, g, [(mu, F, lam)]), lab)
 
 
 DIAGRAMS = [make_gamma2_diagram(), make_two_source_diagram()]

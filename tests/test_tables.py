@@ -174,6 +174,40 @@ class TestStemsFollowTheirEdges:
                 fg.validate_table(fg.Table(self.g, (p,)))
 
 
+class TestExclusionSets:
+    """An F is a collection of refs of the graph, each checked as a path's
+    edge is (``pathspace._step``), so a malformed one is a typed refusal."""
+
+    g = make_e_nr(2, 2)
+    mu = fg.FinitePath("w1", (), "w1")
+
+    def test_a_malformed_F_is_refused(self):
+        for F, error, why in [
+            ([5], GraphError, "not an"),
+            ([([1], 1)], GraphError, "the family id is not a string"),
+            ([("e1", True)], GraphError, "bad edge index"),
+            (5, AtomError, "are not a collection of edge references"),
+            (None, AtomError, "are not a collection of edge references"),
+        ]:
+            with pytest.raises(error, match=why):
+                fg.atom(self.g, self.mu, F)
+            with pytest.raises(error, match=why):
+                fg.make_piece(self.g, self.mu, F, self.mu)
+        # a ref given as a list is still read as a tuple
+        assert fg.atom(self.g, self.mu, [["e1", 1]]).F == frozenset({("e1", 1)})
+
+    @pytest.mark.parametrize("F, why", [
+        (["f1"], r"^excluded edge \('f1', 1\) is not outgoing at 'w1'$"),
+        (["e1", "e2"], "^empty atom: every outgoing edge excluded"),
+    ], ids=["off-range", "every-branch"])
+    def test_the_table_reader_refuses_a_bad_F_as_a_parse_error(self, F, why):
+        # as the compact-open reader does for the same record
+        with pytest.raises(ParseError, match=why):
+            fg.table_from_json(self.g, {"pieces": [{"mu": "w1:", "F": F, "lambda": "w1:"}]})
+        with pytest.raises(ParseError, match=why):
+            fg.co_from_json(self.g, [{"mu": "w1:", "F": F}])
+
+
 _GRAPHS = algebra_graphs()
 
 
